@@ -45,6 +45,17 @@ class IngestStats:
     clamped_coordinates: int = 0
 
 
+def _records(items, field: str, page_id: str):
+    """Yield (context, record) for one region list; each record must be an object."""
+    if not isinstance(items, list):
+        raise DatasetError(f"page {page_id!r}: {field} must be a JSON array")
+    for i, raw in enumerate(items):
+        context = f"{field}[{i}]"
+        if not isinstance(raw, dict):
+            raise DatasetError(f"page {page_id!r}: {context} must be a JSON object")
+        yield context, raw
+
+
 def _require(obj: dict, key: str, page_id: str, context: str):
     if key not in obj:
         raise DatasetError(f"page {page_id!r}: {context} missing field {key!r}")
@@ -84,14 +95,12 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
         raise DatasetError("page record missing non-empty 'page_id'")
 
     ocr_blocks = []
-    for i, raw in enumerate(obj.get("ocr_blocks", [])):
-        context = f"ocr_blocks[{i}]"
+    for context, raw in _records(obj.get("ocr_blocks", []), "ocr_blocks", page_id):
         box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
         ocr_blocks.append(OcrBlock(box=box, text=str(raw.get("text", "")), is_bold=bool(raw.get("is_bold", False))))
 
     teacher = []
-    for i, raw in enumerate(obj.get("teacher", [])):
-        context = f"teacher[{i}]"
+    for context, raw in _records(obj.get("teacher", []), "teacher", page_id):
         box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
         category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
         coord_var = raw.get("coord_var")
@@ -108,8 +117,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
             raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
 
     llm = []
-    for i, raw in enumerate(obj.get("llm", [])):
-        context = f"llm[{i}]"
+    for context, raw in _records(obj.get("llm", []), "llm", page_id):
         box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
         category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
         try:
@@ -128,8 +136,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
     ground_truth = None
     if obj.get("ground_truth") is not None:
         ground_truth = []
-        for i, raw in enumerate(obj["ground_truth"]):
-            context = f"ground_truth[{i}]"
+        for context, raw in _records(obj["ground_truth"], "ground_truth", page_id):
             box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
             category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
             ground_truth.append(GroundTruthAnnotation(box=box, category=category))
@@ -137,8 +144,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
     refined = None
     if obj.get("refined") is not None:
         refined = []
-        for i, raw in enumerate(obj["refined"]):
-            context = f"refined[{i}]"
+        for context, raw in _records(obj["refined"], "refined", page_id):
             box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
             category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
             try:
@@ -165,15 +171,19 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
     )
 
 
+def _bbox(box: BoundingBox) -> list[float]:
+    return [box.x1, box.y1, box.x2, box.y2]
+
+
 def page_to_dict(page: Page) -> dict:
     obj: dict = {"page_id": page.page_id}
     obj["ocr_blocks"] = [
-        {"bbox": list(b.box.as_array()), "text": b.text, "is_bold": b.is_bold} for b in page.ocr_blocks
+        {"bbox": _bbox(b.box), "text": b.text, "is_bold": b.is_bold} for b in page.ocr_blocks
     ]
     obj["teacher"] = [
         {
             "type": t.category.name,
-            "bbox": list(t.box.as_array()),
+            "bbox": _bbox(t.box),
             "confidence": t.confidence,
             **({"coord_var": t.coordinate_variance} if t.coordinate_variance is not None else {}),
         }
@@ -182,7 +192,7 @@ def page_to_dict(page: Page) -> dict:
     obj["llm"] = [
         {
             "type": r.category.name,
-            "bbox": list(r.box.as_array()),
+            "bbox": _bbox(r.box),
             "score": r.score,
             "q_text": r.q_text,
             "q_spatial": r.q_spatial,
@@ -191,13 +201,13 @@ def page_to_dict(page: Page) -> dict:
     ]
     if page.ground_truth is not None:
         obj["ground_truth"] = [
-            {"type": g.category.name, "bbox": list(g.box.as_array())} for g in page.ground_truth
+            {"type": g.category.name, "bbox": _bbox(g.box)} for g in page.ground_truth
         ]
     if page.refined is not None:
         obj["refined"] = [
             {
                 "type": f.category.name,
-                "bbox": list(f.box.as_array()),
+                "bbox": _bbox(f.box),
                 "score": f.confidence,
                 "provenance": f.provenance,
                 "smoothing": f.smoothing,

@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+# Fused confidences are kept this far inside (0, 1), so a pair whose
+# calibrated logits saturate the sigmoid still makes a valid FusedLabel.
+# Unbinding for |fused logit| < 27.6, which covers every confidence in
+# [1e-7, 1 - 1e-7] at unit temperatures.
+_FUSED_CONF_CLIP = 1e-12
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Thresholds and weights for matching and fixed fusion.
@@ -180,8 +187,14 @@ def fuse_fixed_box(b_t: BoundingBox, b_l: BoundingBox, weight: float) -> Boundin
     """Coordinate-wise convex combination, ``weight`` on the teacher box."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight={weight} must be in [0, 1]")
-    blended = weight * b_t.as_array() + (1.0 - weight) * b_l.as_array()
-    return BoundingBox.from_array(blended)
+    # Per coordinate, the same two products and one sum as the array form.
+    w_l = 1.0 - weight
+    return BoundingBox(
+        float(weight * b_t.x1 + w_l * b_l.x1),
+        float(weight * b_t.y1 + w_l * b_l.y1),
+        float(weight * b_t.x2 + w_l * b_l.x2),
+        float(weight * b_t.y2 + w_l * b_l.y2),
+    )
 
 
 def llm_spatial_variance(q_text: float, q_spatial: float) -> float:
@@ -205,8 +218,13 @@ def fuse_inverse_variance(
         return b_l
     w_t = 1.0 / var_t
     w_l = 1.0 / var_l
-    blended = (w_t * b_t.as_array() + w_l * b_l.as_array()) / (w_t + w_l)
-    return BoundingBox.from_array(blended)
+    total = w_t + w_l
+    return BoundingBox(
+        float((w_t * b_t.x1 + w_l * b_l.x1) / total),
+        float((w_t * b_t.y1 + w_l * b_l.y1) / total),
+        float((w_t * b_t.x2 + w_l * b_l.x2) / total),
+        float((w_t * b_t.y2 + w_l * b_l.y2) / total),
+    )
 
 
 def optimal_alpha(sigma_t: float, sigma_l: float, rho: float) -> float:
@@ -290,8 +308,10 @@ def _fuse_pair(
     gate: GateParams | None,
     taxonomy: Taxonomy,
 ) -> FusedLabel:
-    p_cal = apply_temperature(pred.confidence, config.teacher_temperature)
-    s_cal = apply_temperature(region.score, config.llm_temperature)
+    # Calibrated logits stay in logit space: a sharp temperature would
+    # saturate sigmoid(logit / T) to exactly 1.0, which logit rejects.
+    z_t = logit(pred.confidence) / config.teacher_temperature
+    z_l = logit(region.score) / config.llm_temperature
     if gate is not None:
         features = GateFeatures(pred.confidence, region.score, pair_iou)
         g = gate_forward(gate, features)
@@ -306,7 +326,8 @@ def _fuse_pair(
     else:
         box = fuse_fixed_box(pred.box, region.box, config.teacher_box_weight)
         lambda_t = config.teacher_logit_weight
-    confidence = fuse_confidence_logit(p_cal, s_cal, lambda_t)
+    fused = sigmoid(lambda_t * z_t + (1.0 - lambda_t) * z_l)
+    confidence = min(max(fused, _FUSED_CONF_CLIP), 1.0 - _FUSED_CONF_CLIP)
     category = resolve_category(pred.category, pred.confidence, region.category, region.score, taxonomy)
     return FusedLabel(box=box, category=category, confidence=confidence, provenance=PROVENANCE_FUSED)
 

@@ -8,6 +8,7 @@ variance-based fusion formulas downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +29,20 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        # One chained test accepts exactly the valid boxes (NaN and the
+        # infinities fail it); the checks below only name what is wrong.
+        if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0:
+            return
+        for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
+            if not math.isfinite(value):
                 raise ValueError(f"box coordinate {name}={value!r} is not finite")
             if value < 0.0 or value > 1.0:
                 raise ValueError(f"box coordinate {name}={value} outside [0, 1]")
-        if not self.x1 < self.x2:
-            raise ValueError(f"degenerate box: x1={self.x1} >= x2={self.x2}")
-        if not self.y1 < self.y2:
-            raise ValueError(f"degenerate box: y1={self.y1} >= y2={self.y2}")
+        if not x1 < x2:
+            raise ValueError(f"degenerate box: x1={x1} >= x2={x2}")
+        if not y1 < y2:
+            raise ValueError(f"degenerate box: y1={y1} >= y2={y2}")
 
     @property
     def width(self) -> float:
@@ -56,8 +61,8 @@ class BoundingBox:
 
     @classmethod
     def from_array(cls, coords) -> "BoundingBox":
-        x1, y1, x2, y2 = (float(c) for c in coords)
-        return cls(x1, y1, x2, y2)
+        x1, y1, x2, y2 = coords
+        return cls(float(x1), float(y1), float(x2), float(y2))
 
 
 def clamp_coordinates(coords) -> tuple[list[float], int]:
@@ -70,7 +75,9 @@ def clamp_coordinates(coords) -> tuple[list[float], int]:
     moved = 0
     for c in coords:
         c = float(c)
-        bounded = min(1.0, max(0.0, c))
+        # min(1.0, max(0.0, c)) as conditional expressions, NaN included.
+        bounded = c if c > 0.0 else 0.0
+        bounded = bounded if bounded < 1.0 else 1.0
         if bounded != c:
             moved += 1
         clamped.append(bounded)
@@ -79,12 +86,17 @@ def clamp_coordinates(coords) -> tuple[list[float], int]:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union. Symmetric, in [0, 1], 1 iff identical."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    # Conditional expressions pick what min()/max() would, minus the calls.
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    if ix <= 0.0:
+        return 0.0
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    if iy <= 0.0:
         return 0.0
     intersection = ix * iy
-    union = a.area + b.area - intersection
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
     return intersection / union
 
 

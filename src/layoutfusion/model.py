@@ -50,8 +50,11 @@ class TeacherPrediction:
 
     def __post_init__(self) -> None:
         _check_probability(self.confidence, "confidence")
-        if self.coordinate_variance is not None and self.coordinate_variance < 0.0:
-            raise ValueError(f"coordinate_variance={self.coordinate_variance} must be >= 0")
+        # +inf is allowed and means the teacher box carries no weight;
+        # NaN would fail only later, inside the fused box.
+        var = self.coordinate_variance
+        if var is not None and not var >= 0.0:
+            raise ValueError(f"coordinate_variance={var} must be >= 0 and not NaN")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,30 @@
-"""Small shared numeric helpers (stable sigmoid/logit, softplus)."""
+"""Small shared numeric helpers (stable sigmoid/logit, softplus).
+
+``sigmoid`` and ``logit`` take a plain-``math`` path for exact Python
+floats, the per-label case in fusion, and the numpy path for everything
+else (numpy scalars and arrays), so array callers and the simulator's
+``np.float64`` draws see unchanged results. The two paths follow the
+same formulas and may differ only by the rounding of ``exp``/``log``.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["sigmoid", "logit", "softplus"]
 
+_LOGIT_DOMAIN = "logit requires probabilities strictly inside (0, 1)"
+
 
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
+    if type(x) is float:
+        if x >= 0.0:
+            return 1.0 / (1.0 + math.exp(-x))
+        ex = math.exp(x)
+        return ex / (1.0 + ex)
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -20,9 +36,13 @@ def sigmoid(x):
 
 def logit(p):
     """Inverse sigmoid; requires p strictly inside (0, 1)."""
+    if type(p) is float:
+        if p <= 0.0 or p >= 1.0:
+            raise ValueError(_LOGIT_DOMAIN)
+        return math.log(p) - math.log1p(-p)
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("logit requires probabilities strictly inside (0, 1)")
+        raise ValueError(_LOGIT_DOMAIN)
     out = np.log(p) - np.log1p(-p)
     return out if out.ndim else float(out)
 

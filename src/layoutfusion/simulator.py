@@ -237,21 +237,14 @@ def _draw_confidence(rng: np.random.Generator, confusion: float, temperature: fl
     stream never errs: correctness is forced and the latent stays high.
     """
     if confusion == 0.0:
-        latent = float(np.clip(rng.beta(_BETA_CONCENTRATION, 0.05), 0.5, 1.0 - _CONF_CLIP))
+        latent = min(max(rng.beta(_BETA_CONCENTRATION, 0.05), 0.5), 1.0 - _CONF_CLIP)
         correct = True
     else:
-        latent = float(
-            np.clip(
-                rng.beta(
-                    _BETA_CONCENTRATION * (1.0 - confusion), _BETA_CONCENTRATION * confusion
-                ),
-                _CONF_CLIP,
-                1.0 - _CONF_CLIP,
-            )
-        )
+        draw = rng.beta(_BETA_CONCENTRATION * (1.0 - confusion), _BETA_CONCENTRATION * confusion)
+        latent = min(max(draw, _CONF_CLIP), 1.0 - _CONF_CLIP)
         correct = bool(rng.random() < latent)
     z = np.log(latent) - np.log1p(-latent)
-    emitted = float(np.clip(sigmoid(temperature * z), _CONF_CLIP, 1.0 - _CONF_CLIP))
+    emitted = min(max(sigmoid(temperature * z), _CONF_CLIP), 1.0 - _CONF_CLIP)
     return latent, correct, emitted
 
 
@@ -527,9 +520,13 @@ def sample_gate_instances(task: GateTask, n: int, seed: int = 0) -> GateInstance
     teacher = np.clip(teacher, 0.0, 1.0)
     llm = np.clip(llm, 0.0, 1.0)
     # Repair the rare collapse instead of resampling: order the corners.
+    # A far corner clipped to 0 still collapses once the near corner is
+    # floored at 0, so only those entries get their far corner raised.
     for boxes in (teacher, llm):
         lo = np.minimum(boxes[:, :2], boxes[:, 2:] - 1e-4)
         boxes[:, :2] = np.clip(lo, 0.0, 1.0 - 1e-4)
+        collapsed = boxes[:, 2:] <= boxes[:, :2]
+        boxes[:, 2:][collapsed] = boxes[:, :2][collapsed] + 1e-4
 
     if task.mixture is not None:
         p_t = rng.uniform(*task.p_t_range, size=n)

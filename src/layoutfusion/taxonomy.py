@@ -62,19 +62,25 @@ class Taxonomy:
         for pair in self.confusable_pairs:
             if len(pair) != 2:
                 raise ValueError(f"confusable pair {set(pair)} must contain two categories")
+        # Name index behind the per-region lookups; not a dataclass field,
+        # so equality, hashing and repr still see only the declared fields.
+        object.__setattr__(self, "_by_name", {c.name: c for c in self.categories})
 
     def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.categories)
+        try:
+            return name in self._by_name
+        except TypeError:  # unhashable, so never a category name
+            return False
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.categories)
 
     def category(self, name: str) -> LayoutCategory:
-        for c in self.categories:
-            if c.name == name:
-                return c
-        raise KeyError(f"unknown category {name!r} in taxonomy {self.name!r}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise KeyError(f"unknown category {name!r} in taxonomy {self.name!r}") from None
 
     def rarity(self, name: str) -> str:
         return self.category(name).rarity

@@ -75,6 +75,13 @@ class TestFuse:
         )
         assert code == 2
 
+    def test_non_object_region_record_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad_record.jsonl"
+        path.write_text(json.dumps({"page_id": "p-bad", "teacher": [["bbox"]]}) + "\n", encoding="utf-8")
+        assert main(["fuse", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "p-bad" in err and "teacher[0]" in err
+
     def test_teacher_only_dataset(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=4, seed=8))
         stripped = [p.with_llm([]) for p in pages]

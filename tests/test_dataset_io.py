@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from layoutfusion.dataset_io import DatasetError, IngestStats, load_dataset, save_dataset
+from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.model import LlmRegion, Page, TeacherPrediction
 from layoutfusion.simulator import SimConfig, simulate_dataset
@@ -79,6 +80,35 @@ class TestLoadErrors:
         path = tmp_path / "conf.jsonl"
         write_lines(path, [page_line(teacher=[{"type": "text", "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 1.2}])])
         with pytest.raises(DatasetError, match="confidence"):
+            load_dataset(path)
+
+    def test_nan_coordinate_variance_names_page_and_field(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        bad = [{"type": "text", "bbox": [0.1, 0.1, 0.4, 0.2], "confidence": 0.9, "coord_var": float("nan")}]
+        write_lines(path, [page_line(page_id="nan-page", teacher=bad)])
+        with pytest.raises(DatasetError, match=r"nan-page.*teacher\[0\].*coordinate_variance"):
+            load_dataset(path)
+
+    def test_infinite_coordinate_variance_gives_teacher_no_weight(self, tmp_path):
+        path = tmp_path / "inf.jsonl"
+        teacher = [{"type": "text", "bbox": [0.1, 0.1, 0.4, 0.2], "confidence": 0.9, "coord_var": float("inf")}]
+        llm = [{"type": "text", "bbox": [0.12, 0.1, 0.4, 0.22], "score": 0.8}]
+        write_lines(path, [page_line(teacher=teacher, llm=llm)])
+        (page,) = load_dataset(path)
+        (label,) = refine_pseudo_labels(page)
+        assert label.box == page.llm[0].box
+
+    @pytest.mark.parametrize("field", ["ocr_blocks", "teacher", "llm", "ground_truth", "refined"])
+    def test_non_object_record_names_page_and_field(self, tmp_path, field):
+        path = tmp_path / "rec.jsonl"
+        write_lines(path, [page_line(page_id="rec-page", **{field: [["bbox"]]})])
+        with pytest.raises(DatasetError, match=rf"rec-page.*{field}\[0\] must be a JSON object"):
+            load_dataset(path)
+
+    def test_non_array_region_list_names_field(self, tmp_path):
+        path = tmp_path / "arr.jsonl"
+        write_lines(path, [page_line(page_id="arr-page", llm={"bbox": [0.1, 0.1, 0.4, 0.2]})])
+        with pytest.raises(DatasetError, match="arr-page.*llm must be a JSON array"):
             load_dataset(path)
 
     def test_duplicate_page_id(self, tmp_path):

@@ -373,6 +373,26 @@ class TestRefinePseudoLabels:
         np.testing.assert_allclose(label.box.as_array(), expected_box.as_array(), atol=1e-12)
         assert label.confidence == pytest.approx(fuse_confidence_logit(0.8, 0.6, lam), abs=1e-12)
 
+    @pytest.mark.parametrize("conf", [0.999999, 1e-6])
+    def test_sharpest_fitted_temperature_on_saturated_pair(self, conf):
+        # T = 0.05 is the low end of fit_temperature's search range; the
+        # calibrated probabilities round to exactly 1.0 (or nearly 0).
+        config = FusionConfig(teacher_temperature=0.05, llm_temperature=0.05)
+        box = BoundingBox(0.1, 0.1, 0.5, 0.5)
+        page = Page(page_id="sharp", teacher=(teacher(box, conf=conf),), llm=(region(box, score=conf),))
+        (label,) = refine_pseudo_labels(page, config)
+        assert label.provenance == "fused"
+        assert 0.0 < label.confidence < 1.0
+        assert label.confidence == pytest.approx(1.0 if conf > 0.5 else 0.0, abs=1e-11)
+
+    def test_temperatures_fuse_in_logit_space(self):
+        config = FusionConfig(teacher_temperature=0.5, llm_temperature=2.0)
+        box = BoundingBox(0.1, 0.1, 0.5, 0.5)
+        page = Page(page_id="t", teacher=(teacher(box, conf=0.8),), llm=(region(box, score=0.6),))
+        (label,) = refine_pseudo_labels(page, config)
+        z = 0.7 * math.log(4.0) / 0.5 + 0.3 * math.log(1.5) / 2.0
+        assert label.confidence == pytest.approx(1.0 / (1.0 + math.exp(-z)), abs=1e-12)
+
     def test_fused_box_no_further_from_teacher_than_text_region(self):
         pages = simulate_dataset(SimConfig(pages=60, sigma_t=0.02, sigma_l=0.03, seed=23))
         count = 0

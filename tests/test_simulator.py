@@ -216,6 +216,16 @@ class TestGateInstances:
         assert len(samples) == 120
         np.testing.assert_allclose(samples[3].features.as_array(), instances.features[3])
 
+    def test_far_corner_clipped_to_zero_is_repaired(self):
+        # Wide noise clips some far corners to 0; the near corner is then
+        # floored at 0 too, so the repair must raise the far corner.
+        instances = sample_gate_instances(GateTask(sigma_scale=0.3), 200, seed=0)
+        for boxes in (instances.teacher_boxes, instances.llm_boxes):
+            assert np.all(boxes[:, :2] < boxes[:, 2:])
+            assert np.all(boxes >= 0.0) and np.all(boxes <= 1.0)
+        repaired = np.concatenate([instances.teacher_boxes[:, 2:], instances.llm_boxes[:, 2:]]) == 1e-4
+        assert repaired.any()
+
     def test_task_validation(self):
         with pytest.raises(ValueError):
             GateTask(rho=1.5)
