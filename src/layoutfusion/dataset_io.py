@@ -6,15 +6,17 @@ entries carry ``confidence`` (and optional ``coord_var``) instead of
 ``provenance`` and ``smoothing``. Floats are serialized with full
 round-trip precision so save followed by load is the identity.
 
-Coordinates are clamped into [0, 1] at ingest with a warning counter;
-boxes that remain invalid after clamping (x1 >= x2, y1 >= y2) are
-rejected with an error naming the page and field.
+Finite coordinates are clamped into [0, 1] at ingest with a warning
+counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
+after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
+the page and field.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -37,6 +39,9 @@ logger = logging.getLogger(__name__)
 
 class DatasetError(ValueError):
     """Raised for malformed lines or invariant violations at ingest."""
+
+
+_COORD_NAMES = ("x1", "y1", "x2", "y2")
 
 
 @dataclass
@@ -69,6 +74,13 @@ def _parse_box(raw, page_id: str, context: str, stats: IngestStats) -> BoundingB
         coords, moved = clamp_coordinates(raw)
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"page {page_id!r}: {context} bbox not numeric: {exc}") from exc
+    if moved:
+        # NaN and the infinities clamp too (to 0.0 and 1.0); reject them
+        # instead of counting them as out-of-range values.
+        for name, value in zip(_COORD_NAMES, raw):
+            value = float(value)
+            if not math.isfinite(value):
+                raise DatasetError(f"page {page_id!r}: {context} bbox coordinate {name}={value!r} is not finite")
     stats.clamped_coordinates += moved
     try:
         return BoundingBox.from_array(coords)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curriculum import CurriculumConfig, threshold_table
-from .gating import GateFeatures, GateParams, GateSample, extract_features, gate_forward
+from .gating import GateFeatures, GateParams, GateSample, extract_features, gate_forward_batch
 from .geometry import BoundingBox, iou
 from .model import (
     FusedLabel,
@@ -303,18 +303,17 @@ def fuse_confidence_logit(p_t: float, s_l: float, lambda_t: float) -> float:
 def _fuse_pair(
     pred: TeacherPrediction,
     region: LlmRegion,
-    pair_iou: float,
     config: FusionConfig,
-    gate: GateParams | None,
+    g: float | None,
     taxonomy: Taxonomy,
 ) -> FusedLabel:
+    """Fuse one matched pair; ``g`` is the gate's teacher weight, or
+    None without a gate."""
     # Calibrated logits stay in logit space: a sharp temperature would
     # saturate sigmoid(logit / T) to exactly 1.0, which logit rejects.
     z_t = logit(pred.confidence) / config.teacher_temperature
     z_l = logit(region.score) / config.llm_temperature
-    if gate is not None:
-        features = GateFeatures(pred.confidence, region.score, pair_iou)
-        g = gate_forward(gate, features)
+    if g is not None:
         box = fuse_fixed_box(pred.box, region.box, g)
         lambda_t = g
     elif pred.coordinate_variance is not None:
@@ -353,13 +352,22 @@ def refine_pseudo_labels(
     outcome = match_regions(page.teacher, page.llm, config, taxonomy)
     matched_llm = {m.llm_index for m in outcome.matches}
     by_teacher = {m.teacher_index: m for m in outcome.matches}
+    # The gate runs once per page, one feature row per matched pair.
+    weights: dict[int, float] = {}
+    if gate is not None and outcome.matches:
+        rows = []
+        for m in outcome.matches:
+            f = GateFeatures(page.teacher[m.teacher_index].confidence, page.llm[m.llm_index].score, m.iou)
+            rows.append((f.teacher_confidence, f.llm_score, f.iou))
+        g = gate_forward_batch(gate, np.array(rows, dtype=np.float64)).tolist()
+        weights = {m.teacher_index: w for m, w in zip(outcome.matches, g)}
 
     labels: list[FusedLabel] = []
     for ti, pred in enumerate(page.teacher):
         match = by_teacher.get(ti)
         if match is not None:
             labels.append(
-                _fuse_pair(pred, page.llm[match.llm_index], match.iou, config, gate, taxonomy)
+                _fuse_pair(pred, page.llm[match.llm_index], config, weights.get(ti), taxonomy)
             )
         elif pred.confidence >= thresholds[pred.category.name]:
             labels.append(

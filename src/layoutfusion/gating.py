@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,23 +211,25 @@ def _batch_loss_and_ggrad(g, bt, bl, gt, y, z_t, z_l, conf_weight: float = 0.1):
     """
     fused = g[:, None] * bt + (1.0 - g[:, None]) * bl
     residual = fused - gt
-    box_loss = np.mean(residual**2, axis=1)
-    dbox_dg = 2.0 * np.mean(residual * (bt - bl), axis=1)
+    # np.add.reduce(...) / n is what np.mean computes, minus its dispatch.
+    width = residual.shape[1]
+    box_loss = np.add.reduce(residual**2, axis=1) / width
+    dbox_dg = 2.0 * (np.add.reduce(residual * (bt - bl), axis=1) / width)
 
     u = g * z_t + (1.0 - g) * z_l
     p_f = sigmoid(u)
     bce = np.logaddexp(0.0, u) - y * u  # softplus(u) - y*u == -[y ln p + (1-y) ln(1-p)]
     dbce_dg = (p_f - y) * (z_t - z_l)
 
-    loss = float(np.mean(box_loss + conf_weight * bce))
+    loss = float(np.add.reduce(box_loss + conf_weight * bce) / g.shape[0])
     dloss_dg = (dbox_dg + conf_weight * dbce_dg) / g.shape[0]
     return loss, dloss_dg
 
 
 def _sgd_step(params: GateParams, x, dz3, a1, a2, lr: float) -> None:
     grad_w3 = dz3 @ a2
-    grad_b3 = float(np.sum(dz3))
-    da2 = np.outer(dz3, params.w3)
+    grad_b3 = float(np.add.reduce(dz3))
+    da2 = dz3[:, None] * params.w3
     dz2 = da2 * (1.0 - a2**2)
     grad_w2 = dz2.T @ a1
     grad_b2 = dz2.sum(axis=0)
@@ -258,8 +261,8 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
     samples = list(samples)
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
-    x, bt, bl, gt, y, z_t, z_l = _pack(samples)
-    n = x.shape[0]
+    arrays = _pack(samples)
+    n = arrays[0].shape[0]
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(n)
@@ -268,11 +271,11 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
     train_idx = order[n_val:]
     params = init_gate(hidden=hidden, seed=int(rng.integers(2**31 - 1)))
 
-    def select(idx):
-        return x[idx], bt[idx], bl[idx], gt[idx], y[idx], z_t[idx], z_l[idx]
-
-    xv, btv, blv, gtv, yv, ztv, zlv = select(val_idx)
-    xt, btt, blt, gtt, yt, ztt, zlt = select(train_idx)
+    xv, btv, blv, gtv, yv, ztv, zlv = (a[val_idx] for a in arrays)
+    n_train = len(train_idx)
+    # Each epoch's training rows in shuffled order, gathered into buffers
+    # made once; a batch is a run of consecutive rows.
+    shuffled = tuple(np.empty((n_train,) + a.shape[1:], dtype=a.dtype) for a in arrays)
 
     best_val = np.inf
     best_params = copy.deepcopy(params)
@@ -280,23 +283,28 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
     train_losses: list[float] = []
     val_losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(train_idx))
+        rows = train_idx[rng.permutation(n_train)]
+        for source, target in zip(arrays, shuffled):
+            # Every row index is in range; "clip" lets take write to out unbuffered.
+            np.take(source, rows, axis=0, out=target, mode="clip")
+        xs, bts, bls, gts, ys, zts, zls = shuffled
         epoch_losses = []
-        for start in range(0, len(perm), config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            xb = xt[batch]
+        for start in range(0, n_train, config.batch_size):
+            stop = start + config.batch_size
+            xb = xs[start:stop]
             g, a1, a2 = _forward(params, xb)
             loss, dloss_dg = _batch_loss_and_ggrad(
-                g, btt[batch], blt[batch], gtt[batch], yt[batch], ztt[batch], zlt[batch]
+                g, bts[start:stop], bls[start:stop], gts[start:stop], ys[start:stop],
+                zts[start:stop], zls[start:stop],
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise ValueError(f"non-finite training loss at epoch {epoch}")
             dz3 = dloss_dg * g * (1.0 - g)
             _sgd_step(params, xb, dz3, a1, a2, config.learning_rate)
             epoch_losses.append(loss)
         train_losses.append(float(np.mean(epoch_losses)))
         val_loss = _full_loss(params, xv, btv, blv, gtv, yv, ztv, zlv)
-        if not np.isfinite(val_loss):
+        if not math.isfinite(val_loss):
             raise ValueError(f"non-finite validation loss at epoch {epoch}")
         val_losses.append(val_loss)
         if val_loss < best_val:

@@ -88,15 +88,12 @@ def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     precision achieved at or beyond each recall level."""
     if recall.size == 0:
         return 0.0
-    best = np.zeros_like(precision)
-    running = 0.0
-    for i in range(precision.size - 1, -1, -1):
-        running = max(running, precision[i])
-        best[i] = running
-    ap = 0.0
-    for r in _RECALL_GRID:
-        idx = np.searchsorted(recall, r, side="left")
-        ap += best[idx] if idx < best.size else 0.0
+    best = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, _RECALL_GRID, side="left")
+    # Grid points beyond the last recall add 0. add.accumulate sums
+    # strictly left to right; np.sum would sum pairwise.
+    reached = best[idx[idx < best.size]]
+    ap = float(np.add.accumulate(reached)[-1]) if reached.size else 0.0
     return ap / _RECALL_GRID.size
 
 

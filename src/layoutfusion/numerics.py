@@ -5,6 +5,9 @@ floats, the per-label case in fusion, and the numpy path for everything
 else (numpy scalars and arrays), so array callers and the simulator's
 ``np.float64`` draws see unchanged results. The two paths follow the
 same formulas and may differ only by the rounding of ``exp``/``log``.
+``sigmoid`` also has a scalar path for ``np.float64``, the simulator's
+per-confidence case: it calls numpy's ``exp`` like the array path, so
+it returns the array path's value bit for bit, as a Python float.
 """
 
 from __future__ import annotations
@@ -25,12 +28,18 @@ def sigmoid(x):
             return 1.0 / (1.0 + math.exp(-x))
         ex = math.exp(x)
         return ex / (1.0 + ex)
+    if type(x) is np.float64:
+        if x >= 0.0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # min(x, -x) is -x where x >= 0 and x elsewhere, and returns a NaN
+    # operand unchanged (-abs would flip its sign bit), so each branch
+    # sees the masked form's operands bit for bit and exp cannot overflow.
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 

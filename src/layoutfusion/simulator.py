@@ -22,6 +22,7 @@ generation order does not matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -210,20 +211,34 @@ def generate_pages(config: SimConfig) -> list[Page]:
 
 
 def _correlated_offsets(rng: np.random.Generator, sigma_t: float, sigma_l: float, rho: float):
-    z = rng.standard_normal(4)
-    u = rng.standard_normal(4)
-    v = rng.standard_normal(4)
-    shared = np.sqrt(rho)
-    private = np.sqrt(1.0 - rho)
-    eps_t = sigma_t * (shared * z + private * u)
-    eps_l = sigma_l * (shared * z + private * v)
+    """Four teacher and four text offsets, as lists of floats.
+
+    The draws are the three ``standard_normal(4)`` vectors; the
+    arithmetic is the elementwise array form's, one coordinate at a time.
+    """
+    z = rng.standard_normal(4).tolist()
+    u = rng.standard_normal(4).tolist()
+    v = rng.standard_normal(4).tolist()
+    shared = math.sqrt(rho)
+    private = math.sqrt(1.0 - rho)
+    eps_t = [sigma_t * (shared * zi + private * ui) for zi, ui in zip(z, u)]
+    eps_l = [sigma_l * (shared * zi + private * vi) for zi, vi in zip(z, v)]
     return eps_t, eps_l
 
 
-def _noisy_box(truth: BoundingBox, eps: np.ndarray) -> BoundingBox | None:
-    coords = np.clip(truth.as_array() + eps, 0.0, 1.0)
-    if coords[0] < coords[2] and coords[1] < coords[3]:
-        return BoundingBox.from_array(coords)
+def _clip_unit(c: float) -> float:
+    """``np.clip(c, 0.0, 1.0)`` for one float, NaN passing through."""
+    return 0.0 if c < 0.0 else (1.0 if c > 1.0 else c)
+
+
+def _noisy_box(truth: BoundingBox, eps) -> BoundingBox | None:
+    e1, e2, e3, e4 = eps
+    x1 = _clip_unit(truth.x1 + e1)
+    y1 = _clip_unit(truth.y1 + e2)
+    x2 = _clip_unit(truth.x2 + e3)
+    y2 = _clip_unit(truth.y2 + e4)
+    if x1 < x2 and y1 < y2:
+        return BoundingBox(x1, y1, x2, y2)
     return None
 
 
@@ -282,6 +297,9 @@ def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation
 def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
     """Attach noisy teacher and text streams to ground-truth pages."""
     taxonomy = TAXONOMIES[config.taxonomy]
+    # (sigma_t, sigma_l) per category, resolved on first use: a
+    # per-category mapping need only cover the categories that occur.
+    sigmas: dict[str, tuple[float, float]] = {}
     out = []
     for index, page in enumerate(pages):
         if page.ground_truth is None:
@@ -292,8 +310,10 @@ def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
         ocr: list[OcrBlock] = []
         for annotation in page.ground_truth:
             name = annotation.category.name
-            sigma_t = config.sigma_for("teacher", name)
-            sigma_l = config.sigma_for("llm", name)
+            pair = sigmas.get(name)
+            if pair is None:
+                pair = sigmas[name] = (config.sigma_for("teacher", name), config.sigma_for("llm", name))
+            sigma_t, sigma_l = pair
             for _ in range(100):
                 eps_t, eps_l = _correlated_offsets(rng, sigma_t, sigma_l, config.rho)
                 box_t = _noisy_box(annotation.box, eps_t)

@@ -186,3 +186,137 @@ def sign_flip_p_one_sided(differences, shift: float, n_draws: int = 100_000, see
     signs = rng.choice([-1.0, 1.0], size=(n_draws, d.size))
     flipped = (signs * d).mean(axis=1)
     return float((np.count_nonzero(flipped >= observed - 1e-15) + 1) / (n_draws + 1))
+
+
+def masked_sigmoid(x):
+    """Elementwise sigmoid by boolean masks: exp(-x) where x >= 0, exp(x)
+    elsewhere. Frozen copy of the array path ``numerics.sigmoid`` had
+    before it became one ``np.where``; a numpy scalar went through it as
+    a 0-d array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def loop_interpolated_ap(recall, precision) -> float:
+    """101-point interpolated AP by an explicit backward running max and
+    one ``searchsorted`` per recall level, summed in grid order. Frozen
+    copy of ``metrics._interpolated_ap`` before it was vectorised (but
+    returning a float, not a numpy scalar)."""
+    if recall.size == 0:
+        return 0.0
+    best = np.zeros_like(precision)
+    running = 0.0
+    for i in range(precision.size - 1, -1, -1):
+        running = max(running, precision[i])
+        best[i] = running
+    grid = np.linspace(0.0, 1.0, 101)
+    ap = 0.0
+    for r in grid:
+        idx = np.searchsorted(recall, r, side="left")
+        ap += best[idx] if idx < best.size else 0.0
+    return float(ap / grid.size)
+
+
+def reference_train_gate(samples, config, hidden: int = 64):
+    """Frozen copy of ``gating.train_gate`` as it was before its batches
+    became slices of per-epoch shuffled buffers: fancy-indexed batches,
+    ``np.mean``, ``np.outer`` and the masked sigmoid. Returns (params,
+    train_losses, val_losses, best_epoch)."""
+    import copy
+
+    from layoutfusion.gating import init_gate
+
+    clip = 1e-6
+    x = np.stack([np.array([s.features.teacher_confidence, s.features.llm_score, s.features.iou]) for s in samples])
+    bt = np.stack([np.asarray(s.teacher_box, dtype=np.float64) for s in samples])
+    bl = np.stack([np.asarray(s.llm_box, dtype=np.float64) for s in samples])
+    gt = np.stack([np.asarray(s.truth_box, dtype=np.float64) for s in samples])
+    y = np.array([s.llm_correct for s in samples], dtype=np.float64)
+    clipped = np.clip(x[:, :2], clip, 1.0 - clip)
+    z_t = np.log(clipped[:, 0]) - np.log1p(-clipped[:, 0])
+    z_l = np.log(clipped[:, 1]) - np.log1p(-clipped[:, 1])
+
+    def forward(p, xb):
+        a1 = np.tanh(xb @ p.w1.T + p.b1)
+        a2 = np.tanh(a1 @ p.w2.T + p.b2)
+        return masked_sigmoid(a2 @ p.w3 + p.b3), a1, a2
+
+    def loss_and_ggrad(g, bt, bl, gt, y, z_t, z_l, conf_weight=0.1):
+        residual = g[:, None] * bt + (1.0 - g[:, None]) * bl - gt
+        box_loss = np.mean(residual**2, axis=1)
+        dbox_dg = 2.0 * np.mean(residual * (bt - bl), axis=1)
+        u = g * z_t + (1.0 - g) * z_l
+        bce = np.logaddexp(0.0, u) - y * u
+        dbce_dg = (masked_sigmoid(u) - y) * (z_t - z_l)
+        loss = float(np.mean(box_loss + conf_weight * bce))
+        return loss, (dbox_dg + conf_weight * dbce_dg) / g.shape[0]
+
+    def sgd_step(p, xb, dz3, a1, a2, lr):
+        grad_w3 = dz3 @ a2
+        grad_b3 = float(np.sum(dz3))
+        dz2 = np.outer(dz3, p.w3) * (1.0 - a2**2)
+        grad_w2 = dz2.T @ a1
+        grad_b2 = dz2.sum(axis=0)
+        dz1 = (dz2 @ p.w2) * (1.0 - a1**2)
+        grad_w1 = dz1.T @ xb
+        grad_b1 = dz1.sum(axis=0)
+        p.w3 -= lr * grad_w3
+        p.b3 -= lr * grad_b3
+        p.w2 -= lr * grad_w2
+        p.b2 -= lr * grad_b2
+        p.w1 -= lr * grad_w1
+        p.b1 -= lr * grad_b1
+
+    n = x.shape[0]
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(n)
+    n_val = max(1, int(round(n * config.validation_fraction)))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    params = init_gate(hidden=hidden, seed=int(rng.integers(2**31 - 1)))
+    arrays = (x, bt, bl, gt, y, z_t, z_l)
+    val = [a[val_idx] for a in arrays]
+    train = [a[train_idx] for a in arrays]
+    best_val, best_params, best_epoch = np.inf, copy.deepcopy(params), 0
+    train_losses, val_losses = [], []
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(len(train_idx))
+        epoch_losses = []
+        for start in range(0, len(perm), config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            xb = train[0][batch]
+            g, a1, a2 = forward(params, xb)
+            loss, dloss_dg = loss_and_ggrad(g, *(a[batch] for a in train[1:]))
+            sgd_step(params, xb, dloss_dg * g * (1.0 - g), a1, a2, config.learning_rate)
+            epoch_losses.append(loss)
+        train_losses.append(float(np.mean(epoch_losses)))
+        g, _, _ = forward(params, val[0])
+        val_loss, _ = loss_and_ggrad(g, *val[1:])
+        val_losses.append(val_loss)
+        if val_loss < best_val:
+            best_val, best_params, best_epoch = val_loss, copy.deepcopy(params), epoch
+    return best_params, train_losses, val_losses, best_epoch
+
+
+def array_correlated_offsets(rng, sigma_t: float, sigma_l: float, rho: float):
+    """The simulator's correlated box noise as 4-element array arithmetic
+    (frozen copy of the form before it moved to plain floats)."""
+    z = rng.standard_normal(4)
+    u = rng.standard_normal(4)
+    v = rng.standard_normal(4)
+    shared = np.sqrt(rho)
+    private = np.sqrt(1.0 - rho)
+    return sigma_t * (shared * z + private * u), sigma_l * (shared * z + private * v)
+
+
+def array_noisy_box(truth, eps):
+    """Truth plus offsets, clipped to [0, 1] with ``np.clip``; None for a
+    collapsed box, else the four coordinates as floats."""
+    coords = np.clip(np.array([truth.x1, truth.y1, truth.x2, truth.y2]) + eps, 0.0, 1.0)
+    if coords[0] < coords[2] and coords[1] < coords[3]:
+        return tuple(float(c) for c in coords)
+    return None

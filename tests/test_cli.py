@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand end-to-end on small data."""
 
+import csv
 import json
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestFuse:
         err = capsys.readouterr().err
         assert "p-bad" in err and "teacher[0]" in err
 
+    def test_non_finite_bbox_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan_bbox.jsonl"
+        path.write_text(
+            '{"page_id": "p-nan", "llm": [{"type": "text", "bbox": [0.1, NaN, 0.4, 0.2], "score": 0.8}]}\n',
+            encoding="utf-8",
+        )
+        assert main(["fuse", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "p-nan" in err and "llm[0]" in err and "y1=nan" in err
+
     def test_teacher_only_dataset(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=4, seed=8))
         stripped = [p.with_llm([]) for p in pages]
@@ -133,6 +144,19 @@ class TestEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= metrics["ap"] <= 1.0
         assert (out / "metrics.csv").exists()
+
+    def test_metrics_csv_ap_cells_are_numbers(self, tmp_path, dataset_path):
+        fuse_out = tmp_path / "f"
+        main(["fuse", "--dataset", str(dataset_path), "--out", str(fuse_out)])
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--dataset", str(fuse_out / "refined.jsonl"), "--out", str(out)]) == 0
+        categories = len(json.loads((out / "metrics.json").read_text())["per_category"])
+        with open(out / "metrics.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        # Ten thresholds and a mean per category, then four summary rows.
+        assert len(rows) == categories * 11 + 4
+        for row in rows:
+            assert 0.0 <= float(row["ap"]) <= 1.0
 
     def test_perfect_predictions_reach_one(self, tmp_path):
         config = SimConfig(pages=6, sigma_t=0.0, sigma_l=0.0, teacher_confusion=0.0, llm_confusion=0.0, seed=1)

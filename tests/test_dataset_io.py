@@ -117,6 +117,22 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "bbox, name",
+        [
+            ("[NaN, 0.1, 0.4, 0.2]", "x1=nan"),
+            ("[0.1, 0.1, Infinity, 0.2]", "x2=inf"),
+            ("[0.1, -Infinity, 0.4, 0.2]", "y1=-inf"),
+        ],
+    )
+    def test_non_finite_coordinate_names_page_and_field(self, tmp_path, bbox, name):
+        # json.loads reads NaN and +-Infinity; they must not clamp to 0.0 or 1.0.
+        path = tmp_path / "nonfinite.jsonl"
+        line = '{"page_id": "nf-page", "teacher": [{"type": "text", "bbox": %s, "confidence": 0.9}]}' % bbox
+        write_lines(path, [line])
+        with pytest.raises(DatasetError, match=rf"nf-page.*teacher\[0\] bbox coordinate {name} is not finite"):
+            load_dataset(path)
+
     def test_clamping_counted(self, tmp_path):
         path = tmp_path / "clamp.jsonl"
         write_lines(

@@ -1,0 +1,224 @@
+"""Property tests: the vectorised and plain-float paths against frozen
+copies of the code they replaced (``oracles``).
+
+sigmoid, 101-point AP, the simulator's box noise and gate training must
+match their old forms bit for bit. The gate runs once per page in
+``refine_pseudo_labels``; a many-row matmul may sum in another order
+than a one-row one, so its weights must stay within a few ulps of the
+per-pair ``gate_forward``.
+"""
+
+import hashlib
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from layoutfusion.dataset_io import save_dataset
+from layoutfusion.fusion import (
+    FusionConfig,
+    fuse_fixed_box,
+    gate_samples_from_pages,
+    match_regions,
+    refine_pseudo_labels,
+)
+from layoutfusion.gating import (
+    GateFeatures,
+    GateTrainConfig,
+    gate_forward,
+    gate_forward_batch,
+    init_gate,
+    save_gate,
+    train_gate,
+)
+from layoutfusion.geometry import BoundingBox
+from layoutfusion.metrics import _interpolated_ap
+from layoutfusion.numerics import logit, sigmoid
+from layoutfusion.simulator import SimConfig, _correlated_offsets, _noisy_box, simulate_dataset
+
+from oracles import (
+    array_correlated_offsets,
+    array_noisy_box,
+    loop_interpolated_ap,
+    masked_sigmoid,
+    reference_train_gate,
+)
+
+EDGES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    1e308, -1e308, 709.78, -745.2, 36.7, -36.7,
+]
+any_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGES))
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(any_float, max_size=40))
+def test_array_sigmoid_equals_masked_form_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+
+@given(any_float)
+def test_float64_sigmoid_equals_masked_form_bit_for_bit(value):
+    got = sigmoid(np.float64(value))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(masked_sigmoid(np.float64(value))).tobytes()
+
+
+def test_array_sigmoid_keeps_nan_bits_and_shape_without_warnings():
+    payloads = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64)
+    x = np.concatenate([payloads, EDGES]).reshape(4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    assert got.shape == (4, 4)
+    assert got.tobytes() == masked_sigmoid(x).tobytes()
+
+
+@st.composite
+def ranked_hits(draw):
+    """Recall and precision as ``average_precision`` builds them from a
+    ranked list of hits and a ground-truth count."""
+    hits = draw(st.lists(st.booleans(), max_size=80))
+    npos = draw(st.integers(min_value=max(1, sum(hits)), max_value=max(1, sum(hits)) + 30))
+    tp = np.array(hits, dtype=np.float64)
+    tp_cum = np.cumsum(tp)
+    fp_cum = np.cumsum(1.0 - tp)
+    return tp_cum / npos, tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+
+
+@st.composite
+def monotone_curves(draw):
+    """Any non-decreasing recall in [0, 1] with any precision in [0, 1]."""
+    points = draw(st.lists(st.tuples(unit, unit), max_size=80))
+    recall = np.sort(np.array([r for r, _ in points], dtype=np.float64))
+    return recall, np.array([p for _, p in points], dtype=np.float64)
+
+
+@given(st.one_of(ranked_hits(), monotone_curves()))
+def test_interpolated_ap_equals_loop_form_bit_for_bit(curve):
+    recall, precision = curve
+    got = _interpolated_ap(recall, precision)
+    assert type(got) is float
+    assert got.hex() == loop_interpolated_ap(recall, precision).hex()
+
+
+@st.composite
+def truth_boxes(draw):
+    x1, x2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+@given(
+    truth_boxes(),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(0.0, 0.05), st.floats(0.05, 2.0)),
+    st.one_of(st.floats(0.0, 0.05), st.floats(0.05, 2.0)),
+    st.floats(0.0, 0.99),
+)
+def test_box_noise_equals_array_form_bit_for_bit(truth, seed, sigma_t, sigma_l, rho):
+    """Same draws, same offsets and the same boxes (or collapses); large
+    sigmas exercise the clip at both edges."""
+    eps_t, eps_l = _correlated_offsets(np.random.default_rng(seed), sigma_t, sigma_l, rho)
+    ref_t, ref_l = array_correlated_offsets(np.random.default_rng(seed), sigma_t, sigma_l, rho)
+    assert np.array(eps_t).tobytes() == ref_t.tobytes()
+    assert np.array(eps_l).tobytes() == ref_l.tobytes()
+    for eps, ref in ((eps_t, ref_t), (eps_l, ref_l)):
+        box = _noisy_box(truth, eps)
+        got = None if box is None else (box.x1, box.y1, box.x2, box.y2)
+        want = array_noisy_box(truth, ref)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# sha256 of save_dataset(simulate_dataset(config)), recorded from the
+# array-form simulator. They pin numpy's Generator streams and its exp/log
+# too, so a numpy release that changes either changes them.
+SPARSE = dict(pages=500, regions_min=4, regions_max=8, emit_coordinate_variance=True, emit_ocr_stubs=True)
+DENSE = dict(pages=50, regions_min=36, regions_max=48, sigma_t=0.004, sigma_l=0.006)
+SIMULATED_SHA256 = {
+    ("sparse", 0): "1a81c694804b7c564315dad429ddf975b09c26addc095ad1bbae3f600d553a21",
+    ("sparse", 5): "396dbce561c312692f3ff159021d33dfc46d0a7869d82b3da7499bd086246a83",
+    ("dense", 0): "23d8a4af4e13d66b530f5b1f086482de300cca2393eff23e4a11ba04208be1e4",
+    ("dense", 5): "fb3b5dc8fd3ab75892435fbf5c9a0cedf3ca745030ed9d6787096257377cd9d3",
+}
+
+
+@pytest.mark.parametrize("corpus, seed", sorted(SIMULATED_SHA256))
+def test_simulated_corpus_bytes_unchanged(tmp_path, corpus, seed):
+    config = SimConfig(seed=seed, **(SPARSE if corpus == "sparse" else DENSE))
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(simulate_dataset(config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SIMULATED_SHA256[(corpus, seed)]
+
+
+def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
+    samples = gate_samples_from_pages(simulate_dataset(SimConfig(pages=40, seed=3)))
+    # 217 samples: 174 training rows, so every epoch ends on a short batch of 14.
+    assert len(samples) == 217
+    config = GateTrainConfig(epochs=6, batch_size=16, seed=11)
+    result = train_gate(samples, config, hidden=16)
+    params, train_losses, val_losses, best_epoch = reference_train_gate(samples, config, hidden=16)
+    save_gate(result.params, tmp_path / "got.json")
+    save_gate(params, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert [v.hex() for v in result.train_losses] == [v.hex() for v in train_losses]
+    assert [v.hex() for v in result.val_losses] == [v.hex() for v in val_losses]
+    assert result.best_epoch == best_epoch
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance in representable doubles between two finite values of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+# A one-row forward pass and a many-row one reach the same sums through
+# different BLAS kernels, so they may round differently. The 8-ulp bound
+# below holds for init_gate weights and for trained gates (at most 4 ulps
+# on the benchmark corpora); it is not a bound for arbitrary weights,
+# since the distance grows with cancellation in the hidden sums (about 56
+# ulps with init_gate weights scaled by 4).
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=60),
+    st.sampled_from([4, 16, 64]),
+    st.integers(0, 2**31 - 1),
+)
+def test_batched_gate_within_eight_ulps_of_per_pair(rows, hidden, seed):
+    params = init_gate(hidden=hidden, seed=seed)
+    batched = gate_forward_batch(params, np.array(rows, dtype=np.float64)).tolist()
+    for row, g in zip(rows, batched):
+        assert _ulps(g, gate_forward(params, GateFeatures(*row))) <= 8
+
+
+def test_gated_refine_within_eight_ulps_of_per_pair_gate():
+    """Each fused label of a page refined with a trained gate equals, to
+    a few ulps, the label built from that pair's own ``gate_forward``."""
+    pages = simulate_dataset(SimConfig(pages=30, regions_min=10, regions_max=20, seed=9))
+    gate = train_gate(gate_samples_from_pages(pages), GateTrainConfig(epochs=5, seed=2), hidden=16).params
+    config = FusionConfig()
+    fused_seen = 0
+    for page in pages:
+        labels = [l for l in refine_pseudo_labels(page, config, gate) if l.provenance == "fused"]
+        matches = match_regions(page.teacher, page.llm, config).matches
+        assert len(labels) == len(matches)
+        for label, m in zip(labels, matches):
+            pred, region = page.teacher[m.teacher_index], page.llm[m.llm_index]
+            g = gate_forward(gate, GateFeatures(pred.confidence, region.score, m.iou))
+            box = fuse_fixed_box(pred.box, region.box, g)
+            z_t, z_l = logit(pred.confidence), logit(region.score)
+            for got, want in zip(
+                (label.box.x1, label.box.y1, label.box.x2, label.box.y2),
+                (box.x1, box.y1, box.x2, box.y2),
+            ):
+                assert _ulps(got, want) <= 8
+            assert _ulps(label.confidence, sigmoid(g * z_t + (1.0 - g) * z_l)) <= 8
+            fused_seen += 1
+    assert fused_seen > 200
