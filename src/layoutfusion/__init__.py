@@ -9,6 +9,9 @@ t-test, TOST), a rule-based text-prior baseline, and the synthetic
 simulator that serves as ground-truth oracle for all of it.
 """
 
+# Set before the submodules load: manifest reads it as the artifact version.
+__version__ = "0.1.0"
+
 from .geometry import BoundingBox, giou, iou
 from .taxonomy import DOCLAYNET, PUBLAYNET, TAXONOMIES, LayoutCategory, Taxonomy
 from .model import (
@@ -102,5 +105,3 @@ from .theory import (
     run_sample_complexity_experiment,
 )
 from .heuristics import HeuristicConfig, classify_block, detect_grid_alignment, heuristic_regions
-
-__version__ = "0.1.0"

@@ -356,7 +356,7 @@ def cmd_heuristics(args) -> int:
                 "regions": [
                     {
                         "type": r.category.name,
-                        "bbox": list(r.box.as_array()),
+                        "bbox": [r.box.x1, r.box.y1, r.box.x2, r.box.y2],
                         "score": r.score,
                         "q_text": r.q_text,
                         "q_spatial": r.q_spatial,
@@ -577,10 +577,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # CliError and DatasetError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

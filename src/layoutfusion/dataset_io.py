@@ -9,7 +9,9 @@ round-trip precision so save followed by load is the identity.
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
-the page and field.
+the page and field. Other values are converted with ``float()``,
+``str()`` and ``bool()``; a record whose values already have those
+types and whose box needs no clamp is built without the conversions.
 """
 
 from __future__ import annotations
@@ -50,15 +52,18 @@ class IngestStats:
     clamped_coordinates: int = 0
 
 
-def _records(items, field: str, page_id: str):
-    """Yield (context, record) for one region list; each record must be an object."""
+def _array(items, field: str, page_id: str) -> list:
     if not isinstance(items, list):
         raise DatasetError(f"page {page_id!r}: {field} must be a JSON array")
-    for i, raw in enumerate(items):
-        context = f"{field}[{i}]"
-        if not isinstance(raw, dict):
-            raise DatasetError(f"page {page_id!r}: {context} must be a JSON object")
-        yield context, raw
+    return items
+
+
+def _context(raw, field: str, i: int, page_id: str) -> str:
+    """``field[i]`` for error messages; the record must be an object."""
+    context = f"{field}[{i}]"
+    if not isinstance(raw, dict):
+        raise DatasetError(f"page {page_id!r}: {context} must be a JSON object")
+    return context
 
 
 def _require(obj: dict, key: str, page_id: str, context: str):
@@ -72,7 +77,7 @@ def _parse_box(raw, page_id: str, context: str, stats: IngestStats) -> BoundingB
         raise DatasetError(f"page {page_id!r}: {context} bbox must be [x1, y1, x2, y2]")
     try:
         coords, moved = clamp_coordinates(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"page {page_id!r}: {context} bbox not numeric: {exc}") from exc
     if moved:
         # NaN and the infinities clamp too (to 0.0 and 1.0); reject them
@@ -97,89 +102,214 @@ def _parse_category(raw, taxonomy: Taxonomy, page_id: str, context: str):
         raise DatasetError(f"page {page_id!r}: {context} has unknown category {raw!r}") from exc
 
 
+# The checked path: every record the fast path in page_from_dict does not
+# accept. Values are converted with float()/str()/bool(), coordinates are
+# clamped and counted, and the first fault in field order is reported.
+
+
+def _checked_ocr_block(raw, i: int, page_id: str, stats: IngestStats) -> OcrBlock:
+    context = _context(raw, "ocr_blocks", i, page_id)
+    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
+    return OcrBlock(box=box, text=str(raw.get("text", "")), is_bold=bool(raw.get("is_bold", False)))
+
+
+def _checked_teacher(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> TeacherPrediction:
+    context = _context(raw, "teacher", i, page_id)
+    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
+    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
+    coord_var = raw.get("coord_var")
+    try:
+        return TeacherPrediction(
+            box=box,
+            category=category,
+            confidence=float(_require(raw, "confidence", page_id, context)),
+            coordinate_variance=None if coord_var is None else float(coord_var),
+        )
+    except DatasetError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+
+def _checked_llm(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> LlmRegion:
+    context = _context(raw, "llm", i, page_id)
+    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
+    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
+    try:
+        return LlmRegion(
+            box=box,
+            category=category,
+            score=float(_require(raw, "score", page_id, context)),
+            q_text=float(raw.get("q_text", 1.0)),
+            q_spatial=float(raw.get("q_spatial", 1.0)),
+        )
+    except DatasetError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+
+def _checked_ground_truth(
+    raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats
+) -> GroundTruthAnnotation:
+    context = _context(raw, "ground_truth", i, page_id)
+    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
+    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
+    return GroundTruthAnnotation(box=box, category=category)
+
+
+def _checked_refined(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> FusedLabel:
+    context = _context(raw, "refined", i, page_id)
+    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
+    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
+    try:
+        return FusedLabel(
+            box=box,
+            category=category,
+            confidence=float(_require(raw, "score", page_id, context)),
+            provenance=str(_require(raw, "provenance", page_id, context)),
+            smoothing=float(raw.get("smoothing", 0.0)),
+        )
+    except DatasetError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+
+def _unit_box(bbox) -> BoundingBox | None:
+    """The box of a bbox that needs no conversion and no clamp, else None.
+
+    That is a list of four floats with 0 < x1 < x2 <= 1 and
+    0 < y1 < y2 <= 1. An exact zero is left to the checked path, whose
+    clamp turns -0.0 into 0.0.
+    """
+    if type(bbox) is list and len(bbox) == 4:
+        x1, y1, x2, y2 = bbox
+        if (
+            type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float
+            and 0.0 < x1 < x2 <= 1.0 and 0.0 < y1 < y2 <= 1.0
+        ):
+            return BoundingBox(x1, y1, x2, y2)
+    return None
+
+
 def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None) -> Page:
-    """Validate one page object against all type invariants."""
+    """Validate one page object against all type invariants.
+
+    One pass per record. A record whose bbox passes ``_unit_box`` and
+    whose other fields already have their final types is built
+    directly, and its box and objects still validate themselves. Any
+    other record, or one they reject, goes through the checked path,
+    which gives the same objects, or names the first fault.
+    """
     stats = stats if stats is not None else IngestStats()
     if not isinstance(obj, dict):
         raise DatasetError("page record must be a JSON object")
     page_id = obj.get("page_id")
     if not isinstance(page_id, str) or not page_id:
         raise DatasetError("page record missing non-empty 'page_id'")
+    category = taxonomy.category
 
     ocr_blocks = []
-    for context, raw in _records(obj.get("ocr_blocks", []), "ocr_blocks", page_id):
-        box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-        ocr_blocks.append(OcrBlock(box=box, text=str(raw.get("text", "")), is_bold=bool(raw.get("is_bold", False))))
+    for i, raw in enumerate(_array(obj.get("ocr_blocks", []), "ocr_blocks", page_id)):
+        if type(raw) is dict:
+            text = raw.get("text", "")
+            is_bold = raw.get("is_bold", False)
+            if type(text) is str and type(is_bold) is bool:
+                try:
+                    box = _unit_box(raw.get("bbox"))
+                    if box is not None:
+                        ocr_blocks.append(OcrBlock(box, text, is_bold))
+                        continue
+                except ValueError:
+                    pass
+        ocr_blocks.append(_checked_ocr_block(raw, i, page_id, stats))
 
     teacher = []
-    for context, raw in _records(obj.get("teacher", []), "teacher", page_id):
-        box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-        category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-        coord_var = raw.get("coord_var")
-        try:
-            teacher.append(
-                TeacherPrediction(
-                    box=box,
-                    category=category,
-                    confidence=float(_require(raw, "confidence", page_id, context)),
-                    coordinate_variance=None if coord_var is None else float(coord_var),
-                )
-            )
-        except ValueError as exc:
-            raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+    for i, raw in enumerate(_array(obj.get("teacher", []), "teacher", page_id)):
+        if type(raw) is dict:
+            name = raw.get("type")
+            confidence = raw.get("confidence")
+            coord_var = raw.get("coord_var")
+            if (
+                type(name) is str and type(confidence) is float
+                and (coord_var is None or type(coord_var) is float)
+            ):
+                try:
+                    box = _unit_box(raw.get("bbox"))
+                    if box is not None:
+                        teacher.append(TeacherPrediction(box, category(name), confidence, coord_var))
+                        continue
+                except (KeyError, ValueError):
+                    pass
+        teacher.append(_checked_teacher(raw, i, page_id, taxonomy, stats))
 
     llm = []
-    for context, raw in _records(obj.get("llm", []), "llm", page_id):
-        box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-        category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-        try:
-            llm.append(
-                LlmRegion(
-                    box=box,
-                    category=category,
-                    score=float(_require(raw, "score", page_id, context)),
-                    q_text=float(raw.get("q_text", 1.0)),
-                    q_spatial=float(raw.get("q_spatial", 1.0)),
-                )
-            )
-        except ValueError as exc:
-            raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+    for i, raw in enumerate(_array(obj.get("llm", []), "llm", page_id)):
+        if type(raw) is dict:
+            name = raw.get("type")
+            score = raw.get("score")
+            q_text = raw.get("q_text", 1.0)
+            q_spatial = raw.get("q_spatial", 1.0)
+            if (
+                type(name) is str and type(score) is float
+                and type(q_text) is float and type(q_spatial) is float
+            ):
+                try:
+                    box = _unit_box(raw.get("bbox"))
+                    if box is not None:
+                        llm.append(LlmRegion(box, category(name), score, q_text, q_spatial))
+                        continue
+                except (KeyError, ValueError):
+                    pass
+        llm.append(_checked_llm(raw, i, page_id, taxonomy, stats))
 
     ground_truth = None
     if obj.get("ground_truth") is not None:
         ground_truth = []
-        for context, raw in _records(obj["ground_truth"], "ground_truth", page_id):
-            box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-            category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-            ground_truth.append(GroundTruthAnnotation(box=box, category=category))
+        for i, raw in enumerate(_array(obj["ground_truth"], "ground_truth", page_id)):
+            if type(raw) is dict:
+                name = raw.get("type")
+                if type(name) is str:
+                    try:
+                        box = _unit_box(raw.get("bbox"))
+                        if box is not None:
+                            ground_truth.append(GroundTruthAnnotation(box, category(name)))
+                            continue
+                    except (KeyError, ValueError):
+                        pass
+            ground_truth.append(_checked_ground_truth(raw, i, page_id, taxonomy, stats))
 
     refined = None
     if obj.get("refined") is not None:
         refined = []
-        for context, raw in _records(obj["refined"], "refined", page_id):
-            box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-            category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-            try:
-                refined.append(
-                    FusedLabel(
-                        box=box,
-                        category=category,
-                        confidence=float(_require(raw, "score", page_id, context)),
-                        provenance=str(_require(raw, "provenance", page_id, context)),
-                        smoothing=float(raw.get("smoothing", 0.0)),
-                    )
-                )
-            except ValueError as exc:
-                raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+        for i, raw in enumerate(_array(obj["refined"], "refined", page_id)):
+            if type(raw) is dict:
+                name = raw.get("type")
+                score = raw.get("score")
+                provenance = raw.get("provenance")
+                smoothing = raw.get("smoothing", 0.0)
+                if (
+                    type(name) is str and type(score) is float
+                    and type(provenance) is str and type(smoothing) is float
+                ):
+                    try:
+                        box = _unit_box(raw.get("bbox"))
+                        if box is not None:
+                            refined.append(FusedLabel(box, category(name), score, provenance, smoothing))
+                            continue
+                    except (KeyError, ValueError):
+                        pass
+            refined.append(_checked_refined(raw, i, page_id, taxonomy, stats))
 
     stats.pages += 1
     return Page(
-        page_id=page_id,
-        ocr_blocks=tuple(ocr_blocks),
-        teacher=tuple(teacher),
-        llm=tuple(llm),
-        ground_truth=None if ground_truth is None else tuple(ground_truth),
-        refined=None if refined is None else tuple(refined),
+        page_id,
+        tuple(ocr_blocks),
+        tuple(teacher),
+        tuple(llm),
+        None if ground_truth is None else tuple(ground_truth),
+        None if refined is None else tuple(refined),
     )
 
 
@@ -248,7 +378,7 @@ def load_dataset(
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer beyond the digit limit
                 raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             try:
                 page = page_from_dict(obj, taxonomy=taxonomy, stats=stats)

@@ -1,9 +1,10 @@
 """Axis-aligned box geometry in normalized page coordinates.
 
 All boxes live in the unit square: x grows rightward, y grows downward,
-and every coordinate is in [0, 1]. Degenerate (zero width or height)
-boxes are rejected at construction because they poison IoU and the
-variance-based fusion formulas downstream.
+and every coordinate is in [0, 1]. Degenerate boxes (zero width or
+height, or an area that underflows to 0.0) are rejected at construction
+because they poison IoU and the variance-based fusion formulas
+downstream.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class BoundingBox:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        # One chained test accepts exactly the valid boxes (NaN and the
-        # infinities fail it); the checks below only name what is wrong.
-        if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0:
+        # One test accepts exactly the valid boxes (NaN and the infinities
+        # fail it); the checks below only name what is wrong. The area
+        # test rejects sides so small that their product underflows to
+        # 0.0, which would make the IoU union zero.
+        if 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0 and (x2 - x1) * (y2 - y1) > 0.0:
             return
         for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
             if not math.isfinite(value):
@@ -43,6 +46,7 @@ class BoundingBox:
             raise ValueError(f"degenerate box: x1={x1} >= x2={x2}")
         if not y1 < y2:
             raise ValueError(f"degenerate box: y1={y1} >= y2={y2}")
+        raise ValueError(f"degenerate box: area {x2 - x1}*{y2 - y1} underflows to 0.0")
 
     @property
     def width(self) -> float:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .geometry import BoundingBox
 from .model import LlmRegion, OcrBlock, Page
 from .taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
@@ -63,18 +61,19 @@ def classify_block(
     return None
 
 
-def _cluster_positions(values: np.ndarray, tolerance: float) -> np.ndarray:
+def _cluster_positions(values: list[float], tolerance: float) -> list[int]:
     """Greedy 1-D clustering: a gap wider than the tolerance starts a
-    new cluster. Returns a cluster id per input value."""
-    order = np.argsort(values)
-    labels = np.empty(len(values), dtype=int)
+    new cluster. Returns a cluster id per input value (equal values
+    share one, so the order among ties does not matter)."""
+    labels = [0] * len(values)
     current = 0
     previous = None
-    for idx in order:
-        if previous is not None and values[idx] - previous > tolerance:
+    for idx in sorted(range(len(values)), key=values.__getitem__):
+        value = values[idx]
+        if previous is not None and value - previous > tolerance:
             current += 1
         labels[idx] = current
-        previous = values[idx]
+        previous = value
     return labels
 
 
@@ -90,15 +89,13 @@ def _find_grid(blocks: list[OcrBlock], config: HeuristicConfig) -> list[int] | N
     """
     if len(blocks) < config.min_aligned_lines * config.min_shared_columns:
         return None
-    x1 = np.array([b.box.x1 for b in blocks])
-    y1 = np.array([b.box.y1 for b in blocks])
-    col_of = _cluster_positions(x1, config.alignment_tolerance)
-    row_of = _cluster_positions(y1, config.alignment_tolerance)
+    col_of = _cluster_positions([b.box.x1 for b in blocks], config.alignment_tolerance)
+    row_of = _cluster_positions([b.box.y1 for b in blocks], config.alignment_tolerance)
     presence: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(blocks)):
-        presence.setdefault((row_of[i], col_of[i]), []).append(i)
-    columns = sorted(set(col_of.tolist()))
-    rows = sorted(set(row_of.tolist()))
+    for i, key in enumerate(zip(row_of, col_of)):
+        presence.setdefault(key, []).append(i)
+    columns = sorted(set(col_of))
+    rows = sorted(set(row_of))
     if len(columns) < config.min_shared_columns or len(rows) < config.min_aligned_lines:
         return None
     detected = False

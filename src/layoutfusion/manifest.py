@@ -14,9 +14,11 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
+
 __all__ = ["ARTIFACT_VERSION", "config_digest", "write_manifest"]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = __version__
 
 
 def config_digest(config) -> str:

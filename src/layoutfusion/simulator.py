@@ -177,13 +177,15 @@ def _place_boxes(rng: np.random.Generator, count: int) -> list[BoundingBox]:
     boxes = []
     margin = 0.05 * cell
     avail = cell - 2.0 * margin
-    for flat in cells:
-        row, col = divmod(int(flat), grid)
+    # lo + (hi - lo) * rng.random() is how numpy draws uniform(lo, hi):
+    # the same stream and the same floats, without its argument handling.
+    for flat in cells.tolist():
+        row, col = divmod(flat, grid)
         spans = []
         for base in (col, row):
             lo = base * cell + margin
-            extent = rng.uniform(0.5, 0.95) * avail
-            offset = rng.uniform(0.0, avail - extent)
+            extent = (0.5 + (0.95 - 0.5) * rng.random()) * avail
+            offset = (avail - extent) * rng.random()  # uniform(0.0, avail - extent)
             spans.append((lo + offset, lo + offset + extent))
         (x1, x2), (y1, y2) = spans
         boxes.append(BoundingBox(x1, y1, x2, y2))
@@ -201,9 +203,10 @@ def generate_pages(config: SimConfig) -> list[Page]:
         rng = _page_rng(config.seed, 0, index)
         count = int(rng.integers(config.regions_min, config.regions_max + 1))
         boxes = _place_boxes(rng, count)
-        categories = rng.choice(names, size=count, p=freqs)
+        # Drawing indices takes the same stream as drawing from names.
+        categories = rng.choice(len(names), size=count, p=freqs).tolist()
         annotations = tuple(
-            GroundTruthAnnotation(box=b, category=taxonomy.category(str(c)))
+            GroundTruthAnnotation(box=b, category=taxonomy.category(names[c]))
             for b, c in zip(boxes, categories)
         )
         pages.append(Page(page_id=f"page-{index:05d}", ground_truth=annotations))
@@ -213,12 +216,12 @@ def generate_pages(config: SimConfig) -> list[Page]:
 def _correlated_offsets(rng: np.random.Generator, sigma_t: float, sigma_l: float, rho: float):
     """Four teacher and four text offsets, as lists of floats.
 
-    The draws are the three ``standard_normal(4)`` vectors; the
-    arithmetic is the elementwise array form's, one coordinate at a time.
+    The draws are the three ``standard_normal(4)`` vectors z, u, v, taken
+    as one draw of 12 (the same stream); the arithmetic is the
+    elementwise array form's, one coordinate at a time.
     """
-    z = rng.standard_normal(4).tolist()
-    u = rng.standard_normal(4).tolist()
-    v = rng.standard_normal(4).tolist()
+    normals = rng.standard_normal(12).tolist()
+    z, u, v = normals[:4], normals[4:8], normals[8:]
     shared = math.sqrt(rho)
     private = math.sqrt(1.0 - rho)
     eps_t = [sigma_t * (shared * zi + private * ui) for zi, ui in zip(z, u)]
@@ -268,7 +271,7 @@ def _flip_category(rng: np.random.Generator, name: str, taxonomy: Taxonomy) -> s
     if partner is not None:
         return partner
     others = [c for c in taxonomy.names if c != name]
-    return str(rng.choice(others))
+    return others[rng.choice(len(others))]
 
 
 def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation) -> list[OcrBlock]:
@@ -340,14 +343,14 @@ def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
                 rng, config.llm_confusion, config.llm_temperature
             )
             cat_l = name if correct_l else _flip_category(rng, name, taxonomy)
-            q_text, q_spatial = rng.uniform(0.6, 0.95, size=2)
+            u_text, u_spatial = rng.random(2).tolist()
             llm.append(
                 LlmRegion(
                     box=box_l,
                     category=taxonomy.category(cat_l),
                     score=score_l,
-                    q_text=float(q_text),
-                    q_spatial=float(q_spatial),
+                    q_text=0.6 + (0.95 - 0.6) * u_text,
+                    q_spatial=0.6 + (0.95 - 0.6) * u_spatial,
                 )
             )
             if config.emit_ocr_stubs:

@@ -320,3 +320,142 @@ def array_noisy_box(truth, eps):
     if coords[0] < coords[2] and coords[1] < coords[3]:
         return tuple(float(c) for c in coords)
     return None
+
+
+def frozen_page_from_dict(obj, taxonomy, stats):
+    """``dataset_io.page_from_dict`` as it was before its fast path:
+    a generator over records, an f-string context and ``_require`` per
+    record, ``clamp_coordinates`` and keyword construction for every
+    box. Frozen copy, helpers inlined as closures."""
+    from layoutfusion.dataset_io import DatasetError
+    from layoutfusion.geometry import BoundingBox, clamp_coordinates
+    from layoutfusion.model import (
+        FusedLabel,
+        GroundTruthAnnotation,
+        LlmRegion,
+        OcrBlock,
+        Page,
+        TeacherPrediction,
+    )
+
+    def records(items, field, page_id):
+        if not isinstance(items, list):
+            raise DatasetError(f"page {page_id!r}: {field} must be a JSON array")
+        for i, raw in enumerate(items):
+            context = f"{field}[{i}]"
+            if not isinstance(raw, dict):
+                raise DatasetError(f"page {page_id!r}: {context} must be a JSON object")
+            yield context, raw
+
+    def require(obj, key, page_id, context):
+        if key not in obj:
+            raise DatasetError(f"page {page_id!r}: {context} missing field {key!r}")
+        return obj[key]
+
+    def parse_box(raw, page_id, context):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+            raise DatasetError(f"page {page_id!r}: {context} bbox must be [x1, y1, x2, y2]")
+        try:
+            coords, moved = clamp_coordinates(raw)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"page {page_id!r}: {context} bbox not numeric: {exc}") from exc
+        if moved:
+            for name, value in zip(("x1", "y1", "x2", "y2"), raw):
+                value = float(value)
+                if not math.isfinite(value):
+                    raise DatasetError(f"page {page_id!r}: {context} bbox coordinate {name}={value!r} is not finite")
+        stats.clamped_coordinates += moved
+        try:
+            return BoundingBox.from_array(coords)
+        except ValueError as exc:
+            raise DatasetError(f"page {page_id!r}: {context} bbox invalid: {exc}") from exc
+
+    def parse_category(raw, page_id, context):
+        if not isinstance(raw, str):
+            raise DatasetError(f"page {page_id!r}: {context} type must be a string")
+        try:
+            return taxonomy.category(raw)
+        except KeyError as exc:
+            raise DatasetError(f"page {page_id!r}: {context} has unknown category {raw!r}") from exc
+
+    if not isinstance(obj, dict):
+        raise DatasetError("page record must be a JSON object")
+    page_id = obj.get("page_id")
+    if not isinstance(page_id, str) or not page_id:
+        raise DatasetError("page record missing non-empty 'page_id'")
+
+    ocr_blocks = []
+    for context, raw in records(obj.get("ocr_blocks", []), "ocr_blocks", page_id):
+        box = parse_box(require(raw, "bbox", page_id, context), page_id, context)
+        ocr_blocks.append(OcrBlock(box=box, text=str(raw.get("text", "")), is_bold=bool(raw.get("is_bold", False))))
+
+    teacher = []
+    for context, raw in records(obj.get("teacher", []), "teacher", page_id):
+        box = parse_box(require(raw, "bbox", page_id, context), page_id, context)
+        category = parse_category(require(raw, "type", page_id, context), page_id, context)
+        coord_var = raw.get("coord_var")
+        try:
+            teacher.append(
+                TeacherPrediction(
+                    box=box,
+                    category=category,
+                    confidence=float(require(raw, "confidence", page_id, context)),
+                    coordinate_variance=None if coord_var is None else float(coord_var),
+                )
+            )
+        except ValueError as exc:
+            raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+    llm = []
+    for context, raw in records(obj.get("llm", []), "llm", page_id):
+        box = parse_box(require(raw, "bbox", page_id, context), page_id, context)
+        category = parse_category(require(raw, "type", page_id, context), page_id, context)
+        try:
+            llm.append(
+                LlmRegion(
+                    box=box,
+                    category=category,
+                    score=float(require(raw, "score", page_id, context)),
+                    q_text=float(raw.get("q_text", 1.0)),
+                    q_spatial=float(raw.get("q_spatial", 1.0)),
+                )
+            )
+        except ValueError as exc:
+            raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+    ground_truth = None
+    if obj.get("ground_truth") is not None:
+        ground_truth = []
+        for context, raw in records(obj["ground_truth"], "ground_truth", page_id):
+            box = parse_box(require(raw, "bbox", page_id, context), page_id, context)
+            category = parse_category(require(raw, "type", page_id, context), page_id, context)
+            ground_truth.append(GroundTruthAnnotation(box=box, category=category))
+
+    refined = None
+    if obj.get("refined") is not None:
+        refined = []
+        for context, raw in records(obj["refined"], "refined", page_id):
+            box = parse_box(require(raw, "bbox", page_id, context), page_id, context)
+            category = parse_category(require(raw, "type", page_id, context), page_id, context)
+            try:
+                refined.append(
+                    FusedLabel(
+                        box=box,
+                        category=category,
+                        confidence=float(require(raw, "score", page_id, context)),
+                        provenance=str(require(raw, "provenance", page_id, context)),
+                        smoothing=float(raw.get("smoothing", 0.0)),
+                    )
+                )
+            except ValueError as exc:
+                raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
+
+    stats.pages += 1
+    return Page(
+        page_id=page_id,
+        ocr_blocks=tuple(ocr_blocks),
+        teacher=tuple(teacher),
+        llm=tuple(llm),
+        ground_truth=None if ground_truth is None else tuple(ground_truth),
+        refined=None if refined is None else tuple(refined),
+    )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import layoutfusion
 from layoutfusion.cli import main
 from layoutfusion.dataset_io import load_dataset, save_dataset
 from layoutfusion.fusion import refine_pseudo_labels
@@ -35,6 +36,10 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 3
         assert "dataset.jsonl" in manifest["outputs"]
+
+    def test_manifest_artifact_version_is_package_version(self, dataset_path):
+        manifest = json.loads((dataset_path.parent / "simulate_manifest.json").read_text())
+        assert manifest["artifact_version"] == layoutfusion.__version__
 
     def test_seed_flag_overrides_config(self, tmp_path, sim_config_path):
         a = tmp_path / "a"

@@ -26,6 +26,20 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0.1, 0.4, 0.3, 0.4)
 
+    def test_rejects_area_that_underflows(self):
+        # Sides of 9.7e-180 pass the ordering checks, but their product
+        # is 0.0, and IoU of two such boxes divided by a zero union.
+        with pytest.raises(ValueError, match="degenerate box: area"):
+            BoundingBox(0.0, 0.0, 9.7e-180, 9.7e-180)
+
+    def test_smallest_boxes_have_finite_overlaps(self):
+        a = BoundingBox(0.0, 0.0, 1e-154, 1e-154)
+        b = BoundingBox(0.0, 0.0, 5e-324, 1.0)
+        for x, y in ((a, a), (a, b), (b, b)):
+            assert 0.0 <= iou(x, y) <= 1.0
+            assert -1.0 <= giou(x, y) <= 1.0
+        assert iou(a, a) == 1.0
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             BoundingBox(-0.1, 0.0, 0.5, 0.5)

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layoutfusion.dataset_io import save_dataset
@@ -110,6 +110,7 @@ def test_interpolated_ap_equals_loop_form_bit_for_bit(curve):
 def truth_boxes(draw):
     x1, x2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
     y1, y2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    assume((x2 - x1) * (y2 - y1) > 0.0)
     return BoundingBox(x1, y1, x2, y2)
 
 
