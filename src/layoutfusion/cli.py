@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import manifest
-from .curriculum import CurriculumConfig, schedule_table
+from .curriculum import CurriculumConfig, schedule_table, threshold_table
 from .dataset_io import DatasetError, load_dataset, save_dataset
 from .fusion import (
     FusionConfig,
@@ -141,10 +142,11 @@ def cmd_fuse(args) -> int:
             raise CliError(f"gate file not found: {args.gate}")
         gate = load_gate(args.gate)
     pages = _load_pages(args.dataset, taxonomy)
+    thresholds = threshold_table(taxonomy, CurriculumConfig())
     histogram: dict[str, int] = {}
     refined_pages = []
     for page in pages:
-        labels = refine_pseudo_labels(page, config, gate, taxonomy=taxonomy)
+        labels = refine_pseudo_labels(page, config, gate, taxonomy=taxonomy, thresholds=thresholds)
         for label in labels:
             histogram[label.provenance] = histogram.get(label.provenance, 0) + 1
         refined_pages.append(page.with_refined(labels))
@@ -572,9 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # CliError and DatasetError included

@@ -19,6 +19,7 @@ smoothed soft labels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,13 @@ __all__ = [
 # Unbinding for |fused logit| < 27.6, which covers every confidence in
 # [1e-7, 1 - 1e-7] at unit temperatures.
 _FUSED_CONF_CLIP = 1e-12
+# Half the largest float: a convex combination of two logits clipped to
+# this magnitude is finite.
+_LOGIT_BOUND = sys.float_info.max / 2
+
+
+def _finite_logit(z: float) -> float:
+    return min(max(z, -_LOGIT_BOUND), _LOGIT_BOUND)
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class FusionConfig:
             raise ValueError("teacher_logit_weight + llm_logit_weight must equal 1")
         if not 0.0 <= self.teacher_logit_weight <= 1.0:
             raise ValueError("teacher_logit_weight must be in [0, 1]")
-        if self.teacher_temperature <= 0.0 or self.llm_temperature <= 0.0:
+        if not (self.teacher_temperature > 0.0 and self.llm_temperature > 0.0):
             raise ValueError("temperatures must be positive")
         if not 0.0 <= self.soft_smoothing < 1.0:
             raise ValueError(f"soft_smoothing={self.soft_smoothing} must be in [0, 1)")
@@ -138,28 +146,27 @@ def match_regions(
     unmatched.
     """
     matches: list[MatchResult] = []
-    consumed: set[int] = set()
     unmatched_teacher: list[int] = []
+    # Still-available regions as (index, box), in index order.
+    available = [(li, region.box) for li, region in enumerate(llm)]
+    threshold = config.iou_threshold
     for ti, pred in enumerate(teacher):
+        box = pred.box
         best_iou = 0.0
-        best_idx = -1
-        for li, region in enumerate(llm):
-            if li in consumed:
-                continue
-            overlap = iou(pred.box, region.box)
+        best_pos = -1
+        for pos, (_, region_box) in enumerate(available):
+            overlap = iou(box, region_box)
             if overlap > best_iou:
                 best_iou = overlap
-                best_idx = li
-        if (
-            best_idx >= 0
-            and best_iou >= config.iou_threshold
-            and compatible(pred.category, llm[best_idx].category, taxonomy)
-        ):
-            matches.append(MatchResult(ti, best_idx, best_iou, compatible=True))
-            consumed.add(best_idx)
-        else:
-            unmatched_teacher.append(ti)
-    unmatched_llm = tuple(i for i in range(len(llm)) if i not in consumed)
+                best_pos = pos
+        if best_pos >= 0 and best_iou >= threshold:
+            best_idx = available[best_pos][0]
+            if compatible(pred.category, llm[best_idx].category, taxonomy):
+                matches.append(MatchResult(ti, best_idx, best_iou, compatible=True))
+                del available[best_pos]
+                continue
+        unmatched_teacher.append(ti)
+    unmatched_llm = tuple(li for li, _ in available)
     return MatchOutcome(tuple(matches), tuple(unmatched_teacher), unmatched_llm)
 
 
@@ -183,17 +190,39 @@ def resolve_category(
     return c_t if c_t.name == c_l.name else c_l
 
 
+def _within(v: float, a: float, b: float) -> float:
+    """``v`` moved into [min(a, b), max(a, b)]: a rounded blend of a and
+    b can land an ulp past them."""
+    if a > b:
+        a, b = b, a
+    return a if v < a else b if v > b else v
+
+
+def _blend_box(b_t: BoundingBox, b_l: BoundingBox, x1: float, y1: float, x2: float, y2: float) -> BoundingBox:
+    """The box of the blended coordinates, each kept inside the hull of
+    its two inputs. A matched pair overlaps, so each blended x1 stays
+    below the smaller x2 (likewise y) and the box cannot collapse."""
+    return BoundingBox(
+        _within(float(x1), b_t.x1, b_l.x1),
+        _within(float(y1), b_t.y1, b_l.y1),
+        _within(float(x2), b_t.x2, b_l.x2),
+        _within(float(y2), b_t.y2, b_l.y2),
+    )
+
+
 def fuse_fixed_box(b_t: BoundingBox, b_l: BoundingBox, weight: float) -> BoundingBox:
     """Coordinate-wise convex combination, ``weight`` on the teacher box."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight={weight} must be in [0, 1]")
     # Per coordinate, the same two products and one sum as the array form.
     w_l = 1.0 - weight
-    return BoundingBox(
-        float(weight * b_t.x1 + w_l * b_l.x1),
-        float(weight * b_t.y1 + w_l * b_l.y1),
-        float(weight * b_t.x2 + w_l * b_l.x2),
-        float(weight * b_t.y2 + w_l * b_l.y2),
+    return _blend_box(
+        b_t,
+        b_l,
+        weight * b_t.x1 + w_l * b_l.x1,
+        weight * b_t.y1 + w_l * b_l.y1,
+        weight * b_t.x2 + w_l * b_l.x2,
+        weight * b_t.y2 + w_l * b_l.y2,
     )
 
 
@@ -207,7 +236,8 @@ def llm_spatial_variance(q_text: float, q_spatial: float) -> float:
 def fuse_inverse_variance(
     b_t: BoundingBox, var_t: float, b_l: BoundingBox, var_l: float
 ) -> BoundingBox:
-    """Precision-weighted box blend; a zero-variance source wins outright."""
+    """Precision-weighted box blend; a zero-variance source wins outright,
+    and so does one whose precision 1/variance overflows."""
     if var_t < 0.0 or var_l < 0.0:
         raise ValueError("variances must be nonnegative")
     if var_t == 0.0 and var_l == 0.0:
@@ -218,12 +248,23 @@ def fuse_inverse_variance(
         return b_l
     w_t = 1.0 / var_t
     w_l = 1.0 / var_l
+    if w_t == math.inf:
+        return b_t
+    if w_l == math.inf:
+        return b_l
     total = w_t + w_l
-    return BoundingBox(
-        float((w_t * b_t.x1 + w_l * b_l.x1) / total),
-        float((w_t * b_t.y1 + w_l * b_l.y1) / total),
-        float((w_t * b_t.x2 + w_l * b_l.x2) / total),
-        float((w_t * b_t.y2 + w_l * b_l.y2) / total),
+    if total == math.inf:
+        # Two precisions near the largest float: halved, they and every
+        # weighted sum below stay finite, and the ratios are unchanged.
+        w_t, w_l = w_t / 2, w_l / 2
+        total = w_t + w_l
+    return _blend_box(
+        b_t,
+        b_l,
+        (w_t * b_t.x1 + w_l * b_l.x1) / total,
+        (w_t * b_t.y1 + w_l * b_l.y1) / total,
+        (w_t * b_t.x2 + w_l * b_l.x2) / total,
+        (w_t * b_t.y2 + w_l * b_l.y2) / total,
     )
 
 
@@ -325,7 +366,13 @@ def _fuse_pair(
     else:
         box = fuse_fixed_box(pred.box, region.box, config.teacher_box_weight)
         lambda_t = config.teacher_logit_weight
-    fused = sigmoid(lambda_t * z_t + (1.0 - lambda_t) * z_l)
+    z = lambda_t * z_t + (1.0 - lambda_t) * z_l
+    if z != z:
+        # A temperature near 0 overflowed a calibrated logit to +-inf, and
+        # 0 * inf or inf - inf is NaN: combine the logits clipped to
+        # +-_LOGIT_BOUND, which gives the side the larger weight is on.
+        z = lambda_t * _finite_logit(z_t) + (1.0 - lambda_t) * _finite_logit(z_l)
+    fused = sigmoid(z)
     confidence = min(max(fused, _FUSED_CONF_CLIP), 1.0 - _FUSED_CONF_CLIP)
     category = resolve_category(pred.category, pred.confidence, region.category, region.score, taxonomy)
     return FusedLabel(box=box, category=category, confidence=confidence, provenance=PROVENANCE_FUSED)

@@ -42,6 +42,7 @@ __all__ = [
 
 GATE_FORMAT_VERSION = 1
 _LOGIT_CLIP = 1e-6
+_CONF_WEIGHT = 0.1  # weight of the confidence BCE in the gate loss
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ class GateTrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate={self.learning_rate} must be finite and >= 0")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -146,6 +147,8 @@ class TrainResult:
 
 def init_gate(hidden: int = 64, seed: int = 0) -> GateParams:
     """Symmetry-breaking small uniform weights (fan-scaled), zero biases."""
+    if hidden < 1:
+        raise ValueError(f"hidden={hidden} must be >= 1")
     rng = np.random.default_rng(seed)
 
     def layer(fan_in: int, fan_out: int, size) -> np.ndarray:
@@ -187,6 +190,8 @@ def gate_forward(params: GateParams, features: GateFeatures) -> float:
 
 
 def _pack(samples):
+    """Training arrays, one row per sample: x, bt, bl, gt, bt - bl, y,
+    z_t, z_l, z_t - z_l."""
     x = np.stack([s.features.as_array() for s in samples])
     bt = np.stack([np.asarray(s.teacher_box, dtype=np.float64) for s in samples])
     bl = np.stack([np.asarray(s.llm_box, dtype=np.float64) for s in samples])
@@ -198,57 +203,68 @@ def _pack(samples):
     clipped = np.clip(x[:, :2], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
     z_t = np.log(clipped[:, 0]) - np.log1p(-clipped[:, 0])
     z_l = np.log(clipped[:, 1]) - np.log1p(-clipped[:, 1])
-    return x, bt, bl, gt, y, z_t, z_l
+    return x, bt, bl, gt, bt - bl, y, z_t, z_l, z_t - z_l
 
 
-def _batch_loss_and_ggrad(g, bt, bl, gt, y, z_t, z_l, conf_weight: float = 0.1):
-    """Loss value plus dLoss/dg for one batch.
+def _ggrad(g, h, bt, bl, gt, dbt, y, z_t, z_l, dz, residual, u):
+    """dLoss/dg for one batch, given ``h = 1 - g``.
 
     Loss per sample: mean squared coordinate error of the gate-fused box
-    against the truth box, plus ``conf_weight`` times binary
+    against the truth box, plus ``_CONF_WEIGHT`` times binary
     cross-entropy of the gate-fused confidence against fused-category
-    correctness.
+    correctness. Each row's box residual and fused logit are written to
+    ``residual`` and ``u``, from which ``_row_losses`` gives the loss.
     """
-    fused = g[:, None] * bt + (1.0 - g[:, None]) * bl
-    residual = fused - gt
+    np.subtract(g[:, None] * bt + h[:, None] * bl, gt, out=residual)
+    np.add(g * z_t, h * z_l, out=u)
     # np.add.reduce(...) / n is what np.mean computes, minus its dispatch.
-    width = residual.shape[1]
-    box_loss = np.add.reduce(residual**2, axis=1) / width
-    dbox_dg = 2.0 * (np.add.reduce(residual * (bt - bl), axis=1) / width)
-
-    u = g * z_t + (1.0 - g) * z_l
-    p_f = sigmoid(u)
-    bce = np.logaddexp(0.0, u) - y * u  # softplus(u) - y*u == -[y ln p + (1-y) ln(1-p)]
-    dbce_dg = (p_f - y) * (z_t - z_l)
-
-    loss = float(np.add.reduce(box_loss + conf_weight * bce) / g.shape[0])
-    dloss_dg = (dbox_dg + conf_weight * dbce_dg) / g.shape[0]
-    return loss, dloss_dg
+    dbox_dg = 2.0 * (np.add.reduce(residual * dbt, axis=1) / residual.shape[1])
+    dbce_dg = (sigmoid(u) - y) * dz
+    return (dbox_dg + _CONF_WEIGHT * dbce_dg) / g.shape[0]
 
 
-def _sgd_step(params: GateParams, x, dz3, a1, a2, lr: float) -> None:
-    grad_w3 = dz3 @ a2
-    grad_b3 = float(np.add.reduce(dz3))
-    da2 = dz3[:, None] * params.w3
-    dz2 = da2 * (1.0 - a2**2)
-    grad_w2 = dz2.T @ a1
-    grad_b2 = dz2.sum(axis=0)
-    da1 = dz2 @ params.w2
-    dz1 = da1 * (1.0 - a1**2)
-    grad_w1 = dz1.T @ x
-    grad_b1 = dz1.sum(axis=0)
-    params.w3 -= lr * grad_w3
-    params.b3 -= lr * grad_b3
-    params.w2 -= lr * grad_w2
-    params.b2 -= lr * grad_b2
-    params.w1 -= lr * grad_w1
-    params.b1 -= lr * grad_b1
+def _row_losses(residual, u, y):
+    """Each row's loss from its box residual and fused logit."""
+    box_loss = np.add.reduce(residual**2, axis=1) / residual.shape[1]
+    # softplus(u) - y*u == -[y ln p + (1-y) ln(1-p)] with p = sigmoid(u).
+    return box_loss + _CONF_WEIGHT * (np.logaddexp(0.0, u) - y * u)
 
 
-def _full_loss(params, x, bt, bl, gt, y, z_t, z_l) -> float:
-    g, _, _ = _forward(params, x)
-    loss, _ = _batch_loss_and_ggrad(g, bt, bl, gt, y, z_t, z_l)
-    return loss
+def _batch_losses(rows, batch_size: int) -> np.ndarray:
+    """Mean row loss of each run of ``batch_size`` rows, the last run
+    possibly shorter. Reducing the rows of a 2-D array sums each run in
+    the same order as reducing it alone."""
+    full = len(rows) // batch_size * batch_size
+    losses = np.add.reduce(rows[:full].reshape(-1, batch_size), axis=1) / batch_size
+    if full < len(rows):
+        tail = rows[full:]
+        losses = np.append(losses, np.add.reduce(tail) / tail.size)
+    return losses
+
+
+def _backward(params: GateParams, grads, x, dz3, a1, a2) -> float:
+    """Write the gradients of w1, b1, w2, b2 and w3 into the views
+    ``grads``; return the gradient of b3."""
+    grad_w1, grad_b1, grad_w2, grad_b2, grad_w3 = grads
+    np.matmul(dz3, a2, out=grad_w3)
+    dz2 = dz3[:, None] * params.w3 * (1.0 - a2**2)
+    np.matmul(dz2.T, a1, out=grad_w2)
+    np.add.reduce(dz2, axis=0, out=grad_b2)
+    dz1 = (dz2 @ params.w2) * (1.0 - a1**2)
+    np.matmul(dz1.T, x, out=grad_w1)
+    np.add.reduce(dz1, axis=0, out=grad_b1)
+    return float(np.add.reduce(dz3))
+
+
+def _views(flat: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """w1, b1, w2, b2 and w3 as reshaped views of one flat buffer."""
+    views = []
+    start = 0
+    for shape in ((hidden, 3), (hidden,), (hidden, hidden), (hidden,), (hidden,)):
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int = 64) -> TrainResult:
@@ -256,26 +272,48 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
 
     Deterministic: the RNG (seeded from config) drives the train/val
     split, the initialization, and every epoch's batch order, in that
-    order. Raises on fewer than 100 samples or a non-finite loss.
+    order. Raises on fewer than 100 samples, on a validation split that
+    leaves no training sample, and on a non-finite loss (naming its
+    epoch).
     """
     samples = list(samples)
-    if len(samples) < 100:
-        raise ValueError(f"need at least 100 samples, got {len(samples)}")
+    n = len(samples)
+    if n < 100:
+        raise ValueError(f"need at least 100 samples, got {n}")
+    n_val = max(1, int(round(n * config.validation_fraction)))
+    if n_val >= n:
+        raise ValueError(
+            f"validation_fraction={config.validation_fraction} puts {n_val} of {n} samples "
+            "in the validation split, leaving none to train on"
+        )
     arrays = _pack(samples)
-    n = arrays[0].shape[0]
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(n)
-    n_val = max(1, int(round(n * config.validation_fraction)))
     val_idx = order[:n_val]
     train_idx = order[n_val:]
-    params = init_gate(hidden=hidden, seed=int(rng.integers(2**31 - 1)))
+    init = init_gate(hidden=hidden, seed=int(rng.integers(2**31 - 1)))
+    # The weights, and their gradients, are views of one flat buffer
+    # each, so a step updates every weight with two calls.
+    flat = np.concatenate([a.ravel() for a in (init.w1, init.b1, init.w2, init.b2, init.w3)])
+    params = GateParams(*_views(flat, hidden), init.b3)
+    grad = np.empty_like(flat)
+    grads = _views(grad, hidden)
+    lr = config.learning_rate
 
-    xv, btv, blv, gtv, yv, ztv, zlv = (a[val_idx] for a in arrays)
+    val = tuple(a[val_idx] for a in arrays)
+    val_out = (np.empty((n_val, 4)), np.empty(n_val))
     n_train = len(train_idx)
     # Each epoch's training rows in shuffled order, gathered into buffers
-    # made once; a batch is a run of consecutive rows.
+    # made once, plus each row's residual and fused logit; a batch is a
+    # run of consecutive rows of all of them.
     shuffled = tuple(np.empty((n_train,) + a.shape[1:], dtype=a.dtype) for a in arrays)
+    residual, u = np.empty((n_train, 4)), np.empty(n_train)
+    batches = [
+        tuple(a[start : start + config.batch_size] for a in shuffled + (residual, u))
+        for start in range(0, n_train, config.batch_size)
+    ]
+    y_train, y_val = shuffled[5], val[5]  # y is the sixth of _pack's arrays
 
     best_val = np.inf
     best_params = copy.deepcopy(params)
@@ -287,23 +325,24 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
         for source, target in zip(arrays, shuffled):
             # Every row index is in range; "clip" lets take write to out unbuffered.
             np.take(source, rows, axis=0, out=target, mode="clip")
-        xs, bts, bls, gts, ys, zts, zls = shuffled
-        epoch_losses = []
-        for start in range(0, n_train, config.batch_size):
-            stop = start + config.batch_size
-            xb = xs[start:stop]
+        for xb, *batch in batches:
             g, a1, a2 = _forward(params, xb)
-            loss, dloss_dg = _batch_loss_and_ggrad(
-                g, bts[start:stop], bls[start:stop], gts[start:stop], ys[start:stop],
-                zts[start:stop], zls[start:stop],
-            )
-            if not math.isfinite(loss):
-                raise ValueError(f"non-finite training loss at epoch {epoch}")
-            dz3 = dloss_dg * g * (1.0 - g)
-            _sgd_step(params, xb, dz3, a1, a2, config.learning_rate)
-            epoch_losses.append(loss)
-        train_losses.append(float(np.mean(epoch_losses)))
-        val_loss = _full_loss(params, xv, btv, blv, gtv, yv, ztv, zlv)
+            h = 1.0 - g
+            dloss_dg = _ggrad(g, h, *batch)
+            grad_b3 = _backward(params, grads, xb, dloss_dg * g * h, a1, a2)
+            grad *= lr
+            flat -= grad
+            params.b3 -= lr * grad_b3
+        # A batch whose loss is not finite fails the epoch it ran in.
+        losses = _batch_losses(_row_losses(residual, u, y_train), config.batch_size)
+        if not np.isfinite(losses).all():
+            raise ValueError(f"non-finite training loss at epoch {epoch}")
+        train_losses.append(float(np.mean(losses)))
+        # The validation pass writes its residuals and fused logits the
+        # same way; its gradient goes unused.
+        g, _, _ = _forward(params, val[0])
+        _ggrad(g, 1.0 - g, *val[1:], *val_out)
+        val_loss = float(np.add.reduce(_row_losses(*val_out, y_val)) / n_val)
         if not math.isfinite(val_loss):
             raise ValueError(f"non-finite validation loss at epoch {epoch}")
         val_losses.append(val_loss)

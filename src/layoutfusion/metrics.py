@@ -102,9 +102,16 @@ def average_precision(
     ground_truth: list[GroundTruthBox],
     iou_thresholds: tuple[float, ...] = COCO_IOU_THRESHOLDS,
 ) -> ApResult:
-    """Greedy confidence-ordered matching, per category and threshold."""
+    """Greedy confidence-ordered matching, per category and threshold.
+
+    ``iou_thresholds`` must include 0.5 and 0.75, the thresholds of
+    ``ap50`` and ``ap75``.
+    """
     if not ground_truth:
         raise ValueError("no ground truth boxes to evaluate against")
+    missing = {0.5, 0.75}.difference(float(t) for t in iou_thresholds)
+    if missing:
+        raise ValueError(f"iou_thresholds must include 0.5 and 0.75, missing {sorted(missing)}")
     gt_by_cat: dict[str, dict[str, list[BoundingBox]]] = {}
     for g in ground_truth:
         gt_by_cat.setdefault(g.category, {}).setdefault(g.page_id, []).append(g.box)
@@ -118,30 +125,32 @@ def average_precision(
         npos = sum(len(v) for v in gt_pages.values())
         dets = det_by_cat.get(category, [])
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        # Ranked once: each detection's box and the slot of its page's
+        # ground truth; the last slot (empty) serves pages without any.
+        page_boxes = list(gt_pages.values()) + [[]]
+        slot = {pid: k for k, pid in enumerate(gt_pages)}
+        ranked = [(dets[i].box, slot.get(dets[i].page_id, len(gt_pages))) for i in order]
         by_threshold: dict[float, float] = {}
         for threshold in iou_thresholds:
-            used: dict[str, list[bool]] = {pid: [False] * len(v) for pid, v in gt_pages.items()}
-            tp = np.zeros(len(order))
-            fp = np.zeros(len(order))
-            for rank, di in enumerate(order):
-                det = dets[di]
-                candidates = gt_pages.get(det.page_id, [])
+            # Each page's still-unclaimed boxes, in index order.
+            available = [list(boxes) for boxes in page_boxes]
+            hits: list[bool] = []
+            for box, k in ranked:
+                candidates = available[k]
                 best_iou = 0.0
                 best_j = -1
                 for j, gt_box in enumerate(candidates):
-                    if used[det.page_id][j]:
-                        continue
-                    overlap = iou(det.box, gt_box)
+                    overlap = iou(box, gt_box)
                     if overlap > best_iou:
                         best_iou = overlap
                         best_j = j
-                if best_j >= 0 and best_iou >= threshold:
-                    tp[rank] = 1.0
-                    used[det.page_id][best_j] = True
-                else:
-                    fp[rank] = 1.0
+                hit = best_j >= 0 and best_iou >= threshold
+                if hit:
+                    del candidates[best_j]
+                hits.append(hit)
+            tp = np.array(hits, dtype=np.float64)
             tp_cum = np.cumsum(tp)
-            fp_cum = np.cumsum(fp)
+            fp_cum = np.cumsum(1.0 - tp)
             recall = tp_cum / npos
             precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
             by_threshold[float(threshold)] = _interpolated_ap(recall, precision)

@@ -6,6 +6,7 @@ parallel with no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import BoundingBox
@@ -77,6 +78,12 @@ class LlmRegion:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name}={value} must be in (0, 1]")
+        # The region's spatial variance is 1 / (q_text * q_spatial).
+        quality = self.q_text * self.q_spatial
+        if not (quality > 0.0 and 1.0 / quality < math.inf):
+            raise ValueError(
+                f"q_text*q_spatial={quality!r} is too small: the spatial variance 1/(q_text*q_spatial) overflows"
+            )
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,11 @@ def _draw_confidence(rng: np.random.Generator, confusion: float, temperature: fl
         draw = rng.beta(_BETA_CONCENTRATION * (1.0 - confusion), _BETA_CONCENTRATION * confusion)
         latent = min(max(draw, _CONF_CLIP), 1.0 - _CONF_CLIP)
         correct = bool(rng.random() < latent)
+    # numpy's log/log1p, not math's: the two libraries' kernels round
+    # differently on some inputs, and every emitted confidence is pinned
+    # by the simulated corpora's bytes. On an AVX512F Xeon (numpy 2.4.6)
+    # math.log differed on 0.35% of uniform draws, math.log1p(-x) on 4.6%
+    # of beta-drawn latents and math.exp on 4.5% of their logits.
     z = np.log(latent) - np.log1p(-latent)
     emitted = min(max(sigmoid(temperature * z), _CONF_CLIP), 1.0 - _CONF_CLIP)
     return latent, correct, emitted
@@ -274,6 +279,13 @@ def _flip_category(rng: np.random.Generator, name: str, taxonomy: Taxonomy) -> s
     return others[rng.choice(len(others))]
 
 
+def _quarter_points(start: float, stop: float) -> list[float]:
+    """``np.linspace(start, stop, 4)`` as plain floats: numpy's own
+    ``i * step + start`` with the endpoint set to ``stop``."""
+    step = (stop - start) / 3
+    return [0 * step + start, 1 * step + start, 2 * step + start, stop]
+
+
 def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation) -> list[OcrBlock]:
     box = annotation.box
     name = annotation.category.name
@@ -285,8 +297,8 @@ def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation
         return [OcrBlock(box=box, text="page 3", is_bold=False)]
     if name == "table":
         blocks = []
-        xs = np.linspace(box.x1, box.x2, 4)
-        ys = np.linspace(box.y1, box.y2, 4)
+        xs = _quarter_points(box.x1, box.x2)
+        ys = _quarter_points(box.y1, box.y2)
         for r in range(3):
             for c in range(3):
                 cell = BoundingBox(

@@ -225,8 +225,9 @@ def loop_interpolated_ap(recall, precision) -> float:
 def reference_train_gate(samples, config, hidden: int = 64):
     """Frozen copy of ``gating.train_gate`` as it was before its batches
     became slices of per-epoch shuffled buffers: fancy-indexed batches,
-    ``np.mean``, ``np.outer`` and the masked sigmoid. Returns (params,
-    train_losses, val_losses, best_epoch)."""
+    ``np.mean``, ``np.outer``, the masked sigmoid, one update per weight
+    array and a finiteness check on each batch's loss as it is computed.
+    Returns (params, train_losses, val_losses, best_epoch)."""
     import copy
 
     from layoutfusion.gating import init_gate
@@ -291,15 +292,114 @@ def reference_train_gate(samples, config, hidden: int = 64):
             xb = train[0][batch]
             g, a1, a2 = forward(params, xb)
             loss, dloss_dg = loss_and_ggrad(g, *(a[batch] for a in train[1:]))
+            if not math.isfinite(loss):
+                raise ValueError(f"non-finite training loss at epoch {epoch}")
             sgd_step(params, xb, dloss_dg * g * (1.0 - g), a1, a2, config.learning_rate)
             epoch_losses.append(loss)
         train_losses.append(float(np.mean(epoch_losses)))
         g, _, _ = forward(params, val[0])
         val_loss, _ = loss_and_ggrad(g, *val[1:])
+        if not math.isfinite(val_loss):
+            raise ValueError(f"non-finite validation loss at epoch {epoch}")
         val_losses.append(val_loss)
         if val_loss < best_val:
             best_val, best_params, best_epoch = val_loss, copy.deepcopy(params), epoch
     return best_params, train_losses, val_losses, best_epoch
+
+
+def frozen_match_regions(teacher, llm, iou_threshold, taxonomy, iou):
+    """``fusion.match_regions`` as it was before it scanned a list of
+    still-available regions: every region is visited and skipped when
+    its index is in the consumed set. ``iou`` is the IoU function to
+    call. Returns (matches as (teacher, region, iou) tuples, unmatched
+    teacher indices, unmatched region indices)."""
+    matches = []
+    consumed = set()
+    unmatched_teacher = []
+    for ti, pred in enumerate(teacher):
+        best_iou = 0.0
+        best_idx = -1
+        for li, region in enumerate(llm):
+            if li in consumed:
+                continue
+            overlap = iou(pred.box, region.box)
+            if overlap > best_iou:
+                best_iou = overlap
+                best_idx = li
+        if (
+            best_idx >= 0
+            and best_iou >= iou_threshold
+            and taxonomy.compatible(pred.category.name, llm[best_idx].category.name)
+        ):
+            matches.append((ti, best_idx, best_iou))
+            consumed.add(best_idx)
+        else:
+            unmatched_teacher.append(ti)
+    unmatched_llm = tuple(i for i in range(len(llm)) if i not in consumed)
+    return tuple(matches), tuple(unmatched_teacher), unmatched_llm
+
+
+def frozen_average_precision(detections, ground_truth, iou_thresholds, iou):
+    """``metrics.average_precision`` as it was before it ranked each
+    category once: per threshold, a used-flag list per page, a lookup
+    of each detection's page and 0/1 ``tp``/``fp`` arrays. ``iou`` is
+    the IoU function to call. Returns an ``ApResult``."""
+    from layoutfusion.metrics import ApResult, CategoryAp, _interpolated_ap
+
+    gt_by_cat = {}
+    for g in ground_truth:
+        gt_by_cat.setdefault(g.category, {}).setdefault(g.page_id, []).append(g.box)
+    det_by_cat = {}
+    for d in detections:
+        det_by_cat.setdefault(d.category, []).append(d)
+
+    per_category = {}
+    for category, gt_pages in sorted(gt_by_cat.items()):
+        npos = sum(len(v) for v in gt_pages.values())
+        dets = det_by_cat.get(category, [])
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        by_threshold = {}
+        for threshold in iou_thresholds:
+            used = {pid: [False] * len(v) for pid, v in gt_pages.items()}
+            tp = np.zeros(len(order))
+            fp = np.zeros(len(order))
+            for rank, di in enumerate(order):
+                det = dets[di]
+                candidates = gt_pages.get(det.page_id, [])
+                best_iou = 0.0
+                best_j = -1
+                for j, gt_box in enumerate(candidates):
+                    if used[det.page_id][j]:
+                        continue
+                    overlap = iou(det.box, gt_box)
+                    if overlap > best_iou:
+                        best_iou = overlap
+                        best_j = j
+                if best_j >= 0 and best_iou >= threshold:
+                    tp[rank] = 1.0
+                    used[det.page_id][best_j] = True
+                else:
+                    fp[rank] = 1.0
+            tp_cum = np.cumsum(tp)
+            fp_cum = np.cumsum(fp)
+            recall = tp_cum / npos
+            precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+            by_threshold[float(threshold)] = _interpolated_ap(recall, precision)
+        per_category[category] = CategoryAp(
+            ap=float(np.mean(list(by_threshold.values()))), by_threshold=by_threshold, gt_count=npos
+        )
+
+    macro = float(np.mean([c.ap for c in per_category.values()]))
+    weights = np.array([c.gt_count for c in per_category.values()], dtype=np.float64)
+    weighted = float(np.sum(weights * np.array([c.ap for c in per_category.values()])) / weights.sum())
+
+    def mean_at(threshold):
+        return float(np.mean([c.by_threshold[threshold] for c in per_category.values()]))
+
+    return ApResult(
+        ap=macro, ap50=mean_at(0.5), ap75=mean_at(0.75), per_category=per_category,
+        macro_ap=macro, weighted_ap=weighted,
+    )
 
 
 def array_correlated_offsets(rng, sigma_t: float, sigma_l: float, rho: float):

@@ -284,6 +284,27 @@ class TestGateCommands:
         doc = json.loads((lip_out / "lipschitz.json").read_text())
         assert doc["lipschitz"] >= 0.0
 
+    @pytest.fixture()
+    def gate_dataset(self, tmp_path):
+        path = tmp_path / "gate_data.jsonl"
+        save_dataset(simulate_dataset(SimConfig(pages=30, seed=3)), path)
+        return path
+
+    def test_validation_split_of_every_sample_exits_2(self, tmp_path, gate_dataset, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"validation_fraction": 0.9999, "epochs": 2}), encoding="utf-8")
+        out = tmp_path / "gate"
+        argv = ["train-gate", "--dataset", str(gate_dataset), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert "leaving none to train on" in capsys.readouterr().err
+        assert not (out / "gate_training.csv").exists()
+
+    @pytest.mark.parametrize("hidden", ["0", "-2"])
+    def test_hidden_width_below_one_exits_2(self, tmp_path, gate_dataset, capsys, hidden):
+        out = tmp_path / "gate"
+        assert main(["train-gate", "--dataset", str(gate_dataset), "--hidden", hidden, "--out", str(out)]) == 2
+        assert f"hidden={hidden} must be >= 1" in capsys.readouterr().err
+
     def test_lipschitz_grid_mode(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=120, seed=9))
         path = tmp_path / "d.jsonl"

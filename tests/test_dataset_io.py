@@ -89,6 +89,14 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=r"nan-page.*teacher\[0\].*coordinate_variance"):
             load_dataset(path)
 
+    def test_vanishing_region_quality_names_page_and_field(self, tmp_path):
+        # 1 / (1e-200 * 1e-200) is no finite spatial variance.
+        path = tmp_path / "q.jsonl"
+        bad = [{"type": "text", "bbox": [0.1, 0.1, 0.4, 0.2], "score": 0.8, "q_text": 1e-200, "q_spatial": 1e-200}]
+        write_lines(path, [page_line(page_id="q-page", llm=bad)])
+        with pytest.raises(DatasetError, match=r"q-page.*llm\[0\].*q_text\*q_spatial"):
+            load_dataset(path)
+
     def test_infinite_coordinate_variance_gives_teacher_no_weight(self, tmp_path):
         path = tmp_path / "inf.jsonl"
         teacher = [{"type": "text", "bbox": [0.1, 0.1, 0.4, 0.2], "confidence": 0.9, "coord_var": float("inf")}]

@@ -62,6 +62,11 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             FusionConfig(teacher_temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["teacher_temperature", "llm_temperature"])
+    def test_rejects_nan_temperature(self, field):
+        with pytest.raises(ValueError, match="temperatures must be positive"):
+            FusionConfig(**{field: math.nan})
+
 
 class TestCompatible:
     def test_reflexive(self):
@@ -203,6 +208,25 @@ class TestBoxFusion:
         assert fuse_inverse_variance(a, 0.5, b, 0.0) == b
         with pytest.raises(ValueError):
             fuse_inverse_variance(a, 0.0, b, 0.0)
+
+    def test_inverse_variance_with_overflowing_precision_wins(self):
+        # 1 / 5e-324 overflows to inf, which used to make every coordinate NaN.
+        a = BoundingBox(0.1, 0.1, 0.3, 0.3)
+        b = BoundingBox(0.15, 0.1, 0.35, 0.3)
+        assert fuse_inverse_variance(a, 5e-324, b, 0.5) == a
+        assert fuse_inverse_variance(a, 0.5, b, 5e-324) == b
+
+    def test_inverse_variance_with_overflowing_total_precision(self):
+        # 1 / 1e-308 + 1 / 1e-308 overflows; the blend used to divide by inf.
+        a = BoundingBox(0.1, 0.1, 0.3, 0.3)
+        b = BoundingBox(0.15, 0.1, 0.35, 0.3)
+        assert fuse_inverse_variance(a, 1e-308, b, 1e-308) == fuse_inverse_variance(a, 0.5, b, 0.5)
+
+    def test_blend_of_equal_coordinates_is_that_coordinate(self):
+        # (w_t * 0.75 + 1.0 * 0.75) / (w_t + 1.0) rounds to 0.7499999999999999.
+        box = BoundingBox(0.0, 0.0, 0.75, 0.25)
+        assert fuse_inverse_variance(box, 4.2757393933598746e-279, box, 1.0) == box
+        assert fuse_fixed_box(box, box, 0.3) == box
 
 
 class TestOptimalWeight:
@@ -384,6 +408,19 @@ class TestRefinePseudoLabels:
         assert label.provenance == "fused"
         assert 0.0 < label.confidence < 1.0
         assert label.confidence == pytest.approx(1.0 if conf > 0.5 else 0.0, abs=1e-11)
+
+    def test_infinitely_sharp_temperature_gives_a_finite_confidence(self):
+        # logit(0.75) / 5e-324 overflows; times a zero weight it was NaN.
+        box = BoundingBox(0.1, 0.1, 0.5, 0.5)
+        page = Page(page_id="inf-t", teacher=(teacher(box, conf=0.75),), llm=(region(box, score=0.5),))
+        config = FusionConfig(teacher_temperature=5e-324, teacher_logit_weight=0.0, llm_logit_weight=1.0)
+        (label,) = refine_pseudo_labels(page, config)
+        assert label.confidence == 0.5
+        # Opposite saturated logits: the larger weight decides the side.
+        page = Page(page_id="inf-t2", teacher=(teacher(box, conf=0.75),), llm=(region(box, score=0.25),))
+        config = FusionConfig(teacher_temperature=5e-324, llm_temperature=5e-324)
+        (label,) = refine_pseudo_labels(page, config)
+        assert label.confidence == 1.0 - 1e-12
 
     def test_temperatures_fuse_in_logit_space(self):
         config = FusionConfig(teacher_temperature=0.5, llm_temperature=2.0)

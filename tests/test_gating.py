@@ -114,6 +114,25 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_gate(instances.to_samples(), GateTrainConfig())
 
+    def test_validation_split_of_every_sample_is_rejected(self):
+        # round(100 * 0.995) = 100: the split used to leave nothing to train on.
+        samples = sample_gate_instances(GateTask(), 100, seed=1).to_samples()
+        with pytest.raises(ValueError, match=r"validation_fraction=0.995 puts 100 of 100 samples in the validation split"):
+            train_gate(samples, GateTrainConfig(validation_fraction=0.995, epochs=2))
+
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_width_below_one_is_rejected(self, hidden):
+        with pytest.raises(ValueError, match=rf"hidden={hidden} must be >= 1"):
+            init_gate(hidden=hidden)
+        samples = sample_gate_instances(GateTask(), 120, seed=1).to_samples()
+        with pytest.raises(ValueError, match=rf"hidden={hidden} must be >= 1"):
+            train_gate(samples, GateTrainConfig(epochs=1), hidden=hidden)
+
+    @pytest.mark.parametrize("rate", [-0.1, float("inf"), float("nan")])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            GateTrainConfig(learning_rate=rate)
+
     def test_zero_learning_rate_keeps_initialization(self):
         instances = sample_gate_instances(GateTask(), 200, seed=2)
         config = GateTrainConfig(learning_rate=0.0, epochs=3, seed=5)

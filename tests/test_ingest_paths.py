@@ -230,16 +230,25 @@ def unit_boxes(draw):
 
 
 @st.composite
+def llm_regions(draw, categories):
+    """Any region; qualities too small for a finite spatial variance
+    1/(q_text*q_spatial), which LlmRegion rejects, become 1.0."""
+    box, category, score = draw(unit_boxes()), draw(categories), draw(probability)
+    quality = st.floats(0.0, 1.0, exclude_min=True)
+    try:
+        return LlmRegion(box, category, score, draw(quality), draw(quality))
+    except ValueError:
+        return LlmRegion(box, category, score, 1.0, 1.0)
+
+
+@st.composite
 def pages(draw, page_id):
     categories = st.sampled_from(DOCLAYNET.categories)
     teacher = draw(st.lists(st.builds(
         TeacherPrediction, unit_boxes(), categories, probability,
         st.one_of(st.none(), st.floats(0.0, allow_nan=False)),
     ), max_size=3))
-    llm = draw(st.lists(st.builds(
-        LlmRegion, unit_boxes(), categories, probability,
-        st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True),
-    ), max_size=3))
+    llm = draw(st.lists(llm_regions(categories), max_size=3))
     ocr = draw(st.lists(st.builds(OcrBlock, unit_boxes(), st.text(max_size=5), st.booleans()), max_size=3))
     ground_truth = draw(st.one_of(st.none(), st.lists(st.builds(GroundTruthAnnotation, unit_boxes(), categories),
                                                       max_size=3).map(tuple)))

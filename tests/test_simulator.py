@@ -129,6 +129,18 @@ class TestSimulatePredictions:
             for pred in page.teacher:
                 assert pred.coordinate_variance == pytest.approx(0.02**2)
 
+    def test_every_box_coordinate_is_a_plain_float(self):
+        # Table cells used to take np.float64 coordinates from np.linspace.
+        config = SimConfig(pages=40, seed=5, emit_ocr_stubs=True, emit_coordinate_variance=True)
+        pages = simulate_dataset(config)
+        boxes = [
+            item.box
+            for page in pages
+            for item in page.ocr_blocks + page.teacher + page.llm + page.ground_truth
+        ]
+        assert any(block.text.isdigit() for page in pages for block in page.ocr_blocks)
+        assert {type(c) for box in boxes for c in (box.x1, box.y1, box.x2, box.y2)} == {float}
+
 
 def _paired_coordinate_correlation(rho: float, seed: int) -> float:
     config = SimConfig(

@@ -8,6 +8,7 @@ than a one-row one, so its weights must stay within a few ulps of the
 per-pair ``gate_forward``.
 """
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -171,6 +172,26 @@ def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
     assert [v.hex() for v in result.train_losses] == [v.hex() for v in train_losses]
     assert [v.hex() for v in result.val_losses] == [v.hex() for v in val_losses]
     assert result.best_epoch == best_epoch
+
+
+def test_diverging_run_fails_at_the_reference_epoch():
+    """The loss is checked once per epoch, after its last batch; a run
+    whose loss overflows must still fail with the reference loop's
+    error, naming the same epoch. (The tanh and sigmoid saturate, so a
+    huge learning rate alone does not overflow the loss: the boxes are
+    scaled up as well.)"""
+    samples = [
+        dataclasses.replace(s, teacher_box=s.teacher_box * 1e154, truth_box=s.truth_box * 1e154)
+        for s in gate_samples_from_pages(simulate_dataset(SimConfig(pages=40, seed=3)))
+    ]
+    config = GateTrainConfig(learning_rate=1e300, epochs=6, batch_size=16, seed=11)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as want:
+            reference_train_gate(samples, config, hidden=16)
+        with pytest.raises(ValueError) as got:
+            train_gate(samples, config, hidden=16)
+    assert str(want.value) == "non-finite training loss at epoch 1"
+    assert str(got.value) == str(want.value)
 
 
 def _ulps(a: float, b: float) -> int:
