@@ -29,6 +29,7 @@ from layoutfusion.fusion import (
 from layoutfusion.gating import (
     GateFeatures,
     GateTrainConfig,
+    _batch_losses,
     gate_forward,
     gate_forward_batch,
     init_gate,
@@ -172,6 +173,18 @@ def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
     assert [v.hex() for v in result.train_losses] == [v.hex() for v in train_losses]
     assert [v.hex() for v in result.val_losses] == [v.hex() for v in val_losses]
     assert result.best_epoch == best_epoch
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.integers(1, 70))
+def test_epoch_batch_losses_equal_per_batch_reduce(rows, batch_size):
+    """Reducing the rows of a 2-D array sums each batch as reducing that
+    batch's slice alone does (``np.add.reduceat`` would not)."""
+    rows = np.array(rows)
+    want = [
+        np.add.reduce(rows[start : start + batch_size]) / rows[start : start + batch_size].size
+        for start in range(0, rows.size, batch_size)
+    ]
+    assert _batch_losses(rows, batch_size).tobytes() == np.array(want).tobytes()
 
 
 def test_diverging_run_fails_at_the_reference_epoch():
