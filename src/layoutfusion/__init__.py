@@ -42,12 +42,11 @@ from .fusion import (
     resolve_category,
 )
 from .gating import (
+    GateBatch,
     GateFeatures,
     GateParams,
-    GateSample,
     GateTrainConfig,
     estimate_lipschitz,
-    extract_features,
     gate_forward,
     gate_forward_batch,
     init_gate,
@@ -64,7 +63,6 @@ from .curriculum import (
     schedule,
     schedule_table,
     threshold_table,
-    total_loss,
 )
 from .metrics import (
     ApResult,

@@ -1,9 +1,8 @@
 """Training-loop bookkeeping as pure computations, no learner attached.
 
 Covers the epoch-indexed admission schedule for pseudo-label sources,
-class-adaptive confidence thresholds, EMA parameter updates, the
-cross-modal consistency penalty over embedding vectors, and total-loss
-combination.
+class-adaptive confidence thresholds, EMA parameter updates and the
+cross-modal consistency penalty over embedding vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "threshold_table",
     "ema_update",
     "consistency_loss",
-    "total_loss",
     "schedule_table",
 ]
 
@@ -138,14 +136,6 @@ def consistency_loss(visual, text) -> float:
             raise ValueError(f"zero-norm embedding at index {i}")
         total += 1.0 - float(np.dot(v, t) / (nv * nt))
     return total / len(visual)
-
-
-def total_loss(l_sup: float, l_pseudo: float, l_cons: float, config: CurriculumConfig = CurriculumConfig()) -> float:
-    """Supervised + weighted pseudo-label + weighted consistency terms."""
-    for name, value in (("l_sup", l_sup), ("l_pseudo", l_pseudo), ("l_cons", l_cons)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name}={value} is not finite")
-    return l_sup + config.lambda_pseudo * l_pseudo + config.lambda_cons * l_cons
 
 
 def schedule_table(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curriculum import CurriculumConfig, threshold_table
-from .gating import GateFeatures, GateParams, GateSample, extract_features, gate_forward_batch
+from .gating import GateBatch, GateFeatures, GateParams, gate_forward_batch
 from .geometry import BoundingBox, iou
 from .model import (
     FusedLabel,
@@ -445,14 +445,15 @@ def gate_samples_from_pages(
     pages,
     config: FusionConfig = FusionConfig(),
     taxonomy: Taxonomy = DOCLAYNET,
-) -> list[GateSample]:
+) -> GateBatch:
     """Gate training samples from annotated pages.
 
     One sample per matched pair; the target box is the ground-truth
     annotation that best overlaps the teacher box, and the correctness
-    flags record whether each source named that annotation's category.
+    flag records whether the text source named that annotation's
+    category.
     """
-    samples: list[GateSample] = []
+    features, teacher_boxes, llm_boxes, truth_boxes, llm_correct = [], [], [], [], []
     for page in pages:
         if page.ground_truth is None:
             raise ValueError(f"page {page.page_id!r} has no ground truth")
@@ -469,14 +470,14 @@ def gate_samples_from_pages(
                     best = annotation
             if best is None:
                 continue
-            samples.append(
-                GateSample(
-                    features=extract_features(pred, region, match.iou),
-                    teacher_box=pred.box.as_array(),
-                    llm_box=region.box.as_array(),
-                    truth_box=best.box.as_array(),
-                    teacher_correct=pred.category.name == best.category.name,
-                    llm_correct=region.category.name == best.category.name,
-                )
-            )
-    return samples
+            features.append((pred.confidence, region.score, match.iou))
+            for rows, box in ((teacher_boxes, pred.box), (llm_boxes, region.box), (truth_boxes, best.box)):
+                rows.append((box.x1, box.y1, box.x2, box.y2))
+            llm_correct.append(region.category.name == best.category.name)
+    return GateBatch(
+        features=np.array(features, dtype=np.float64).reshape(-1, 3),
+        teacher_boxes=np.array(teacher_boxes, dtype=np.float64).reshape(-1, 4),
+        llm_boxes=np.array(llm_boxes, dtype=np.float64).reshape(-1, 4),
+        truth_boxes=np.array(truth_boxes, dtype=np.float64).reshape(-1, 4),
+        llm_correct=np.array(llm_correct, dtype=bool),
+    )

@@ -21,16 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LlmRegion, TeacherPrediction
 from .numerics import sigmoid
 
 __all__ = [
+    "GateBatch",
     "GateFeatures",
     "GateParams",
-    "GateSample",
     "GateTrainConfig",
     "TrainResult",
-    "extract_features",
     "init_gate",
     "gate_forward",
     "gate_forward_batch",
@@ -61,11 +59,6 @@ class GateFeatures:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.teacher_confidence, self.llm_score, self.iou], dtype=np.float64)
-
-
-def extract_features(pred: TeacherPrediction, region: LlmRegion, pair_iou: float) -> GateFeatures:
-    """Project a matched pair onto the gate's input triple, verbatim."""
-    return GateFeatures(pred.confidence, region.score, pair_iou)
 
 
 @dataclass
@@ -109,15 +102,44 @@ class GateParams:
 
 
 @dataclass(frozen=True)
-class GateSample:
-    """One training instance: features, the three boxes, correctness flags."""
+class GateBatch:
+    """Gate training data, one row per matched pair: the feature triple,
+    the teacher, text and truth boxes, and whether the text source named
+    the truth's category. Checked once, here; an error names the first
+    bad row."""
 
-    features: GateFeatures
-    teacher_box: np.ndarray
-    llm_box: np.ndarray
-    truth_box: np.ndarray
-    teacher_correct: bool
-    llm_correct: bool
+    features: np.ndarray  # (n, 3)
+    teacher_boxes: np.ndarray  # (n, 4)
+    llm_boxes: np.ndarray  # (n, 4)
+    truth_boxes: np.ndarray  # (n, 4)
+    llm_correct: np.ndarray  # (n,) bool
+
+    def __post_init__(self) -> None:
+        n = len(self.features)
+        for name, shape, dtype in (
+            ("features", (n, 3), np.float64),
+            ("teacher_boxes", (n, 4), np.float64),
+            ("llm_boxes", (n, 4), np.float64),
+            ("truth_boxes", (n, 4), np.float64),
+            ("llm_correct", (n,), np.bool_),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray) or value.shape != shape or value.dtype != dtype:
+                got = f"{value.dtype} {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+                raise ValueError(f"{name} must be a {np.dtype(dtype)} array of shape {shape}, got {got}")
+        for name in ("teacher_boxes", "llm_boxes", "truth_boxes"):
+            _first_bad_row(name, getattr(self, name), np.isfinite, "a non-finite coordinate")
+        _first_bad_row("features", self.features, lambda f: (f >= 0.0) & (f <= 1.0), "a value outside [0, 1]")
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+
+def _first_bad_row(name: str, rows: np.ndarray, ok, fault: str) -> None:
+    bad = ~ok(rows).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{name}[{i}] = {rows[i].tolist()} has {fault}")
 
 
 @dataclass(frozen=True)
@@ -189,17 +211,14 @@ def gate_forward(params: GateParams, features: GateFeatures) -> float:
     return float(gate_forward_batch(params, features.as_array()[None, :])[0])
 
 
-def _pack(samples):
+def _pack(batch: GateBatch):
     """Training arrays, one row per sample: x, bt, bl, gt, bt - bl, y,
     z_t, z_l, z_t - z_l."""
-    x = np.stack([s.features.as_array() for s in samples])
-    bt = np.stack([np.asarray(s.teacher_box, dtype=np.float64) for s in samples])
-    bl = np.stack([np.asarray(s.llm_box, dtype=np.float64) for s in samples])
-    gt = np.stack([np.asarray(s.truth_box, dtype=np.float64) for s in samples])
+    x, bt, bl, gt = batch.features, batch.teacher_boxes, batch.llm_boxes, batch.truth_boxes
     # Fused-category correctness under the trust-the-text resolution: on
     # disagreement the text category is emitted, so its flag decides; on
     # agreement both flags coincide anyway.
-    y = np.array([s.llm_correct for s in samples], dtype=np.float64)
+    y = batch.llm_correct.astype(np.float64)
     clipped = np.clip(x[:, :2], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
     z_t = np.log(clipped[:, 0]) - np.log1p(-clipped[:, 0])
     z_l = np.log(clipped[:, 1]) - np.log1p(-clipped[:, 1])
@@ -267,7 +286,7 @@ def _views(flat: np.ndarray, hidden: int) -> list[np.ndarray]:
     return views
 
 
-def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int = 64) -> TrainResult:
+def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), hidden: int = 64) -> TrainResult:
     """Mini-batch SGD on the fusion objective; best-validation params win.
 
     Deterministic: the RNG (seeded from config) drives the train/val
@@ -276,7 +295,6 @@ def train_gate(samples, config: GateTrainConfig = GateTrainConfig(), hidden: int
     leaves no training sample, and on a non-finite loss (naming its
     epoch).
     """
-    samples = list(samples)
     n = len(samples)
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundingBox", "iou", "giou", "clamp_coordinates"]
+__all__ = ["BoundingBox", "iou", "paired_iou", "giou", "clamp_coordinates"]
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,19 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if iy <= 0.0:
         return 0.0
     intersection = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
+    return intersection / union
+
+
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of each row of ``a`` with the same row of ``b``, two (n, 4)
+    coordinate arrays: the scalar operations in the same order, so each
+    value equals ``iou`` of the two boxes bit for bit."""
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    ix = np.minimum(bx2, ax2) - np.maximum(bx1, ax1)
+    iy = np.minimum(by2, ay2) - np.maximum(by1, ay1)
+    intersection = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
     return intersection / union
 

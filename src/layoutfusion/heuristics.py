@@ -94,20 +94,20 @@ def _find_grid(blocks: list[OcrBlock], config: HeuristicConfig) -> list[int] | N
     presence: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(row_of, col_of)):
         presence.setdefault(key, []).append(i)
-    columns = sorted(set(col_of))
     rows = sorted(set(row_of))
-    if len(columns) < config.min_shared_columns or len(rows) < config.min_aligned_lines:
+    if len(rows) < config.min_aligned_lines:
         return None
-    detected = False
-    for col_subset in combinations(columns, config.min_shared_columns):
+    # A column present in fewer than min_aligned_lines rows cannot be in
+    # a witness subset, so the scan runs over the well-populated ones.
+    grid_columns = [
+        c for c in sorted(set(col_of)) if sum(1 for r in rows if (r, c) in presence) >= config.min_aligned_lines
+    ]
+    for col_subset in combinations(grid_columns, config.min_shared_columns):
         complete_rows = [r for r in rows if all((r, c) in presence for c in col_subset)]
         if len(complete_rows) >= config.min_aligned_lines:
-            detected = True
             break
-    if not detected:
+    else:
         return None
-    col_counts = {c: sum(1 for r in rows if (r, c) in presence) for c in columns}
-    grid_columns = {c for c, count in col_counts.items() if count >= config.min_aligned_lines}
     grid_rows = {
         r for r in rows if sum(1 for c in grid_columns if (r, c) in presence) >= config.min_shared_columns
     }

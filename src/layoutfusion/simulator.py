@@ -23,13 +23,13 @@ generation order does not matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .gating import GateFeatures, GateSample
-from .geometry import BoundingBox, iou
+from .gating import GateBatch
+from .geometry import BoundingBox, paired_iou
 from .model import GroundTruthAnnotation, LlmRegion, OcrBlock, Page, TeacherPrediction
 from .numerics import sigmoid
 from .taxonomy import TAXONOMIES, Taxonomy
@@ -477,48 +477,14 @@ class GateTask:
         return cls(**obj)
 
 
-@dataclass
-class GateInstances:
-    """Vectorized gate instances with their true noise parameters."""
+@dataclass(frozen=True)
+class GateInstances(GateBatch):
+    """Gate instances with their true noise parameters."""
 
-    features: np.ndarray  # (n, 3)
-    teacher_boxes: np.ndarray  # (n, 4)
-    llm_boxes: np.ndarray  # (n, 4)
-    truth_boxes: np.ndarray  # (n, 4)
     sigma_t: np.ndarray  # (n,)
     sigma_l: np.ndarray  # (n,)
     rho: float
     teacher_correct: np.ndarray  # (n,) bool
-    llm_correct: np.ndarray  # (n,) bool
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    def to_samples(self) -> list[GateSample]:
-        return [
-            GateSample(
-                features=GateFeatures(*self.features[i]),
-                teacher_box=self.teacher_boxes[i],
-                llm_box=self.llm_boxes[i],
-                truth_box=self.truth_boxes[i],
-                teacher_correct=bool(self.teacher_correct[i]),
-                llm_correct=bool(self.llm_correct[i]),
-            )
-            for i in range(len(self))
-        ]
-
-    def subset(self, idx) -> "GateInstances":
-        return replace(
-            self,
-            features=self.features[idx],
-            teacher_boxes=self.teacher_boxes[idx],
-            llm_boxes=self.llm_boxes[idx],
-            truth_boxes=self.truth_boxes[idx],
-            sigma_t=self.sigma_t[idx],
-            sigma_l=self.sigma_l[idx],
-            teacher_correct=self.teacher_correct[idx],
-            llm_correct=self.llm_correct[idx],
-        )
 
 
 def _sample_truth_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -574,12 +540,7 @@ def sample_gate_instances(task: GateTask, n: int, seed: int = 0) -> GateInstance
     if task.synthetic_iou is not None:
         pair_iou = rng.uniform(*task.synthetic_iou, size=n)
     else:
-        pair_iou = np.array(
-            [
-                iou(BoundingBox.from_array(teacher[i]), BoundingBox.from_array(llm[i]))
-                for i in range(n)
-            ]
-        )
+        pair_iou = paired_iou(teacher, llm)
     features = np.stack([p_t, s_l, np.clip(pair_iou, 0.0, 1.0)], axis=1)
     flags = np.ones(n, dtype=bool)
     return GateInstances(

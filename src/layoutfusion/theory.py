@@ -332,7 +332,7 @@ def run_sample_complexity_experiment(
                 seed=int(np.random.default_rng((master_seed, n, s, 1)).integers(2**31 - 1)),
                 validation_fraction=train_config.validation_fraction,
             )
-            result = train_gate(instances.to_samples(), cell_train, hidden=hidden)
+            result = train_gate(instances, cell_train, hidden=hidden)
             g = gate_forward_batch(result.params, heldout_instances.features)
             risk = expected_weight_risk(
                 g, heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho

@@ -233,11 +233,10 @@ def reference_train_gate(samples, config, hidden: int = 64):
     from layoutfusion.gating import init_gate
 
     clip = 1e-6
-    x = np.stack([np.array([s.features.teacher_confidence, s.features.llm_score, s.features.iou]) for s in samples])
-    bt = np.stack([np.asarray(s.teacher_box, dtype=np.float64) for s in samples])
-    bl = np.stack([np.asarray(s.llm_box, dtype=np.float64) for s in samples])
-    gt = np.stack([np.asarray(s.truth_box, dtype=np.float64) for s in samples])
-    y = np.array([s.llm_correct for s in samples], dtype=np.float64)
+    # The inputs are read from a packed gate batch; the arithmetic below
+    # is frozen.
+    x, bt, bl, gt = samples.features, samples.teacher_boxes, samples.llm_boxes, samples.truth_boxes
+    y = np.array(samples.llm_correct, dtype=np.float64)
     clipped = np.clip(x[:, :2], clip, 1.0 - clip)
     z_t = np.log(clipped[:, 0]) - np.log1p(-clipped[:, 0])
     z_l = np.log(clipped[:, 1]) - np.log1p(-clipped[:, 1])
@@ -559,3 +558,42 @@ def frozen_page_from_dict(obj, taxonomy, stats):
         ground_truth=None if ground_truth is None else tuple(ground_truth),
         refined=None if refined is None else tuple(refined),
     )
+
+
+def frozen_find_grid(blocks, config):
+    """``heuristics._find_grid`` as it was before its subset scan skipped
+    columns present in too few rows: every ``min_shared_columns``-subset
+    of column clusters is tried. The clustering itself is the library's."""
+    from itertools import combinations
+
+    from layoutfusion.heuristics import _cluster_positions
+
+    if len(blocks) < config.min_aligned_lines * config.min_shared_columns:
+        return None
+    col_of = _cluster_positions([b.box.x1 for b in blocks], config.alignment_tolerance)
+    row_of = _cluster_positions([b.box.y1 for b in blocks], config.alignment_tolerance)
+    presence = {}
+    for i, key in enumerate(zip(row_of, col_of)):
+        presence.setdefault(key, []).append(i)
+    columns = sorted(set(col_of))
+    rows = sorted(set(row_of))
+    if len(columns) < config.min_shared_columns or len(rows) < config.min_aligned_lines:
+        return None
+    detected = False
+    for col_subset in combinations(columns, config.min_shared_columns):
+        complete_rows = [r for r in rows if all((r, c) in presence for c in col_subset)]
+        if len(complete_rows) >= config.min_aligned_lines:
+            detected = True
+            break
+    if not detected:
+        return None
+    col_counts = {c: sum(1 for r in rows if (r, c) in presence) for c in columns}
+    grid_columns = {c for c, count in col_counts.items() if count >= config.min_aligned_lines}
+    grid_rows = {
+        r for r in rows if sum(1 for c in grid_columns if (r, c) in presence) >= config.min_shared_columns
+    }
+    members = []
+    for (r, c), idx in presence.items():
+        if r in grid_rows and c in grid_columns:
+            members.extend(idx)
+    return sorted(members)

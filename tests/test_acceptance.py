@@ -161,7 +161,7 @@ def test_05_regime_boundary_residuals():
         synthetic_iou=(0.6, 0.95),
     )
     train = sample_gate_instances(task, 4000, seed=11)
-    trained = train_gate(train.to_samples(), GateTrainConfig(learning_rate=0.3, epochs=30, seed=3))
+    trained = train_gate(train, GateTrainConfig(learning_rate=0.3, epochs=30, seed=3))
     heldout = sample_gate_instances(task, 10_000, seed=12)
     residuals = regime_residual_analysis(heldout, trained.params)
     elapsed = time.monotonic() - start
@@ -291,17 +291,17 @@ def test_10_gate_properties():
     symmetric_task = GateTask(mixture=((1.0, 0.03, 0.03),), p_t_range=(0.5, 0.9), s_l_range=(0.5, 0.9))
     instances = sample_gate_instances(symmetric_task, 3000, seed=1)
     config = GateTrainConfig(learning_rate=0.3, epochs=40, batch_size=32, seed=0)
-    trained = train_gate(instances.to_samples(), config)
+    trained = train_gate(instances, config)
     heldout = sample_gate_instances(symmetric_task, 2000, seed=2)
     symmetric_mean = float(gate_forward_batch(trained.params, heldout.features).mean())
 
     dominant_task = GateTask(mixture=((1.0, 0.001, 0.05),), p_t_range=(0.75, 0.95), s_l_range=(0.3, 0.6))
     dom_instances = sample_gate_instances(dominant_task, 3000, seed=3)
-    dom_trained = train_gate(dom_instances.to_samples(), config)
+    dom_trained = train_gate(dom_instances, config)
     dom_heldout = sample_gate_instances(dominant_task, 2000, seed=4)
     dominant_mean = float(gate_forward_batch(dom_trained.params, dom_heldout.features).mean())
 
-    repeat = train_gate(instances.to_samples(), config)
+    repeat = train_gate(instances, config)
     reproducible = (
         np.array_equal(repeat.params.w1, trained.params.w1)
         and np.array_equal(repeat.params.w2, trained.params.w2)

@@ -1,4 +1,4 @@
-"""Schedule, thresholds, EMA, consistency penalty, total loss."""
+"""Schedule, thresholds, EMA, consistency penalty."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from layoutfusion.curriculum import (
     schedule,
     schedule_table,
     threshold_table,
-    total_loss,
 )
 from layoutfusion.taxonomy import DOCLAYNET
 
@@ -138,19 +137,3 @@ class TestConsistencyLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             consistency_loss([[1.0]], [])
-
-
-class TestTotalLoss:
-    def test_supervised_only(self):
-        assert total_loss(1.0, 0.0, 0.0) == 1.0
-
-    def test_defaults_weighting(self):
-        assert total_loss(1.0, 1.0, 1.0) == pytest.approx(2.2)
-
-    def test_consistency_can_be_disabled(self):
-        config = CurriculumConfig(lambda_cons=0.0)
-        assert total_loss(1.0, 1.0, 123.0, config) == pytest.approx(2.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(float("nan"), 0.0, 0.0)

@@ -1,15 +1,18 @@
 """The learned fusion gate: forward pass, training behavior, slope
 estimation, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from layoutfusion.fusion import gate_samples_from_pages
 from layoutfusion.gating import (
+    GateBatch,
     GateFeatures,
     GateParams,
     GateTrainConfig,
     estimate_lipschitz,
-    extract_features,
     gate_forward,
     gate_forward_batch,
     init_gate,
@@ -17,9 +20,9 @@ from layoutfusion.gating import (
     save_gate,
     train_gate,
 )
-from layoutfusion.geometry import BoundingBox
-from layoutfusion.model import LlmRegion, TeacherPrediction
-from layoutfusion.simulator import GateTask, sample_gate_instances
+from layoutfusion.geometry import BoundingBox, iou
+from layoutfusion.model import GroundTruthAnnotation, LlmRegion, Page, TeacherPrediction
+from layoutfusion.simulator import GateTask, SimConfig, sample_gate_instances, simulate_dataset
 from layoutfusion.taxonomy import DOCLAYNET
 
 
@@ -52,11 +55,22 @@ def slope_two_params(delta: float = 1e-3) -> GateParams:
 
 class TestFeatures:
     def test_projection(self):
+        # A matched pair's row is (teacher confidence, text score, pair
+        # IoU), verbatim, next to its three boxes.
         tax = DOCLAYNET
-        pred = TeacherPrediction(BoundingBox(0.1, 0.1, 0.4, 0.4), tax.category("text"), 0.78)
-        region = LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.4), tax.category("caption"), 0.92)
-        features = extract_features(pred, region, 0.83)
-        assert features == GateFeatures(0.78, 0.92, 0.83)
+        teacher_box, llm_box = BoundingBox(0.1, 0.1, 0.4, 0.4), BoundingBox(0.12, 0.1, 0.4, 0.43)
+        page = Page(
+            page_id="p",
+            teacher=(TeacherPrediction(teacher_box, tax.category("text"), 0.78),),
+            llm=(LlmRegion(llm_box, tax.category("text"), 0.92),),
+            ground_truth=(GroundTruthAnnotation(BoundingBox(0.1, 0.1, 0.4, 0.41), tax.category("text")),),
+        )
+        batch = gate_samples_from_pages([page])
+        assert batch.features.tolist() == [[0.78, 0.92, iou(teacher_box, llm_box)]]
+        assert batch.teacher_boxes.tolist() == [[0.1, 0.1, 0.4, 0.4]]
+        assert batch.llm_boxes.tolist() == [[0.12, 0.1, 0.4, 0.43]]
+        assert batch.truth_boxes.tolist() == [[0.1, 0.1, 0.4, 0.41]]
+        assert batch.llm_correct.tolist() == [True]
 
     def test_boundary_values_allowed(self):
         assert GateFeatures(0.0, 1.0, 0.0).as_array().tolist() == [0.0, 1.0, 0.0]
@@ -64,6 +78,45 @@ class TestFeatures:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             GateFeatures(1.2, 0.3, 0.5)
+
+
+def _corpus_batch() -> GateBatch:
+    return gate_samples_from_pages(simulate_dataset(SimConfig(pages=30, seed=3)))
+
+
+class TestGateBatch:
+    def test_three_coordinate_truth_box_rejected_before_training(self):
+        batch = _corpus_batch()
+        with pytest.raises(ValueError, match=r"truth_boxes must be a float64 array of shape \(\d+, 4\), got float64 \(\d+, 3\)"):
+            dataclasses.replace(batch, truth_boxes=batch.truth_boxes[:, :3])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nan_coordinate_rejected_naming_its_row(self, value):
+        batch = _corpus_batch()
+        teacher = batch.teacher_boxes.copy()
+        teacher[7, 2] = value
+        teacher[9, 0] = value
+        with pytest.raises(ValueError, match=r"teacher_boxes\[7\] = \[.*(nan|inf).*\] has a non-finite coordinate"):
+            dataclasses.replace(batch, teacher_boxes=teacher)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, np.nan])
+    def test_feature_outside_unit_interval_rejected(self, value):
+        batch = _corpus_batch()
+        features = batch.features.copy()
+        features[4, 1] = value
+        with pytest.raises(ValueError, match=r"features\[4\] = .* has a value outside \[0, 1\]"):
+            dataclasses.replace(batch, features=features)
+
+    def test_correctness_flags_must_be_bool(self):
+        batch = _corpus_batch()
+        with pytest.raises(ValueError, match=r"llm_correct must be a bool array"):
+            dataclasses.replace(batch, llm_correct=batch.llm_correct.astype(np.float64))
+
+    def test_empty_batch_fails_training_by_size(self):
+        batch = gate_samples_from_pages([])
+        assert len(batch) == 0 and batch.features.shape == (0, 3)
+        with pytest.raises(ValueError, match="need at least 100 samples, got 0"):
+            train_gate(batch)
 
 
 class TestForward:
@@ -112,11 +165,11 @@ class TestTraining:
     def test_requires_minimum_samples(self):
         instances = sample_gate_instances(GateTask(), 50, seed=1)
         with pytest.raises(ValueError):
-            train_gate(instances.to_samples(), GateTrainConfig())
+            train_gate(instances, GateTrainConfig())
 
     def test_validation_split_of_every_sample_is_rejected(self):
         # round(100 * 0.995) = 100: the split used to leave nothing to train on.
-        samples = sample_gate_instances(GateTask(), 100, seed=1).to_samples()
+        samples = sample_gate_instances(GateTask(), 100, seed=1)
         with pytest.raises(ValueError, match=r"validation_fraction=0.995 puts 100 of 100 samples in the validation split"):
             train_gate(samples, GateTrainConfig(validation_fraction=0.995, epochs=2))
 
@@ -124,7 +177,7 @@ class TestTraining:
     def test_hidden_width_below_one_is_rejected(self, hidden):
         with pytest.raises(ValueError, match=rf"hidden={hidden} must be >= 1"):
             init_gate(hidden=hidden)
-        samples = sample_gate_instances(GateTask(), 120, seed=1).to_samples()
+        samples = sample_gate_instances(GateTask(), 120, seed=1)
         with pytest.raises(ValueError, match=rf"hidden={hidden} must be >= 1"):
             train_gate(samples, GateTrainConfig(epochs=1), hidden=hidden)
 
@@ -136,7 +189,7 @@ class TestTraining:
     def test_zero_learning_rate_keeps_initialization(self):
         instances = sample_gate_instances(GateTask(), 200, seed=2)
         config = GateTrainConfig(learning_rate=0.0, epochs=3, seed=5)
-        result = train_gate(instances.to_samples(), config, hidden=8)
+        result = train_gate(instances, config, hidden=8)
         rng = np.random.default_rng(5)
         rng.permutation(200)
         expected = init_gate(hidden=8, seed=int(rng.integers(2**31 - 1)))
@@ -146,8 +199,8 @@ class TestTraining:
     def test_bitwise_reproducible(self):
         instances = sample_gate_instances(GateTask(), 400, seed=3)
         config = GateTrainConfig(learning_rate=0.5, epochs=5, batch_size=16, seed=9)
-        a = train_gate(instances.to_samples(), config, hidden=16)
-        b = train_gate(instances.to_samples(), config, hidden=16)
+        a = train_gate(instances, config, hidden=16)
+        b = train_gate(instances, config, hidden=16)
         np.testing.assert_array_equal(a.params.w1, b.params.w1)
         np.testing.assert_array_equal(a.params.w2, b.params.w2)
         np.testing.assert_array_equal(a.params.w3, b.params.w3)
@@ -157,7 +210,7 @@ class TestTraining:
     def test_teacher_dominant_task_pushes_gate_up(self):
         task = GateTask(mixture=((1.0, 0.001, 0.05),), p_t_range=(0.75, 0.95), s_l_range=(0.3, 0.6))
         instances = sample_gate_instances(task, 2000, seed=4)
-        result = train_gate(instances.to_samples(), GateTrainConfig(learning_rate=0.3, epochs=30, seed=0))
+        result = train_gate(instances, GateTrainConfig(learning_rate=0.3, epochs=30, seed=0))
         heldout = sample_gate_instances(task, 1500, seed=5)
         outputs = gate_forward_batch(result.params, heldout.features)
         assert outputs.mean() > 0.9
@@ -165,14 +218,14 @@ class TestTraining:
     def test_symmetric_task_stays_balanced(self):
         task = GateTask(mixture=((1.0, 0.03, 0.03),), p_t_range=(0.5, 0.9), s_l_range=(0.5, 0.9))
         instances = sample_gate_instances(task, 2000, seed=6)
-        result = train_gate(instances.to_samples(), GateTrainConfig(learning_rate=0.3, epochs=30, seed=0))
+        result = train_gate(instances, GateTrainConfig(learning_rate=0.3, epochs=30, seed=0))
         heldout = sample_gate_instances(task, 1500, seed=7)
         outputs = gate_forward_batch(result.params, heldout.features)
         assert 0.4 <= outputs.mean() <= 0.6
 
     def test_loss_history_recorded(self):
         instances = sample_gate_instances(GateTask(), 300, seed=8)
-        result = train_gate(instances.to_samples(), GateTrainConfig(epochs=4, seed=1), hidden=8)
+        result = train_gate(instances, GateTrainConfig(epochs=4, seed=1), hidden=8)
         assert len(result.train_losses) == 4
         assert len(result.val_losses) == 4
         assert 1 <= result.best_epoch <= 4
@@ -258,7 +311,7 @@ class TestFusionNotWorseThanWorseSource:
         task = GateTask(mixture=((1.0, 0.01, 0.05),), p_t_range=(0.6, 0.9), s_l_range=(0.4, 0.7))
         instances = sample_gate_instances(task, 3000, seed=40)
         trained = train_gate(
-            instances.to_samples(), GateTrainConfig(learning_rate=0.3, epochs=30, seed=1)
+            instances, GateTrainConfig(learning_rate=0.3, epochs=30, seed=1)
         )
         heldout = sample_gate_instances(task, 10_000, seed=41)
         g = gate_forward_batch(trained.params, heldout.features)[:, None]

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.heuristics import (
     HeuristicConfig,
+    _find_grid,
     classify_block,
     detect_grid_alignment,
     heuristic_regions,
 )
 from layoutfusion.model import OcrBlock, Page
 from layoutfusion.taxonomy import PUBLAYNET
+
+from oracles import frozen_find_grid
 
 
 def block(x1, y1, x2, y2, text="", bold=False):
@@ -95,6 +100,24 @@ class TestGridAlignment:
                 blocks.append(block(x1, y1, x1 + 0.08, y1 + 0.04, text="x"))
             hits += detect_grid_alignment(blocks)
         assert hits <= 15  # >= 98.5% of scatters stay quiet
+
+
+# Left and top edges on a coarse lattice, jittered by up to the default
+# 0.01 tolerance, so aligned rows and columns (and near misses) are common.
+lattice_edge = st.builds(
+    lambda cell, jitter: 0.05 + 0.1 * cell + jitter, st.integers(0, 7), st.floats(0.0, 0.012)
+)
+
+
+@given(
+    st.lists(st.tuples(lattice_edge, lattice_edge), max_size=40),
+    st.integers(1, 3),
+    st.integers(2, 4),
+)
+def test_find_grid_equals_frozen_subset_scan(corners, shared_columns, aligned_lines):
+    blocks = [block(x, y, x + 0.05, y + 0.02) for x, y in corners]
+    config = HeuristicConfig(min_shared_columns=shared_columns, min_aligned_lines=aligned_lines)
+    assert _find_grid(blocks, config) == frozen_find_grid(blocks, config)
 
 
 class TestHeuristicRegions:

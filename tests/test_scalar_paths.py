@@ -15,7 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from layoutfusion.fusion import fuse_fixed_box, fuse_inverse_variance
-from layoutfusion.geometry import BoundingBox, iou
+from layoutfusion.geometry import BoundingBox, iou, paired_iou
 from layoutfusion.numerics import logit, sigmoid
 from layoutfusion.taxonomy import PUBLAYNET, TAXONOMIES
 
@@ -102,6 +102,43 @@ def test_iou_equals_tuple_oracle_bit_for_bit(pair):
     a, b = pair
     for x, y in ((a, b), (b, a)):
         assert iou(x, y).hex() == _iou_tuple(_coords(x), _coords(y)).hex()
+
+
+@st.composite
+def tiny_boxes(draw):
+    """Boxes near the origin with sides down to 1e-160, whose area is
+    barely above the underflow."""
+    x1, y1 = draw(st.floats(0.0, 1e-150)), draw(st.floats(0.0, 1e-150))
+    x2, y2 = x1 + draw(st.floats(1e-160, 1e-140)), y1 + draw(st.floats(1e-160, 1e-140))
+    assume(x1 < x2 and y1 < y2 and (x2 - x1) * (y2 - y1) > 0.0)
+    return BoundingBox(x1, y1, x2, y2)
+
+
+@st.composite
+def iou_cases(draw):
+    """``box_pairs`` plus disjoint, identical and tiny pairs."""
+    kind = draw(st.sampled_from(["box_pairs", "disjoint", "identical", "tiny"]))
+    if kind == "tiny":
+        return draw(tiny_boxes()), draw(tiny_boxes())
+    a = draw(boxes())
+    if kind == "identical":
+        return a, BoundingBox(*_coords(a))
+    if kind == "disjoint" and a.x2 <= 0.99:
+        x1 = draw(st.floats(min_value=a.x2, max_value=1.0, exclude_min=True, exclude_max=True))
+        x2 = draw(st.floats(min_value=x1, max_value=1.0, exclude_min=True))
+        assume((x2 - x1) * (a.y2 - a.y1) > 0.0)
+        return a, BoundingBox(x1, a.y1, x2, a.y2)
+    return draw(box_pairs())
+
+
+@given(st.lists(iou_cases(), min_size=1, max_size=30))
+def test_paired_iou_equals_scalar_iou_bit_for_bit(pairs):
+    a = np.array([_coords(x) for x, _ in pairs])
+    b = np.array([_coords(y) for _, y in pairs])
+    for got, (x, y) in zip(paired_iou(a, b).tolist(), pairs):
+        assert got.hex() == iou(x, y).hex()
+    for got, (x, y) in zip(paired_iou(b, a).tolist(), pairs):
+        assert got.hex() == iou(y, x).hex()
 
 
 def _in_hull(coords, b_t, b_l):

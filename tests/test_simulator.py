@@ -1,9 +1,12 @@
 """Synthetic corpus generator: determinism, noise model, calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from layoutfusion.fusion import fused_variance, optimal_alpha
+from layoutfusion.gating import GateBatch
 from layoutfusion.geometry import iou
 from layoutfusion.simulator import (
     GateTask,
@@ -223,10 +226,13 @@ class TestGateInstances:
         assert np.all(instances.features[:, 2] >= 0.5)
 
     def test_samples_round_trip(self):
+        # The instances are the gate's training batch, checked as one.
         instances = sample_gate_instances(GateTask(), 120, seed=8)
-        samples = instances.to_samples()
-        assert len(samples) == 120
-        np.testing.assert_allclose(samples[3].features.as_array(), instances.features[3])
+        assert isinstance(instances, GateBatch) and len(instances) == 120
+        truth = instances.truth_boxes.copy()
+        truth[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"truth_boxes\[3\] = .* has a non-finite coordinate"):
+            dataclasses.replace(instances, truth_boxes=truth)
 
     def test_far_corner_clipped_to_zero_is_repaired(self):
         # Wide noise clips some far corners to 0; the near corner is then

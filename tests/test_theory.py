@@ -194,7 +194,7 @@ class TestRegimeResiduals:
             synthetic_iou=(0.6, 0.95),
         )
         train = sample_gate_instances(task, 3000, seed=19)
-        result = train_gate(train.to_samples(), GateTrainConfig(learning_rate=0.3, epochs=20, seed=2))
+        result = train_gate(train, GateTrainConfig(learning_rate=0.3, epochs=20, seed=2))
         heldout = sample_gate_instances(task, 6000, seed=20)
         residuals = regime_residual_analysis(heldout, result.params)
         assert residuals.boundary_mean > residuals.interior_mean
@@ -206,7 +206,7 @@ class TestRegimeResiduals:
         instances = sample_gate_instances(task, 500, seed=21)
         with pytest.raises(ValueError):
             regime_residual_analysis(instances, train_gate(
-                instances.to_samples(), GateTrainConfig(epochs=1, seed=0), hidden=8
+                instances, GateTrainConfig(epochs=1, seed=0), hidden=8
             ).params)
 
 
@@ -281,7 +281,7 @@ class TestCorrelationProxies:
         )
         instances = sample_gate_instances(task, 800, seed=32)
         trained = train_gate(
-            instances.to_samples(), GateTrainConfig(epochs=2, seed=1), hidden=8
+            instances, GateTrainConfig(epochs=2, seed=1), hidden=8
         )
         override = np.zeros(len(instances))
         result = regime_residual_analysis(instances, trained.params, rho_hat=override)

@@ -39,7 +39,14 @@ from layoutfusion.gating import (
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.metrics import _interpolated_ap
 from layoutfusion.numerics import logit, sigmoid
-from layoutfusion.simulator import SimConfig, _correlated_offsets, _noisy_box, simulate_dataset
+from layoutfusion.simulator import (
+    GateTask,
+    SimConfig,
+    _correlated_offsets,
+    _noisy_box,
+    sample_gate_instances,
+    simulate_dataset,
+)
 
 from oracles import (
     array_correlated_offsets,
@@ -160,6 +167,30 @@ def test_simulated_corpus_bytes_unchanged(tmp_path, corpus, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIMULATED_SHA256[(corpus, seed)]
 
 
+# sha256 of sample_gate_instances(task, 4000, seed).features, recorded
+# when its pair IoU was a loop of scalar ``iou`` calls. The mixture task
+# draws its confidences independently of the noise, and neither task
+# sets synthetic_iou, so both run the pair-IoU kernel.
+GATE_FEATURES_SHA256 = {
+    ("default", 0): "3e7356e94f569f5e98c4cdda9d954a1ae42c581e93f0d48f8542043529332832",
+    ("default", 5): "b4b86c1da7d96708ec35745061e72df1d45ff8547149f4126938141509b37f7c",
+    ("mixture", 0): "31969a69f36fcc7ccb86b4790d9ed3c41ed75977ffd9879319b1e382e618afc2",
+    ("mixture", 5): "5595ea6122e64cc56c07aabb94c38949643912cbd7f514bfd4e2794db9b425ac",
+}
+GATE_TASKS = {
+    "default": GateTask(),
+    "mixture": GateTask(
+        mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)), p_t_range=(0.55, 0.9), s_l_range=(0.55, 0.9)
+    ),
+}
+
+
+@pytest.mark.parametrize("task, seed", sorted(GATE_FEATURES_SHA256))
+def test_gate_instance_features_unchanged(task, seed):
+    features = sample_gate_instances(GATE_TASKS[task], 4000, seed=seed).features
+    assert hashlib.sha256(features.tobytes()).hexdigest() == GATE_FEATURES_SHA256[(task, seed)]
+
+
 def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
     samples = gate_samples_from_pages(simulate_dataset(SimConfig(pages=40, seed=3)))
     # 217 samples: 174 training rows, so every epoch ends on a short batch of 14.
@@ -193,10 +224,10 @@ def test_diverging_run_fails_at_the_reference_epoch():
     error, naming the same epoch. (The tanh and sigmoid saturate, so a
     huge learning rate alone does not overflow the loss: the boxes are
     scaled up as well.)"""
-    samples = [
-        dataclasses.replace(s, teacher_box=s.teacher_box * 1e154, truth_box=s.truth_box * 1e154)
-        for s in gate_samples_from_pages(simulate_dataset(SimConfig(pages=40, seed=3)))
-    ]
+    samples = gate_samples_from_pages(simulate_dataset(SimConfig(pages=40, seed=3)))
+    samples = dataclasses.replace(
+        samples, teacher_boxes=samples.teacher_boxes * 1e154, truth_boxes=samples.truth_boxes * 1e154
+    )
     config = GateTrainConfig(learning_rate=1e300, epochs=6, batch_size=16, seed=11)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError) as want:
