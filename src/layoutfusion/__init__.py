@@ -38,6 +38,7 @@ from .fusion import (
     llm_spatial_variance,
     match_regions,
     optimal_alpha,
+    optimal_weights,
     refine_pseudo_labels,
     resolve_category,
 )
@@ -59,7 +60,6 @@ from .curriculum import (
     SchedulePhase,
     category_threshold,
     consistency_loss,
-    ema_update,
     schedule,
     schedule_table,
     threshold_table,

@@ -66,13 +66,23 @@ def _load_json(path) -> dict:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _tuples(value):
+    """``value`` with every JSON array, at any depth, as a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    return value
+
+
 def _build_config(cls, obj: dict, name: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(obj) - known
+    """The one config loader: a dataclass from a JSON object, with unknown
+    fields rejected by name and arrays loaded as tuples."""
+    unknown = set(obj) - set(cls.__dataclass_fields__)
     if unknown:
         raise CliError(f"unknown {name} field(s): {', '.join(sorted(unknown))}")
     try:
-        return cls(**obj)
+        return cls(**_tuples(obj))
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid {name}: {exc}") from exc
 
@@ -120,22 +130,15 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     dataset_path = out / "dataset.jsonl"
     save_dataset(pages, dataset_path)
-    manifest.write_manifest(out, "simulate", config.to_dict(), config.seed, [dataset_path.name], started)
+    manifest.write_manifest(out, "simulate", dataclasses.asdict(config), config.seed, [dataset_path.name], started)
     print(f"wrote {len(pages)} pages to {dataset_path}")
     return 0
-
-
-def _fusion_config_from(args) -> FusionConfig:
-    raw = _load_json(args.config) if getattr(args, "config", None) else {}
-    if "soft_categories" in raw:
-        raw["soft_categories"] = tuple(raw["soft_categories"])
-    return _build_config(FusionConfig, raw, "fusion config")
 
 
 def cmd_fuse(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    config = _fusion_config_from(args)
+    config = _build_config(FusionConfig, _load_json(args.config) if args.config else {}, "fusion config")
     gate = None
     if args.gate:
         if not Path(args.gate).exists():
@@ -192,10 +195,7 @@ def cmd_theory(args) -> int:
     if experiment is not None:
         task_raw = experiment.pop("task", {})
         train_raw = experiment.pop("train", {})
-        try:
-            task = GateTask.from_dict(task_raw)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        task = _build_config(GateTask, task_raw, "gate task")
         train = _build_config(GateTrainConfig, train_raw, "gate training config") if train_raw else None
         known = {"n_grid", "seeds", "heldout", "hidden"}
         unknown = set(experiment) - known
@@ -339,8 +339,6 @@ def cmd_heuristics(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
     raw = _load_json(args.config) if args.config else {}
-    if "caption_prefixes" in raw:
-        raw["caption_prefixes"] = tuple(raw["caption_prefixes"])
     config = _build_config(HeuristicConfig, raw, "heuristic config")
     pages = _load_pages(args.dataset, taxonomy)
     out = Path(args.out)

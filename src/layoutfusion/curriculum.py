@@ -1,8 +1,8 @@
 """Training-loop bookkeeping as pure computations, no learner attached.
 
 Covers the epoch-indexed admission schedule for pseudo-label sources,
-class-adaptive confidence thresholds, EMA parameter updates and the
-cross-modal consistency penalty over embedding vectors.
+class-adaptive confidence thresholds and the cross-modal consistency
+penalty over embedding vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "schedule",
     "category_threshold",
     "threshold_table",
-    "ema_update",
     "consistency_loss",
     "schedule_table",
 ]
@@ -34,17 +33,12 @@ class CurriculumConfig:
     threshold_frequent: float = 0.7
     threshold_rare: float = 0.5
     regeneration_period: int = 2
-    ema_momentum: float = 0.999
-    lambda_pseudo: float = 1.0
-    lambda_cons: float = 0.2
 
     def __post_init__(self) -> None:
         for name in ("threshold_frequent", "threshold_rare"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name}={value} must be in (0, 1)")
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ValueError(f"ema_momentum={self.ema_momentum} must be in [0, 1]")
         if self.warmup_epochs < 0 or self.fusion_start_epoch < 1 or self.soft_start_epoch < 1:
             raise ValueError("epoch boundaries must be positive")
         if self.regeneration_period < 1:
@@ -100,17 +94,6 @@ def schedule(
         soft = frozenset({RARE})
     regenerate = epoch % config.regeneration_period == 1 or config.regeneration_period == 1
     return SchedulePhase(allowed, thresholds, regenerate, soft)
-
-
-def ema_update(teacher, student, momentum: float) -> np.ndarray:
-    """Elementwise momentum * teacher + (1 - momentum) * student."""
-    if not 0.0 <= momentum <= 1.0:
-        raise ValueError(f"momentum={momentum} must be in [0, 1]")
-    teacher = np.asarray(teacher, dtype=np.float64)
-    student = np.asarray(student, dtype=np.float64)
-    if teacher.shape != student.shape:
-        raise ValueError(f"shape mismatch: {teacher.shape} vs {student.shape}")
-    return momentum * teacher + (1.0 - momentum) * student
 
 
 def consistency_loss(visual, text) -> float:

@@ -49,6 +49,7 @@ __all__ = [
     "fuse_fixed_box",
     "llm_spatial_variance",
     "fuse_inverse_variance",
+    "optimal_weights",
     "optimal_alpha",
     "fused_variance",
     "apply_temperature",
@@ -77,14 +78,14 @@ def _finite_logit(z: float) -> float:
 class FusionConfig:
     """Thresholds and weights for matching and fixed fusion.
 
-    ``teacher_logit_weight`` and ``llm_logit_weight`` must sum to one;
-    temperatures of 1.0 leave confidences untouched.
+    ``teacher_logit_weight`` weighs the teacher's logit in confidence
+    fusion; the text logit's weight is ``1 - teacher_logit_weight``.
+    Temperatures of 1.0 leave confidences untouched.
     """
 
     iou_threshold: float = 0.5
     teacher_box_weight: float = 0.6
     teacher_logit_weight: float = 0.7
-    llm_logit_weight: float = 0.3
     teacher_temperature: float = 1.0
     llm_temperature: float = 1.0
     soft_score_min: float = 0.6
@@ -96,8 +97,6 @@ class FusionConfig:
             raise ValueError(f"iou_threshold={self.iou_threshold} must be in (0, 1)")
         if not 0.0 <= self.teacher_box_weight <= 1.0:
             raise ValueError(f"teacher_box_weight={self.teacher_box_weight} must be in [0, 1]")
-        if abs(self.teacher_logit_weight + self.llm_logit_weight - 1.0) > 1e-9:
-            raise ValueError("teacher_logit_weight + llm_logit_weight must equal 1")
         if not 0.0 <= self.teacher_logit_weight <= 1.0:
             raise ValueError("teacher_logit_weight must be in [0, 1]")
         if not (self.teacher_temperature > 0.0 and self.llm_temperature > 0.0):
@@ -268,29 +267,39 @@ def fuse_inverse_variance(
     )
 
 
-def optimal_alpha(sigma_t: float, sigma_l: float, rho: float) -> float:
-    """Variance-minimizing teacher weight for correlated sources.
+def _fusion_terms(sigma_t, sigma_l, rho: float):
+    """Both deviations as float64 arrays and the fusion denominator
+    sigma_t^2 + sigma_l^2 - 2 rho sigma_t sigma_l, checked elementwise."""
+    sigma_t = np.asarray(sigma_t, dtype=np.float64)
+    sigma_l = np.asarray(sigma_l, dtype=np.float64)
+    if np.any(sigma_t <= 0.0) or np.any(sigma_l <= 0.0):
+        raise ValueError("standard deviations must be positive")
+    denominator = sigma_t**2 + sigma_l**2 - 2.0 * rho * sigma_t * sigma_l
+    if np.any(denominator <= 1e-12):
+        raise ValueError("degenerate fusion: equal deviations with correlation near 1")
+    return sigma_t, sigma_l, denominator
+
+
+def optimal_weights(sigma_t, sigma_l, rho: float) -> np.ndarray:
+    """Variance-minimizing teacher weight for correlated sources, per
+    element of the deviation arrays.
 
     Closed form (sigma_l^2 - rho sigma_t sigma_l) / (sigma_t^2 +
     sigma_l^2 - 2 rho sigma_t sigma_l), clamped to [0, 1].
     """
-    if sigma_t <= 0.0 or sigma_l <= 0.0:
-        raise ValueError("standard deviations must be positive")
-    denominator = sigma_t**2 + sigma_l**2 - 2.0 * rho * sigma_t * sigma_l
-    if denominator <= 1e-12:
-        raise ValueError("degenerate fusion: equal deviations with correlation near 1")
-    alpha = (sigma_l**2 - rho * sigma_t * sigma_l) / denominator
-    return min(1.0, max(0.0, alpha))
+    sigma_t, sigma_l, denominator = _fusion_terms(sigma_t, sigma_l, rho)
+    return np.clip((sigma_l**2 - rho * sigma_t * sigma_l) / denominator, 0.0, 1.0)
+
+
+def optimal_alpha(sigma_t: float, sigma_l: float, rho: float) -> float:
+    """``optimal_weights`` for one pair of deviations, as a float."""
+    return float(optimal_weights(sigma_t, sigma_l, rho))
 
 
 def fused_variance(sigma_t: float, sigma_l: float, rho: float) -> float:
     """Minimum variance achievable by any linear combination of the sources."""
-    if sigma_t <= 0.0 or sigma_l <= 0.0:
-        raise ValueError("standard deviations must be positive")
-    denominator = sigma_t**2 + sigma_l**2 - 2.0 * rho * sigma_t * sigma_l
-    if denominator <= 1e-12:
-        raise ValueError("degenerate fusion: equal deviations with correlation near 1")
-    return sigma_t**2 * sigma_l**2 * (1.0 - rho**2) / denominator
+    sigma_t, sigma_l, denominator = _fusion_terms(sigma_t, sigma_l, rho)
+    return float(sigma_t**2 * sigma_l**2 * (1.0 - rho**2) / denominator)
 
 
 def apply_temperature(p, temperature: float):

@@ -42,6 +42,7 @@ __all__ = [
     "generate_pages",
     "simulate_predictions",
     "simulate_dataset",
+    "correlated_noise",
     "monte_carlo_fusion_variance",
     "sample_calibration_data",
     "sample_gate_instances",
@@ -130,33 +131,6 @@ class SimConfig:
             return float(sigma[category])
         return float(sigma)
 
-    def to_dict(self) -> dict:
-        return {
-            "pages": self.pages,
-            "regions_min": self.regions_min,
-            "regions_max": self.regions_max,
-            "category_frequencies": dict(self.category_frequencies),
-            "sigma_t": self.sigma_t if not isinstance(self.sigma_t, Mapping) else dict(self.sigma_t),
-            "sigma_l": self.sigma_l if not isinstance(self.sigma_l, Mapping) else dict(self.sigma_l),
-            "rho": self.rho,
-            "teacher_confusion": self.teacher_confusion,
-            "llm_confusion": self.llm_confusion,
-            "teacher_temperature": self.teacher_temperature,
-            "llm_temperature": self.llm_temperature,
-            "emit_coordinate_variance": self.emit_coordinate_variance,
-            "emit_ocr_stubs": self.emit_ocr_stubs,
-            "taxonomy": self.taxonomy,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "SimConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown simulator config fields: {sorted(unknown)}")
-        return cls(**obj)
-
 
 def default_asymmetric_config(pages: int = 200, seed: int = 0) -> SimConfig:
     """Complementary-strengths default: the visual stream localizes
@@ -213,12 +187,30 @@ def generate_pages(config: SimConfig) -> list[Page]:
     return pages
 
 
+def correlated_noise(rng: np.random.Generator, shape: tuple[int, ...], rho: float):
+    """Unit-deviation teacher and text noise of the given shape with error
+    correlation ``rho``: sqrt(rho) * z + sqrt(1 - rho) * u and
+    sqrt(rho) * z + sqrt(1 - rho) * v.
+
+    z, u and v are one ``standard_normal((3, *shape))`` draw, which takes
+    the same stream as three draws of ``shape`` in that order. The
+    simulator's per-box ``_correlated_offsets`` keeps its own plain-float
+    form of the same arithmetic: on a 4-vector this helper costs 12 us
+    per box against 4.5 us (Xeon VM, Python 3.11, numpy 2.4), about
+    20 ms more per 500-page corpus.
+    """
+    z, u, v = rng.standard_normal((3, *shape))
+    shared = np.sqrt(rho)
+    private = np.sqrt(1.0 - rho)
+    return shared * z + private * u, shared * z + private * v
+
+
 def _correlated_offsets(rng: np.random.Generator, sigma_t: float, sigma_l: float, rho: float):
     """Four teacher and four text offsets, as lists of floats.
 
     The draws are the three ``standard_normal(4)`` vectors z, u, v, taken
-    as one draw of 12 (the same stream); the arithmetic is the
-    elementwise array form's, one coordinate at a time.
+    as one draw of 12 (the same stream); the arithmetic is
+    ``correlated_noise``'s, one coordinate at a time.
     """
     normals = rng.standard_normal(12).tolist()
     z, u, v = normals[:4], normals[4:8], normals[8:]
@@ -389,15 +381,8 @@ def monte_carlo_fusion_variance(
     """Empirical variance of the alpha-fused scalar under correlated noise."""
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a stable estimate")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(samples)
-    u = rng.standard_normal(samples)
-    v = rng.standard_normal(samples)
-    shared = np.sqrt(rho)
-    private = np.sqrt(1.0 - rho)
-    eps_t = sigma_t * (shared * z + private * u)
-    eps_l = sigma_l * (shared * z + private * v)
-    fused = alpha * eps_t + (1.0 - alpha) * eps_l
+    unit_t, unit_l = correlated_noise(np.random.default_rng(seed), (samples,), rho)
+    fused = alpha * (sigma_t * unit_t) + (1.0 - alpha) * (sigma_l * unit_l)
     return float(np.var(fused))
 
 
@@ -439,42 +424,14 @@ class GateTask:
     synthetic_iou: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 0.99:
-            raise ValueError(f"rho={self.rho} must be in [0, 0.99]")
+        for name, value in (("rho", self.rho),):
+            if not 0.0 <= value <= 0.99:
+                raise ValueError(f"{name}={value} must be in [0, 0.99]")
         if self.mixture is None and not 0.0 < self.ratio_lo <= self.ratio_hi:
             raise ValueError("need 0 < ratio_lo <= ratio_hi")
         if self.mixture is not None:
             if not self.mixture or any(w <= 0 or st <= 0 or sl <= 0 for w, st, sl in self.mixture):
                 raise ValueError("mixture components need positive weight and deviations")
-
-    def to_dict(self) -> dict:
-        doc = {
-            "sigma_scale": self.sigma_scale,
-            "ratio_lo": self.ratio_lo,
-            "ratio_hi": self.ratio_hi,
-            "rho": self.rho,
-            "p_t_range": list(self.p_t_range),
-            "s_l_range": list(self.s_l_range),
-        }
-        if self.mixture is not None:
-            doc["mixture"] = [list(c) for c in self.mixture]
-        if self.synthetic_iou is not None:
-            doc["synthetic_iou"] = list(self.synthetic_iou)
-        return doc
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "GateTask":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown gate task fields: {sorted(unknown)}")
-        obj = dict(obj)
-        if "mixture" in obj and obj["mixture"] is not None:
-            obj["mixture"] = tuple(tuple(c) for c in obj["mixture"])
-        for key in ("p_t_range", "s_l_range", "synthetic_iou"):
-            if key in obj and obj[key] is not None:
-                obj[key] = tuple(obj[key])
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -496,7 +453,14 @@ def _sample_truth_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_gate_instances(task: GateTask, n: int, seed: int = 0) -> GateInstances:
-    """Draw abstract matched-pair instances from a gate task."""
+    """Draw abstract matched-pair instances from a gate task.
+
+    The instances carry no category draw: ``teacher_correct`` and
+    ``llm_correct`` are all True, so ``theory.disagreement_indicator`` is
+    0 on every instance and the complementarity factors, and with them
+    the ``theory`` experiment's ``boundary_fraction``, reflect only the
+    deviation spread.
+    """
     rng = np.random.default_rng(seed)
     if task.mixture is not None:
         weights = np.array([c[0] for c in task.mixture])
@@ -511,15 +475,9 @@ def sample_gate_instances(task: GateTask, n: int, seed: int = 0) -> GateInstance
         sigma_l = task.sigma_scale * np.sqrt(ratio)
 
     truth = _sample_truth_boxes(rng, n)
-    z = rng.standard_normal((n, 4))
-    u = rng.standard_normal((n, 4))
-    v = rng.standard_normal((n, 4))
-    shared = np.sqrt(task.rho)
-    private = np.sqrt(1.0 - task.rho)
-    teacher = truth + sigma_t[:, None] * (shared * z + private * u)
-    llm = truth + sigma_l[:, None] * (shared * z + private * v)
-    teacher = np.clip(teacher, 0.0, 1.0)
-    llm = np.clip(llm, 0.0, 1.0)
+    unit_t, unit_l = correlated_noise(rng, (n, 4), task.rho)
+    teacher = np.clip(truth + sigma_t[:, None] * unit_t, 0.0, 1.0)
+    llm = np.clip(truth + sigma_l[:, None] * unit_l, 0.0, 1.0)
     # Repair the rare collapse instead of resampling: order the corners.
     # A far corner clipped to 0 still collapses once the near corner is
     # floored at 0, so only those entries get their far corner raised.

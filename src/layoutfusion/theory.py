@@ -20,8 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fusion import FusionConfig, llm_spatial_variance, match_regions, optimal_weights
 from .gating import GateParams, GateTrainConfig, gate_forward_batch, train_gate
 from .simulator import GateInstances, GateTask, sample_gate_instances
+from .taxonomy import DOCLAYNET, Taxonomy
 
 __all__ = [
     "TheoryConfig",
@@ -36,7 +38,6 @@ __all__ = [
     "classify_regime",
     "boundary_measure",
     "fit_convergence_slope",
-    "oracle_weights",
     "expected_weight_risk",
     "run_sample_complexity_experiment",
     "regime_residual_analysis",
@@ -109,26 +110,31 @@ def predicted_gap(k: float, n: int, config: TheoryConfig = TheoryConfig()) -> Ga
     return GapPrediction(simple=simple, log_refined=log_refined)
 
 
-def complementarity_factor(sigma_t: float, sigma_l: float, rho_hat: float) -> float:
-    """|sigma_t - sigma_l| / min(sigma_t, sigma_l) - 2 * rho_hat."""
-    if min(sigma_t, sigma_l) <= 0.0:
+def complementarity_factor(sigma_t, sigma_l, rho_hat):
+    """|sigma_t - sigma_l| / min(sigma_t, sigma_l) - 2 * rho_hat, elementwise."""
+    sigma_t = np.asarray(sigma_t, dtype=np.float64)
+    sigma_l = np.asarray(sigma_l, dtype=np.float64)
+    smaller = np.minimum(sigma_t, sigma_l)
+    if np.any(smaller <= 0.0):
         raise ValueError("deviations must be positive")
-    return abs(sigma_t - sigma_l) / min(sigma_t, sigma_l) - 2.0 * rho_hat
+    return np.abs(sigma_t - sigma_l) / smaller - 2.0 * rho_hat
+
+
+def _in_band(gammas, config: TheoryConfig) -> np.ndarray:
+    """The boundary band test: |gamma - center| <= half width, elementwise."""
+    return np.abs(np.asarray(gammas, dtype=np.float64) - config.boundary_center) <= config.boundary_half_width
 
 
 def classify_regime(gamma: float, config: TheoryConfig = TheoryConfig()) -> str:
     """Boundary iff gamma lies within the configured band; else interior."""
-    if abs(gamma - config.boundary_center) <= config.boundary_half_width:
-        return BOUNDARY
-    return INTERIOR
+    return BOUNDARY if _in_band(gamma, config) else INTERIOR
 
 
 def boundary_measure(gammas: Iterable[float], config: TheoryConfig = TheoryConfig()) -> float:
-    gammas = list(gammas)
-    if not gammas:
+    flags = _in_band(list(gammas), config)
+    if not flags.size:
         raise ValueError("need at least one complementarity factor")
-    flags = [classify_regime(g, config) == BOUNDARY for g in gammas]
-    return sum(flags) / len(flags)
+    return int(np.count_nonzero(flags)) / flags.size
 
 
 @dataclass(frozen=True)
@@ -157,17 +163,6 @@ def fit_convergence_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     dof = len(points) - 2
     sigma2 = float(np.sum(residuals**2) / dof) if dof > 0 else 0.0
     return SlopeFit(slope=slope, stderr=math.sqrt(sigma2 / sxx))
-
-
-def oracle_weights(sigma_t, sigma_l, rho: float) -> np.ndarray:
-    """Per-instance variance-minimizing teacher weight, clamped to [0, 1]."""
-    sigma_t = np.asarray(sigma_t, dtype=np.float64)
-    sigma_l = np.asarray(sigma_l, dtype=np.float64)
-    denominator = sigma_t**2 + sigma_l**2 - 2.0 * rho * sigma_t * sigma_l
-    if np.any(denominator <= 1e-12):
-        raise ValueError("degenerate fusion: equal deviations with correlation near 1")
-    alpha = (sigma_l**2 - rho * sigma_t * sigma_l) / denominator
-    return np.clip(alpha, 0.0, 1.0)
 
 
 def expected_weight_risk(weights, sigma_t, sigma_l, rho: float) -> np.ndarray:
@@ -221,7 +216,11 @@ class TheoryReport:
 
 def disagreement_indicator(instances: GateInstances) -> np.ndarray:
     """Default correlation proxy: 1 when exactly one source got the
-    category right, else 0."""
+    category right, else 0.
+
+    Instances from ``simulator.sample_gate_instances`` mark both sources
+    correct, so on them the indicator is 0 throughout.
+    """
     return (instances.teacher_correct != instances.llm_correct).astype(np.float64)
 
 
@@ -256,15 +255,6 @@ def local_error_correlation(features, err_t, err_l, neighbors: int = 50) -> np.n
         else:
             out[i] = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
     return np.clip(out, 0.0, 1.0)
-
-
-def _instance_gammas(instances: GateInstances, rho_hat: np.ndarray | None = None) -> np.ndarray:
-    if rho_hat is None:
-        rho_hat = disagreement_indicator(instances)
-    spread = np.abs(instances.sigma_t - instances.sigma_l) / np.minimum(
-        instances.sigma_t, instances.sigma_l
-    )
-    return spread - 2.0 * rho_hat
 
 
 def summarize_reference_point(
@@ -311,7 +301,7 @@ def run_sample_complexity_experiment(
         train_config = GateTrainConfig(learning_rate=2.25, epochs=1, batch_size=32)
 
     heldout_instances = sample_gate_instances(task, heldout, seed=(master_seed, 10**6))
-    alpha_star = oracle_weights(heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho)
+    alpha_star = optimal_weights(heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho)
     oracle_risk = expected_weight_risk(
         alpha_star, heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho
     )
@@ -342,7 +332,10 @@ def run_sample_complexity_experiment(
     n_reference = n_grid[-1]
     report = summarize_reference_point(n_reference, config)
     report.cells = cells
-    report.boundary_fraction = boundary_measure(_instance_gammas(heldout_instances), config)
+    gammas = complementarity_factor(
+        heldout_instances.sigma_t, heldout_instances.sigma_l, disagreement_indicator(heldout_instances)
+    )
+    report.boundary_fraction = boundary_measure(gammas, config)
 
     mean_gaps = {n: float(np.mean([c.gap for c in cells if c.n == n])) for n in n_grid}
     no_learning = headroom < _DEGENERATE_REL_HEADROOM * max(mean_oracle_risk, 1e-300)
@@ -380,7 +373,9 @@ class RegimeResiduals:
         )
 
 
-def gammas_from_pages(pages, fusion_config=None, taxonomy=None) -> list[float]:
+def gammas_from_pages(
+    pages, fusion_config: FusionConfig = FusionConfig(), taxonomy: Taxonomy = DOCLAYNET
+) -> list[float]:
     """Per-instance complementarity factors from a dataset's matched pairs.
 
     Teacher deviation comes from the stored coordinate variance, text
@@ -388,12 +383,7 @@ def gammas_from_pages(pages, fusion_config=None, taxonomy=None) -> list[float]:
     the category-disagreement indicator. Pairs without a teacher
     variance are skipped; no usable pair at all is an error.
     """
-    from .fusion import FusionConfig, llm_spatial_variance, match_regions
-    from .taxonomy import DOCLAYNET
-
-    fusion_config = fusion_config if fusion_config is not None else FusionConfig()
-    taxonomy = taxonomy if taxonomy is not None else DOCLAYNET
-    gammas: list[float] = []
+    rows: list[tuple[float, float, float]] = []
     for page in pages:
         outcome = match_regions(page.teacher, page.llm, fusion_config, taxonomy)
         for match in outcome.matches:
@@ -403,11 +393,10 @@ def gammas_from_pages(pages, fusion_config=None, taxonomy=None) -> list[float]:
                 continue
             sigma_t = math.sqrt(pred.coordinate_variance)
             sigma_l = math.sqrt(llm_spatial_variance(region.q_text, region.q_spatial))
-            rho_hat = 0.0 if pred.category.name == region.category.name else 1.0
-            gammas.append(complementarity_factor(sigma_t, sigma_l, rho_hat))
-    if not gammas:
+            rows.append((sigma_t, sigma_l, 0.0 if pred.category.name == region.category.name else 1.0))
+    if not rows:
         raise ValueError("no matched pairs with coordinate variances; cannot compute factors")
-    return gammas
+    return complementarity_factor(*np.array(rows).T).tolist()
 
 
 def regime_residual_analysis(
@@ -425,12 +414,13 @@ def regime_residual_analysis(
     the default disagreement-indicator correlation proxy.
     """
     g = gate_forward_batch(params, instances.features)
-    alpha_star = oracle_weights(instances.sigma_t, instances.sigma_l, instances.rho)
+    alpha_star = optimal_weights(instances.sigma_t, instances.sigma_l, instances.rho)
     residual = expected_weight_risk(
         g, instances.sigma_t, instances.sigma_l, instances.rho
     ) - expected_weight_risk(alpha_star, instances.sigma_t, instances.sigma_l, instances.rho)
-    gammas = _instance_gammas(instances, rho_hat)
-    in_band = np.abs(gammas - config.boundary_center) <= config.boundary_half_width
+    if rho_hat is None:
+        rho_hat = disagreement_indicator(instances)
+    in_band = _in_band(complementarity_factor(instances.sigma_t, instances.sigma_l, rho_hat), config)
     if not np.any(in_band) or np.all(in_band):
         raise ValueError("need instances in both regimes to compare residuals")
     boundary = residual[in_band]

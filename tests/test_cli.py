@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import layoutfusion
+from layoutfusion import cli
 from layoutfusion.cli import main
 from layoutfusion.dataset_io import load_dataset, save_dataset
-from layoutfusion.fusion import refine_pseudo_labels
-from layoutfusion.simulator import SimConfig, simulate_dataset
+from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
+from layoutfusion.heuristics import HeuristicConfig
+from layoutfusion.simulator import GateTask, SimConfig, simulate_dataset
+from layoutfusion.theory import summarize_reference_point
 
 
 @pytest.fixture()
@@ -321,3 +324,87 @@ class TestSchedule:
         assert main(["schedule", "--epochs", "8", "--out", str(out)]) == 0
         rows = (out / "schedule.csv").read_text().strip().splitlines()
         assert len(rows) == 9  # header + 8 epochs
+
+
+# Every config the CLI reads goes through one loader. Each case is a
+# command, whether it needs a dataset, and a config file around a field.
+CONFIG_SITES = {
+    "simulate": (False, lambda field: {"pages": 2, field: 1}),
+    "fuse": (True, lambda field: {field: 1}),
+    "theory": (False, lambda field: {field: 1}),
+    "theory-experiment": (False, lambda field: {"experiment": {field: 1}}),
+    "theory-task": (False, lambda field: {"experiment": {"task": {field: 1}}}),
+    "theory-train": (False, lambda field: {"experiment": {"train": {field: 1}}}),
+    "heuristics": (True, lambda field: {field: 1}),
+    "train-gate": (True, lambda field: {field: 1}),
+    "schedule": (False, lambda field: {field: 1}),
+}
+
+
+def _run_with_config(tmp_path, request, site, config):
+    needs_dataset, _ = CONFIG_SITES[site]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    command = "theory" if site.startswith("theory") else site
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if needs_dataset:
+        argv += ["--dataset", str(request.getfixturevalue("dataset_path"))]
+    return main(argv)
+
+
+def _capture(monkeypatch, name, result=None):
+    """Replace ``cli.<name>`` with a recorder of its arguments; it calls
+    through unless ``result`` is given."""
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return result if result is not None else real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
+    def test_unknown_field_exits_2_and_names_it(self, tmp_path, request, capsys, site):
+        config = CONFIG_SITES[site][1]("no_such_knob")
+        assert _run_with_config(tmp_path, request, site, config) == 2
+        assert "no_such_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "site, field",
+        [
+            ("schedule", "ema_momentum"),
+            ("schedule", "lambda_pseudo"),
+            ("schedule", "lambda_cons"),
+            ("fuse", "llm_logit_weight"),
+        ],
+    )
+    def test_removed_field_exits_2_and_names_it(self, tmp_path, request, capsys, site, field):
+        assert _run_with_config(tmp_path, request, site, {field: 0.3}) == 2
+        assert field in capsys.readouterr().err
+
+    def test_fuse_soft_categories_load_as_tuple(self, tmp_path, request, monkeypatch):
+        calls = _capture(monkeypatch, "refine_pseudo_labels")
+        assert _run_with_config(tmp_path, request, "fuse", {"soft_categories": ["title", "footer"]}) == 0
+        assert calls and calls[0][0][1] == FusionConfig(soft_categories=("title", "footer"))
+
+    def test_heuristics_caption_prefixes_load_as_tuple(self, tmp_path, request, monkeypatch):
+        calls = _capture(monkeypatch, "heuristic_regions")
+        assert _run_with_config(tmp_path, request, "heuristics", {"caption_prefixes": ["Fig."]}) == 0
+        assert calls and calls[0][0][1] == HeuristicConfig(caption_prefixes=("Fig.",))
+
+    def test_theory_task_loads_equal_to_its_gate_task(self, tmp_path, request, monkeypatch):
+        calls = _capture(monkeypatch, "run_sample_complexity_experiment", summarize_reference_point(100))
+        task = {
+            "mixture": [[0.7, 0.03, 0.03], [0.3, 0.039, 0.03]],
+            "p_t_range": [0.5, 0.8],
+            "synthetic_iou": [0.5, 0.9],
+        }
+        assert _run_with_config(tmp_path, request, "theory", {"experiment": {"task": task}}) == 0
+        expected = GateTask(
+            mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)), p_t_range=(0.5, 0.8), synthetic_iou=(0.5, 0.9)
+        )
+        assert calls[0][1]["task"] == expected

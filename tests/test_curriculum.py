@@ -1,4 +1,4 @@
-"""Schedule, thresholds, EMA, consistency penalty."""
+"""Schedule, thresholds, consistency penalty."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from layoutfusion.curriculum import (
     CurriculumConfig,
     category_threshold,
     consistency_loss,
-    ema_update,
     schedule,
     schedule_table,
     threshold_table,
@@ -71,33 +70,6 @@ class TestThresholds:
 
         tax = Taxonomy("flat", (LayoutCategory("a"), LayoutCategory("b")))
         assert set(threshold_table(tax).values()) == {0.7}
-
-
-class TestEmaUpdate:
-    def test_momentum_one_keeps_teacher(self):
-        out = ema_update([1.0, 2.0], [5.0, 5.0], 1.0)
-        np.testing.assert_allclose(out, [1.0, 2.0])
-
-    def test_momentum_zero_copies_student(self):
-        out = ema_update([1.0, 2.0], [5.0, 6.0], 0.0)
-        np.testing.assert_allclose(out, [5.0, 6.0])
-
-    def test_standard_momentum_value(self):
-        out = ema_update([1.0], [0.0], 0.999)
-        assert out[0] == pytest.approx(0.999, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ema_update([1.0, 2.0], [1.0], 0.9)
-
-    def test_geometric_convergence_to_fixed_student(self):
-        momentum = 0.9
-        teacher = np.array([3.0])
-        student = np.array([1.0])
-        gap0 = abs(teacher[0] - student[0])
-        for k in range(1, 20):
-            teacher = ema_update(teacher, student, momentum)
-            assert abs(teacher[0] - student[0]) == pytest.approx(momentum**k * gap0, rel=1e-12)
 
 
 class TestConsistencyLoss:

@@ -48,11 +48,12 @@ def region(box, name="text", score=0.8, qt=0.9, qs=0.9):
 class TestFusionConfig:
     def test_defaults_valid(self):
         config = FusionConfig()
-        assert config.teacher_logit_weight + config.llm_logit_weight == 1.0
+        assert config.teacher_logit_weight == 0.7
 
     def test_rejects_bad_logit_weights(self):
-        with pytest.raises(ValueError):
-            FusionConfig(teacher_logit_weight=0.7, llm_logit_weight=0.4)
+        for weight in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                FusionConfig(teacher_logit_weight=weight)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
@@ -413,7 +414,7 @@ class TestRefinePseudoLabels:
         # logit(0.75) / 5e-324 overflows; times a zero weight it was NaN.
         box = BoundingBox(0.1, 0.1, 0.5, 0.5)
         page = Page(page_id="inf-t", teacher=(teacher(box, conf=0.75),), llm=(region(box, score=0.5),))
-        config = FusionConfig(teacher_temperature=5e-324, teacher_logit_weight=0.0, llm_logit_weight=1.0)
+        config = FusionConfig(teacher_temperature=5e-324, teacher_logit_weight=0.0)
         (label,) = refine_pseudo_labels(page, config)
         assert label.confidence == 0.5
         # Opposite saturated logits: the larger weight decides the side.

@@ -158,12 +158,10 @@ temperatures = st.floats(min_value=0.0, exclude_min=True, allow_infinity=True)
 
 @st.composite
 def fusion_configs(draw):
-    teacher_logit_weight = draw(unit)
     return FusionConfig(
         iou_threshold=draw(probability),
         teacher_box_weight=draw(unit),
-        teacher_logit_weight=teacher_logit_weight,
-        llm_logit_weight=1.0 - teacher_logit_weight,
+        teacher_logit_weight=draw(unit),
         teacher_temperature=draw(temperatures),
         llm_temperature=draw(temperatures),
         soft_score_min=draw(unit),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from layoutfusion.fusion import optimal_alpha
+from layoutfusion.fusion import optimal_alpha, optimal_weights
 from layoutfusion.gating import GateTrainConfig, train_gate
 from layoutfusion.simulator import GateTask, SimConfig, sample_gate_instances, simulate_dataset
 from layoutfusion.theory import (
@@ -18,7 +18,6 @@ from layoutfusion.theory import (
     expected_weight_risk,
     fit_convergence_slope,
     gammas_from_pages,
-    oracle_weights,
     predicted_gap,
     regime_residual_analysis,
     run_sample_complexity_experiment,
@@ -148,7 +147,7 @@ class TestOracleHelpers:
         st = rng.uniform(0.1, 2.0, size=50)
         sl = rng.uniform(0.1, 2.0, size=50)
         for rho in (0.0, 0.3):
-            vec = oracle_weights(st, sl, rho)
+            vec = optimal_weights(st, sl, rho)
             for i in range(50):
                 assert vec[i] == pytest.approx(optimal_alpha(st[i], sl[i], rho), abs=1e-12)
 
@@ -157,7 +156,7 @@ class TestOracleHelpers:
         st = rng.uniform(0.1, 2.0, size=30)
         sl = rng.uniform(0.1, 2.0, size=30)
         rho = 0.2
-        best = expected_weight_risk(oracle_weights(st, sl, rho), st, sl, rho)
+        best = expected_weight_risk(optimal_weights(st, sl, rho), st, sl, rho)
         for g in (0.0, 0.25, 0.5, 0.75, 1.0):
             others = expected_weight_risk(np.full(30, g), st, sl, rho)
             assert np.all(best <= others + 1e-15)
@@ -249,6 +248,18 @@ class TestCorrelationProxies:
         rho_hat = disagreement_indicator(instances)
         assert rho_hat[:10].tolist() == [1.0] * 10
         assert rho_hat[10:].tolist() == [0.0] * 40
+
+    @pytest.mark.parametrize(
+        "task", [GateTask(), GateTask(mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)))], ids=["default", "mixture"]
+    )
+    def test_simulated_instances_never_disagree(self, task):
+        # The sampler draws no categories and marks both sources correct,
+        # so the default proxy contributes nothing to the factors.
+        from layoutfusion.theory import disagreement_indicator
+
+        instances = sample_gate_instances(task, 500, seed=32)
+        assert instances.teacher_correct.all() and instances.llm_correct.all()
+        assert not disagreement_indicator(instances).any()
 
     def test_local_correlation_recovers_signal(self):
         from layoutfusion.theory import local_error_correlation

@@ -44,6 +44,8 @@ from layoutfusion.simulator import (
     SimConfig,
     _correlated_offsets,
     _noisy_box,
+    correlated_noise,
+    monte_carlo_fusion_variance,
     sample_gate_instances,
     simulate_dataset,
 )
@@ -132,11 +134,15 @@ def truth_boxes(draw):
 )
 def test_box_noise_equals_array_form_bit_for_bit(truth, seed, sigma_t, sigma_l, rho):
     """Same draws, same offsets and the same boxes (or collapses); large
-    sigmas exercise the clip at both edges."""
+    sigmas exercise the clip at both edges. The per-box offsets also equal
+    the library's array helper scaled by each sigma."""
     eps_t, eps_l = _correlated_offsets(np.random.default_rng(seed), sigma_t, sigma_l, rho)
     ref_t, ref_l = array_correlated_offsets(np.random.default_rng(seed), sigma_t, sigma_l, rho)
     assert np.array(eps_t).tobytes() == ref_t.tobytes()
     assert np.array(eps_l).tobytes() == ref_l.tobytes()
+    unit_t, unit_l = correlated_noise(np.random.default_rng(seed), (4,), rho)
+    assert np.array(eps_t).tobytes() == (sigma_t * unit_t).tobytes()
+    assert np.array(eps_l).tobytes() == (sigma_l * unit_l).tobytes()
     for eps, ref in ((eps_t, ref_t), (eps_l, ref_l)):
         box = _noisy_box(truth, eps)
         got = None if box is None else (box.x1, box.y1, box.x2, box.y2)
@@ -189,6 +195,51 @@ GATE_TASKS = {
 def test_gate_instance_features_unchanged(task, seed):
     features = sample_gate_instances(GATE_TASKS[task], 4000, seed=seed).features
     assert hashlib.sha256(features.tobytes()).hexdigest() == GATE_FEATURES_SHA256[(task, seed)]
+
+
+# sha256 of sample_gate_instances(task, 4000, seed).teacher_boxes and
+# .llm_boxes, recorded when the sampler drew z, u and v as three
+# separate (n, 4) arrays.
+GATE_BOXES_SHA256 = {
+    ("default", 0): (
+        "e3992957dd817ddb9118c3f2c94e768c19d24a5783c70747a2fabbeda9007e02",
+        "e7302e0c830b2140102d857a94d6a4339715e13cac8c1a49a8e54f2910c81624",
+    ),
+    ("default", 5): (
+        "76ee827f5f900fa6058bb7e140245332b32b86728df8804ea788ad920140cc2a",
+        "a7666b08f4cf78d46df037dfebce56d991c1af65ea284cf7655673023224752e",
+    ),
+    ("mixture", 0): (
+        "2237f3a9d48a064f2b9146c9b38213c141843a6de8ba0b859e98f9375a2186ee",
+        "f43dfac10f045785475776369493be107a1f740853d5e6fdc7745c8fb4361fd4",
+    ),
+    ("mixture", 5): (
+        "a2647ea5d867d2d64c6876ba993f21c6691230150a574e0c2448f2dee32ecea4",
+        "1e2e4f60eb1b0b9fb7771e59d203af611a68e5a8c2d8f9c3149a5ef5dd42f12e",
+    ),
+}
+
+
+@pytest.mark.parametrize("task, seed", sorted(GATE_BOXES_SHA256))
+def test_gate_instance_boxes_unchanged(task, seed):
+    instances = sample_gate_instances(GATE_TASKS[task], 4000, seed=seed)
+    got = tuple(hashlib.sha256(b.tobytes()).hexdigest() for b in (instances.teacher_boxes, instances.llm_boxes))
+    assert got == GATE_BOXES_SHA256[(task, seed)]
+
+
+# monte_carlo_fusion_variance(sigma_t, sigma_l, rho, alpha, 10**5, seed)
+# as float.hex(), recorded from the same three-draw form.
+MONTE_CARLO_HEX = {
+    (1.0, 2.0, 0.0, 0.8, 0): "0x1.9b6373bb8985cp-1",
+    (0.7, 1.3, 0.5, 0.3, 7): "0x1.0fad4e9ad85ecp+0",
+    (1.2, 0.4, 0.95, 0.5, 11): "0x1.41ec26b94f4cep-1",
+}
+
+
+@pytest.mark.parametrize("sigma_t, sigma_l, rho, alpha, seed", sorted(MONTE_CARLO_HEX))
+def test_monte_carlo_variance_unchanged(sigma_t, sigma_l, rho, alpha, seed):
+    value = monte_carlo_fusion_variance(sigma_t, sigma_l, rho, alpha, 10**5, seed=seed)
+    assert value.hex() == MONTE_CARLO_HEX[(sigma_t, sigma_l, rho, alpha, seed)]
 
 
 def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
