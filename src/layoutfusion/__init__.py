@@ -59,7 +59,6 @@ from .curriculum import (
     CurriculumConfig,
     SchedulePhase,
     category_threshold,
-    consistency_loss,
     schedule,
     schedule_table,
     threshold_table,

@@ -57,13 +57,25 @@ class CliError(ValueError):
     """User-facing configuration or input problem (exit status 2)."""
 
 
-def _load_json(path) -> dict:
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; else exit 2 naming ``where``."""
+    if not isinstance(value, dict):
+        raise CliError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _load_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CliError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    """The object in the JSON config file ``path``; {} without a file."""
+    return _object(_load_json(path), f"config file {path}") if path else {}
 
 
 def _tuples(value):
@@ -122,7 +134,7 @@ def _load_pages(path, taxonomy):
 
 def cmd_simulate(args) -> int:
     started = manifest.now_utc()
-    raw = _load_json(args.config) if args.config else {}
+    raw = _load_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     config = _build_config(SimConfig, raw, "simulator config")
@@ -138,7 +150,7 @@ def cmd_simulate(args) -> int:
 def cmd_fuse(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    config = _build_config(FusionConfig, _load_json(args.config) if args.config else {}, "fusion config")
+    config = _build_config(FusionConfig, _load_config(args.config), "fusion config")
     gate = None
     if args.gate:
         if not Path(args.gate).exists():
@@ -183,7 +195,7 @@ def _theory_csv_rows(report) -> tuple[list[str], list[list]]:
 
 def cmd_theory(args) -> int:
     started = manifest.now_utc()
-    raw = _load_json(args.config) if args.config else {}
+    raw = _load_config(args.config)
     n_reference = int(raw.pop("n", args.n))
     experiment = raw.pop("experiment", None)
     # snapshot before the experiment block below consumes sub-dicts
@@ -193,8 +205,9 @@ def cmd_theory(args) -> int:
     config = _build_config(TheoryConfig, raw, "theory config")
 
     if experiment is not None:
-        task_raw = experiment.pop("task", {})
-        train_raw = experiment.pop("train", {})
+        experiment = _object(experiment, f"{args.config}: experiment")
+        task_raw = _object(experiment.pop("task", {}), f"{args.config}: experiment.task")
+        train_raw = _object(experiment.pop("train", {}), f"{args.config}: experiment.train")
         task = _build_config(GateTask, task_raw, "gate task")
         train = _build_config(GateTrainConfig, train_raw, "gate training config") if train_raw else None
         known = {"n_grid", "seeds", "heldout", "hidden"}
@@ -338,7 +351,7 @@ def cmd_compare(args) -> int:
 def cmd_heuristics(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    raw = _load_json(args.config) if args.config else {}
+    raw = _load_config(args.config)
     config = _build_config(HeuristicConfig, raw, "heuristic config")
     pages = _load_pages(args.dataset, taxonomy)
     out = Path(args.out)
@@ -407,7 +420,7 @@ def cmd_calibrate(args) -> int:
 def cmd_train_gate(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    raw = _load_json(args.config) if args.config else {}
+    raw = _load_config(args.config)
     raw.setdefault("seed", args.seed)
     config = _build_config(GateTrainConfig, raw, "gate training config")
     pages = _load_pages(args.dataset, taxonomy)
@@ -473,7 +486,7 @@ def cmd_lipschitz(args) -> int:
 def cmd_schedule(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    raw = _load_json(args.config) if args.config else {}
+    raw = _load_config(args.config)
     config = _build_config(CurriculumConfig, raw, "curriculum config")
     rows = schedule_table(args.epochs, config, taxonomy)
     out = Path(args.out)

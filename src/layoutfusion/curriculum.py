@@ -1,15 +1,12 @@
 """Training-loop bookkeeping as pure computations, no learner attached.
 
-Covers the epoch-indexed admission schedule for pseudo-label sources,
-class-adaptive confidence thresholds and the cross-modal consistency
-penalty over embedding vectors.
+Covers the epoch-indexed admission schedule for pseudo-label sources
+and class-adaptive confidence thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import PROVENANCE_FUSED, PROVENANCE_LLM_SOFT, PROVENANCE_TEACHER
 from .taxonomy import DOCLAYNET, LayoutCategory, RARE, Taxonomy
@@ -20,7 +17,6 @@ __all__ = [
     "schedule",
     "category_threshold",
     "threshold_table",
-    "consistency_loss",
     "schedule_table",
 ]
 
@@ -94,31 +90,6 @@ def schedule(
         soft = frozenset({RARE})
     regenerate = epoch % config.regeneration_period == 1 or config.regeneration_period == 1
     return SchedulePhase(allowed, thresholds, regenerate, soft)
-
-
-def consistency_loss(visual, text) -> float:
-    """Mean over all entries of (1 - cosine similarity).
-
-    Entries whose text vector is absent (None) contribute zero but stay
-    in the denominator, matching the 1/N normalization. Zero-norm
-    vectors are an error: their direction is undefined.
-    """
-    if len(visual) != len(text):
-        raise ValueError("visual and text lists must have equal length")
-    if len(visual) == 0:
-        raise ValueError("need at least one entry")
-    total = 0.0
-    for i, (v, t) in enumerate(zip(visual, text)):
-        if t is None:
-            continue
-        v = np.asarray(v, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        nv = np.linalg.norm(v)
-        nt = np.linalg.norm(t)
-        if nv == 0.0 or nt == 0.0:
-            raise ValueError(f"zero-norm embedding at index {i}")
-        total += 1.0 - float(np.dot(v, t) / (nv * nt))
-    return total / len(visual)
 
 
 def schedule_table(

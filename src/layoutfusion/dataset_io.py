@@ -102,74 +102,43 @@ def _parse_category(raw, taxonomy: Taxonomy, page_id: str, context: str):
         raise DatasetError(f"page {page_id!r}: {context} has unknown category {raw!r}") from exc
 
 
-# The checked path: every record the fast path in page_from_dict does not
-# accept. Values are converted with float()/str()/bool(), coordinates are
-# clamped and counted, and the first fault in field order is reported.
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
 
 
-def _checked_ocr_block(raw, i: int, page_id: str, stats: IngestStats) -> OcrBlock:
-    context = _context(raw, "ocr_blocks", i, page_id)
-    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-    return OcrBlock(box=box, text=str(raw.get("text", "")), is_bold=bool(raw.get("is_bold", False)))
+_REQUIRED = object()
+
+# The checked path, per record field: the model class, whether the record
+# names a category, and each further constructor argument as (key,
+# conversion, default), where _REQUIRED marks a key the record must have.
+_RECORDS = {
+    "ocr_blocks": (OcrBlock, False, (("text", str, ""), ("is_bold", bool, False))),
+    "teacher": (TeacherPrediction, True, (("confidence", float, _REQUIRED), ("coord_var", _optional_float, None))),
+    "llm": (LlmRegion, True, (("score", float, _REQUIRED), ("q_text", float, 1.0), ("q_spatial", float, 1.0))),
+    "ground_truth": (GroundTruthAnnotation, True, ()),
+    "refined": (
+        FusedLabel,
+        True,
+        (("score", float, _REQUIRED), ("provenance", str, _REQUIRED), ("smoothing", float, 0.0)),
+    ),
+}
 
 
-def _checked_teacher(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> TeacherPrediction:
-    context = _context(raw, "teacher", i, page_id)
-    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-    coord_var = raw.get("coord_var")
+def _checked(field: str, raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats):
+    """Record ``i`` of ``field`` by the checked path, which takes every
+    record the fast path in ``page_from_dict`` does not: values are
+    converted, coordinates are clamped and counted, and the first fault
+    in field order is reported."""
+    cls, has_category, extra = _RECORDS[field]
+    context = _context(raw, field, i, page_id)
+    args = [_parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)]
+    if has_category:
+        args.append(_parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context))
     try:
-        return TeacherPrediction(
-            box=box,
-            category=category,
-            confidence=float(_require(raw, "confidence", page_id, context)),
-            coordinate_variance=None if coord_var is None else float(coord_var),
-        )
-    except DatasetError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
-
-
-def _checked_llm(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> LlmRegion:
-    context = _context(raw, "llm", i, page_id)
-    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-    try:
-        return LlmRegion(
-            box=box,
-            category=category,
-            score=float(_require(raw, "score", page_id, context)),
-            q_text=float(raw.get("q_text", 1.0)),
-            q_spatial=float(raw.get("q_spatial", 1.0)),
-        )
-    except DatasetError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
-
-
-def _checked_ground_truth(
-    raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats
-) -> GroundTruthAnnotation:
-    context = _context(raw, "ground_truth", i, page_id)
-    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-    return GroundTruthAnnotation(box=box, category=category)
-
-
-def _checked_refined(raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats) -> FusedLabel:
-    context = _context(raw, "refined", i, page_id)
-    box = _parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)
-    category = _parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context)
-    try:
-        return FusedLabel(
-            box=box,
-            category=category,
-            confidence=float(_require(raw, "score", page_id, context)),
-            provenance=str(_require(raw, "provenance", page_id, context)),
-            smoothing=float(raw.get("smoothing", 0.0)),
-        )
+        for key, convert, default in extra:
+            value = _require(raw, key, page_id, context) if default is _REQUIRED else raw.get(key, default)
+            args.append(convert(value))
+        return cls(*args)
     except DatasetError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -223,7 +192,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
                         continue
                 except ValueError:
                     pass
-        ocr_blocks.append(_checked_ocr_block(raw, i, page_id, stats))
+        ocr_blocks.append(_checked("ocr_blocks", raw, i, page_id, taxonomy, stats))
 
     teacher = []
     for i, raw in enumerate(_array(obj.get("teacher", []), "teacher", page_id)):
@@ -242,7 +211,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
                         continue
                 except (KeyError, ValueError):
                     pass
-        teacher.append(_checked_teacher(raw, i, page_id, taxonomy, stats))
+        teacher.append(_checked("teacher", raw, i, page_id, taxonomy, stats))
 
     llm = []
     for i, raw in enumerate(_array(obj.get("llm", []), "llm", page_id)):
@@ -262,7 +231,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
                         continue
                 except (KeyError, ValueError):
                     pass
-        llm.append(_checked_llm(raw, i, page_id, taxonomy, stats))
+        llm.append(_checked("llm", raw, i, page_id, taxonomy, stats))
 
     ground_truth = None
     if obj.get("ground_truth") is not None:
@@ -278,7 +247,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
                             continue
                     except (KeyError, ValueError):
                         pass
-            ground_truth.append(_checked_ground_truth(raw, i, page_id, taxonomy, stats))
+            ground_truth.append(_checked("ground_truth", raw, i, page_id, taxonomy, stats))
 
     refined = None
     if obj.get("refined") is not None:
@@ -300,7 +269,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
                             continue
                     except (KeyError, ValueError):
                         pass
-            refined.append(_checked_refined(raw, i, page_id, taxonomy, stats))
+            refined.append(_checked("refined", raw, i, page_id, taxonomy, stats))
 
     stats.pages += 1
     return Page(

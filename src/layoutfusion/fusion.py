@@ -26,7 +26,7 @@ import numpy as np
 
 from .curriculum import CurriculumConfig, threshold_table
 from .gating import GateBatch, GateFeatures, GateParams, gate_forward_batch
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, best_overlap
 from .model import (
     FusedLabel,
     LlmRegion,
@@ -146,27 +146,21 @@ def match_regions(
     """
     matches: list[MatchResult] = []
     unmatched_teacher: list[int] = []
-    # Still-available regions as (index, box), in index order.
-    available = [(li, region.box) for li, region in enumerate(llm)]
+    # The still-available regions in index order: their indices and,
+    # side by side, their boxes.
+    available = list(range(len(llm)))
+    boxes = [region.box for region in llm]
     threshold = config.iou_threshold
     for ti, pred in enumerate(teacher):
-        box = pred.box
-        best_iou = 0.0
-        best_pos = -1
-        for pos, (_, region_box) in enumerate(available):
-            overlap = iou(box, region_box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_pos = pos
-        if best_pos >= 0 and best_iou >= threshold:
-            best_idx = available[best_pos][0]
-            if compatible(pred.category, llm[best_idx].category, taxonomy):
-                matches.append(MatchResult(ti, best_idx, best_iou, compatible=True))
-                del available[best_pos]
+        pos, overlap = best_overlap(pred.box, boxes)
+        if pos >= 0 and overlap >= threshold:
+            li = available[pos]
+            if compatible(pred.category, llm[li].category, taxonomy):
+                matches.append(MatchResult(ti, li, overlap, compatible=True))
+                del available[pos], boxes[pos]
                 continue
         unmatched_teacher.append(ti)
-    unmatched_llm = tuple(li for li, _ in available)
-    return MatchOutcome(tuple(matches), tuple(unmatched_teacher), unmatched_llm)
+    return MatchOutcome(tuple(matches), tuple(unmatched_teacher), tuple(available))
 
 
 def resolve_category(
@@ -466,19 +460,15 @@ def gate_samples_from_pages(
     for page in pages:
         if page.ground_truth is None:
             raise ValueError(f"page {page.page_id!r} has no ground truth")
+        truth = [annotation.box for annotation in page.ground_truth]
         outcome = match_regions(page.teacher, page.llm, config, taxonomy)
         for match in outcome.matches:
             pred = page.teacher[match.teacher_index]
             region = page.llm[match.llm_index]
-            best_overlap = 0.0
-            best = None
-            for annotation in page.ground_truth:
-                overlap = iou(pred.box, annotation.box)
-                if overlap > best_overlap:
-                    best_overlap = overlap
-                    best = annotation
-            if best is None:
+            pos, _ = best_overlap(pred.box, truth)
+            if pos < 0:
                 continue
+            best = page.ground_truth[pos]
             features.append((pred.confidence, region.score, match.iou))
             for rows, box in ((teacher_boxes, pred.box), (llm_boxes, region.box), (truth_boxes, best.box)):
                 rows.append((box.x1, box.y1, box.x2, box.y2))

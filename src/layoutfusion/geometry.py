@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundingBox", "iou", "paired_iou", "giou", "clamp_coordinates"]
+__all__ = ["BoundingBox", "iou", "best_overlap", "paired_iou", "giou", "clamp_coordinates"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,25 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     intersection = ix * iy
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
     return intersection / union
+
+
+def best_overlap(box: BoundingBox, candidates) -> tuple[int, float]:
+    """Position in ``candidates`` of the box that overlaps ``box`` most,
+    and that IoU; ``(-1, 0.0)`` when none overlaps.
+
+    One ``iou(box, candidate)`` per candidate, in order, compared with a
+    strict ``>``: the first of equal maxima wins. ``iou`` is looked up
+    as a module global on every call, so rebinding ``geometry.iou``
+    reaches every caller.
+    """
+    best_pos = -1
+    best_iou = 0.0
+    for pos, candidate in enumerate(candidates):
+        overlap = iou(box, candidate)
+        if overlap > best_iou:
+            best_iou = overlap
+            best_pos = pos
+    return best_pos, best_iou
 
 
 def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, best_overlap
 from .model import Page
 
 __all__ = [
@@ -137,16 +137,10 @@ def average_precision(
             hits: list[bool] = []
             for box, k in ranked:
                 candidates = available[k]
-                best_iou = 0.0
-                best_j = -1
-                for j, gt_box in enumerate(candidates):
-                    overlap = iou(box, gt_box)
-                    if overlap > best_iou:
-                        best_iou = overlap
-                        best_j = j
-                hit = best_j >= 0 and best_iou >= threshold
+                j, overlap = best_overlap(box, candidates)
+                hit = j >= 0 and overlap >= threshold
                 if hit:
-                    del candidates[best_j]
+                    del candidates[j]
                 hits.append(hit)
             tp = np.array(hits, dtype=np.float64)
             tp_cum = np.cumsum(tp)
@@ -224,16 +218,13 @@ def prediction_correctness(pages: list[Page], source: str = "teacher", iou_thres
     for page in pages:
         if page.ground_truth is None:
             raise ValueError(f"page {page.page_id!r} has no ground truth")
+        truth = [g.box for g in page.ground_truth]
         for det in detections_from_pages([page], source):
-            best_iou = 0.0
-            best_cat = None
-            for g in page.ground_truth:
-                overlap = iou(det.box, g.box)
-                if overlap > best_iou:
-                    best_iou = overlap
-                    best_cat = g.category.name
+            pos, overlap = best_overlap(det.box, truth)
             confidences.append(det.score)
-            correct.append(best_iou >= iou_threshold and best_cat == det.category)
+            correct.append(
+                pos >= 0 and overlap >= iou_threshold and page.ground_truth[pos].category.name == det.category
+            )
     return np.array(confidences), np.array(correct, dtype=bool)
 
 

@@ -424,9 +424,10 @@ class GateTask:
     synthetic_iou: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        for name, value in (("rho", self.rho),):
-            if not 0.0 <= value <= 0.99:
-                raise ValueError(f"{name}={value} must be in [0, 0.99]")
+        if not 0.0 < self.sigma_scale < math.inf:
+            raise ValueError(f"sigma_scale={self.sigma_scale} must be finite and > 0")
+        if not 0.0 <= self.rho <= 0.99:
+            raise ValueError(f"rho={self.rho} must be in [0, 0.99]")
         if self.mixture is None and not 0.0 < self.ratio_lo <= self.ratio_hi:
             raise ValueError("need 0 < ratio_lo <= ratio_hi")
         if self.mixture is not None:

@@ -15,7 +15,7 @@ the per-instance noise parameters are known exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,21 +197,7 @@ class TheoryReport:
     bound_holds_with_calibrated_constant: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "sqrt_k_over_n": self.sqrt_k_over_n,
-            "predicted_gap_simple": self.predicted_gap_simple,
-            "predicted_gap_log_refined": self.predicted_gap_log_refined,
-            "boundary_fraction": self.boundary_fraction,
-            "n_reference": self.n_reference,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "degenerate": self.degenerate,
-            "note": self.note,
-            "calibrated_constant": self.calibrated_constant,
-            "bound_holds_with_calibrated_constant": self.bound_holds_with_calibrated_constant,
-            "cells": [{"n": c.n, "seed": c.seed, "gap": c.gap} for c in self.cells],
-        }
+        return asdict(self)
 
 
 def disagreement_indicator(instances: GateInstances) -> np.ndarray:

@@ -401,6 +401,60 @@ def frozen_average_precision(detections, ground_truth, iou_thresholds, iou):
     )
 
 
+def frozen_prediction_correctness(pages, source, iou_threshold, iou):
+    """``metrics.prediction_correctness`` with its own best-overlap loop,
+    as it was before ``geometry.best_overlap``: the first ground-truth
+    box of the largest IoU names the category. ``source`` is "teacher"
+    or "llm"; ``iou`` is the IoU function to call. Returns the
+    confidence and correctness arrays."""
+    confidences = []
+    correct = []
+    for page in pages:
+        if source == "teacher":
+            records = [(t.box, t.category.name, t.confidence) for t in page.teacher]
+        else:
+            records = [(r.box, r.category.name, r.score) for r in page.llm]
+        for box, name, score in records:
+            best_iou = 0.0
+            best_cat = None
+            for g in page.ground_truth:
+                overlap = iou(box, g.box)
+                if overlap > best_iou:
+                    best_iou = overlap
+                    best_cat = g.category.name
+            confidences.append(score)
+            correct.append(best_iou >= iou_threshold and best_cat == name)
+    return np.array(confidences), np.array(correct, dtype=bool)
+
+
+def frozen_gate_samples(pages, iou_threshold, taxonomy, iou):
+    """``fusion.gate_samples_from_pages`` with its own best-overlap loop,
+    as it was before ``geometry.best_overlap``, over
+    ``frozen_match_regions``. ``iou`` is the IoU function to call.
+    Returns the features, teacher, text and truth box rows and the text
+    correctness flags as lists."""
+    features, teacher_boxes, llm_boxes, truth_boxes, llm_correct = [], [], [], [], []
+    for page in pages:
+        matches, _, _ = frozen_match_regions(page.teacher, page.llm, iou_threshold, taxonomy, iou)
+        for ti, li, match_iou in matches:
+            pred = page.teacher[ti]
+            region = page.llm[li]
+            best_overlap = 0.0
+            best = None
+            for annotation in page.ground_truth:
+                overlap = iou(pred.box, annotation.box)
+                if overlap > best_overlap:
+                    best_overlap = overlap
+                    best = annotation
+            if best is None:
+                continue
+            features.append([pred.confidence, region.score, match_iou])
+            for rows, box in ((teacher_boxes, pred.box), (llm_boxes, region.box), (truth_boxes, best.box)):
+                rows.append([box.x1, box.y1, box.x2, box.y2])
+            llm_correct.append(region.category.name == best.category.name)
+    return features, teacher_boxes, llm_boxes, truth_boxes, llm_correct
+
+
 def array_correlated_offsets(rng, sigma_t: float, sigma_l: float, rho: float):
     """The simulator's correlated box noise as 4-element array arithmetic
     (frozen copy of the form before it moved to plain floats)."""

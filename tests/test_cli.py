@@ -386,6 +386,21 @@ class TestConfigLoader:
         assert _run_with_config(tmp_path, request, site, {field: 0.3}) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
+    def test_non_object_exits_2_and_names_the_file(self, tmp_path, request, capsys, site):
+        nested = {
+            "theory-experiment": {"experiment": [1]},
+            "theory-task": {"experiment": {"task": [1]}},
+            "theory-train": {"experiment": {"train": [1]}},
+        }
+        assert _run_with_config(tmp_path, request, site, nested.get(site, [1, 2])) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "config.json") in err and "must be a JSON object, got list" in err
+
+    def test_theory_task_sigma_scale_of_zero_exits_2_and_names_it(self, tmp_path, request, capsys):
+        assert _run_with_config(tmp_path, request, "theory", {"experiment": {"task": {"sigma_scale": 0}}}) == 2
+        assert "sigma_scale=0 must be finite and > 0" in capsys.readouterr().err
+
     def test_fuse_soft_categories_load_as_tuple(self, tmp_path, request, monkeypatch):
         calls = _capture(monkeypatch, "refine_pseudo_labels")
         assert _run_with_config(tmp_path, request, "fuse", {"soft_categories": ["title", "footer"]}) == 0

@@ -1,12 +1,10 @@
-"""Schedule, thresholds, consistency penalty."""
+"""Schedule and thresholds."""
 
-import numpy as np
 import pytest
 
 from layoutfusion.curriculum import (
     CurriculumConfig,
     category_threshold,
-    consistency_loss,
     schedule,
     schedule_table,
     threshold_table,
@@ -71,41 +69,3 @@ class TestThresholds:
         tax = Taxonomy("flat", (LayoutCategory("a"), LayoutCategory("b")))
         assert set(threshold_table(tax).values()) == {0.7}
 
-
-class TestConsistencyLoss:
-    def test_identical_vectors(self):
-        v = [np.array([1.0, 2.0]), np.array([0.5, -1.0])]
-        assert consistency_loss(v, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_orthogonal_pair(self):
-        assert consistency_loss([[1.0, 0.0]], [[0.0, 1.0]]) == pytest.approx(1.0)
-
-    def test_absent_text_counts_in_denominator(self):
-        loss = consistency_loss([[1.0, 0.0], [1.0, 0.0]], [None, [0.0, 1.0]])
-        assert loss == pytest.approx(0.5)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            v = rng.normal(size=4)
-            t = rng.normal(size=4)
-            base = consistency_loss([v], [t])
-            scaled = consistency_loss([v * rng.uniform(0.1, 50)], [t * rng.uniform(0.1, 50)])
-            assert scaled == pytest.approx(base, abs=1e-10)
-
-    def test_range(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            v = [rng.normal(size=3) for _ in range(4)]
-            t = [rng.normal(size=3) if rng.random() > 0.3 else None for _ in range(4)]
-            if all(x is None for x in t):
-                continue
-            assert 0.0 <= consistency_loss(v, t) <= 2.0
-
-    def test_zero_norm_errors(self):
-        with pytest.raises(ValueError):
-            consistency_loss([[0.0, 0.0]], [[1.0, 0.0]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            consistency_loss([[1.0]], [])

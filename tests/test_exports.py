@@ -1,6 +1,7 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
-deletion fails here, by name."""
+deletion fails here, by name. No library module but ``geometry`` binds
+``iou``."""
 
 import ast
 import importlib
@@ -39,3 +40,19 @@ def test_every_init_import_exists_and_is_exported():
         if not hasattr(mod, name) or name not in getattr(mod, "__all__", [name]):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_only_geometry_binds_iou():
+    """Callers reach ``iou`` through ``geometry.best_overlap`` or
+    ``geometry.paired_iou``, so one kernel change, or one rebinding of
+    ``geometry.iou``, reaches every IoU computed in the library."""
+    from layoutfusion import geometry
+
+    holders = [
+        f"{module}.{name}"
+        for module in MODULES
+        if module != "geometry"
+        for name, value in vars(importlib.import_module(f"layoutfusion.{module}")).items()
+        if value is geometry.iou
+    ]
+    assert holders == []

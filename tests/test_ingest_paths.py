@@ -141,6 +141,20 @@ def test_every_single_substitution_matches_frozen_parser(field):
         _assert_same_outcome(obj, DOCLAYNET)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_checked_path_defaults_match_frozen_parser(field):
+    """Each key deleted from a record whose bbox holds a JSON integer, so
+    the record takes the checked path and that path's defaults and
+    missing-field errors are compared."""
+    base = BASE_PAGES[0]
+    for key in base[field][0]:
+        obj = json.loads(json.dumps(base))
+        target = obj[field][0]
+        target["bbox"][2] = 1
+        del target[key]
+        _assert_same_outcome(obj, DOCLAYNET)
+
+
 @settings(max_examples=400)
 @given(mutated_pages(), st.sampled_from([DOCLAYNET, PUBLAYNET]))
 def test_ingest_matches_frozen_parser(obj, taxonomy):

@@ -1,8 +1,9 @@
 """Property tests for matching, AP matching and refinement.
 
-``match_regions`` and ``average_precision`` must give bit-identical
-results to frozen copies of their earlier loops (``oracles``) and make
-the same sequence of ``iou`` calls. ``refine_pseudo_labels`` must not
+``match_regions``, ``average_precision``, ``prediction_correctness`` and
+``gate_samples_from_pages`` must give bit-identical results to frozen
+copies of their earlier loops (``oracles``) and make the same sequence
+of ``geometry.iou`` calls. ``refine_pseudo_labels`` must not
 raise on a valid page and ``FusionConfig``, keep each fused box inside
 the hull of its two inputs and each fused confidence inside (0, 1).
 """
@@ -10,17 +11,28 @@ the hull of its two inputs and each fused confidence inside (0, 1).
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from layoutfusion import fusion, geometry, metrics
-from layoutfusion.fusion import FusionConfig, match_regions, refine_pseudo_labels
+from layoutfusion import geometry
+from layoutfusion.fusion import FusionConfig, gate_samples_from_pages, match_regions, refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
-from layoutfusion.metrics import COCO_IOU_THRESHOLDS, Detection, GroundTruthBox, average_precision
-from layoutfusion.model import LlmRegion, Page, TeacherPrediction
+from layoutfusion.metrics import (
+    COCO_IOU_THRESHOLDS,
+    Detection,
+    GroundTruthBox,
+    average_precision,
+    prediction_correctness,
+)
+from layoutfusion.model import GroundTruthAnnotation, LlmRegion, Page, TeacherPrediction
 from layoutfusion.taxonomy import DOCLAYNET
 
-from oracles import frozen_average_precision, frozen_match_regions
+from oracles import (
+    frozen_average_precision,
+    frozen_gate_samples,
+    frozen_match_regions,
+    frozen_prediction_correctness,
+)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 probability = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -66,15 +78,21 @@ def llm_regions(draw):
         reject()
 
 
+# Taken at import, before any test patches ``geometry.iou``: a recorder
+# that looked the name up would call itself.
+IOU = geometry.iou
+
+
 class IouRecorder:
-    """Calls ``geometry.iou`` and records the identity of each argument pair."""
+    """Calls the original ``geometry.iou`` and records the identity of
+    each argument pair."""
 
     def __init__(self):
         self.calls = []
 
     def __call__(self, a, b):
         self.calls.append((id(a), id(b)))
-        return geometry.iou(a, b)
+        return IOU(a, b)
 
 
 @given(
@@ -85,7 +103,7 @@ class IouRecorder:
 def test_match_regions_equals_frozen_loop(teacher, llm, threshold):
     config = FusionConfig(iou_threshold=threshold)
     got_iou = IouRecorder()
-    with mock.patch.object(fusion, "iou", got_iou):
+    with mock.patch.object(geometry, "iou", got_iou):
         got = match_regions(teacher, llm, config)
     want_iou = IouRecorder()
     matches, unmatched_teacher, unmatched_llm = frozen_match_regions(teacher, llm, threshold, DOCLAYNET, want_iou)
@@ -130,7 +148,7 @@ def ap_inputs(draw):
 def test_average_precision_equals_frozen_loop(inputs, thresholds):
     detections, ground_truth = inputs
     got_iou = IouRecorder()
-    with mock.patch.object(metrics, "iou", got_iou):
+    with mock.patch.object(geometry, "iou", got_iou):
         got = average_precision(detections, ground_truth, thresholds)
     want_iou = IouRecorder()
     want = frozen_average_precision(detections, ground_truth, thresholds, want_iou)
@@ -151,6 +169,68 @@ def test_average_precision_requires_the_ap50_and_ap75_thresholds():
     ground_truth = [GroundTruthBox("p0", "text", BoundingBox(0.1, 0.1, 0.5, 0.5))]
     with pytest.raises(ValueError, match=r"must include 0.5 and 0.75, missing \[0.75\]"):
         average_precision([], ground_truth, (0.5, 0.6))
+
+
+ground_truth_annotations = st.builds(GroundTruthAnnotation, box=boxes(), category=category)
+
+
+@st.composite
+def annotated_pages(draw):
+    """One to three pages with both streams and ground truth, which may
+    be empty."""
+    return [
+        Page(
+            page_id=f"p{i}",
+            teacher=tuple(draw(st.lists(teacher_predictions, max_size=6))),
+            llm=tuple(draw(st.lists(llm_regions(), max_size=6))),
+            ground_truth=tuple(draw(st.lists(ground_truth_annotations, max_size=6))),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+
+
+# A box equal to two annotations of different categories (the first of
+# equal maxima wins), and a page without annotations (no best overlap,
+# even at threshold 0).
+_SQUARE = BoundingBox(0.1, 0.1, 0.5, 0.5)
+_TIED_PAGE = Page(
+    page_id="tie",
+    teacher=(TeacherPrediction(_SQUARE, DOCLAYNET.category("text"), 0.9),),
+    llm=(LlmRegion(_SQUARE, DOCLAYNET.category("text"), 0.8),),
+    ground_truth=(
+        GroundTruthAnnotation(_SQUARE, DOCLAYNET.category("table")),
+        GroundTruthAnnotation(_SQUARE, DOCLAYNET.category("text")),
+    ),
+)
+_BARE_PAGE = Page(page_id="bare", teacher=_TIED_PAGE.teacher, llm=_TIED_PAGE.llm, ground_truth=())
+
+
+@example([_TIED_PAGE, _BARE_PAGE], "teacher", 0.0)
+@given(annotated_pages(), st.sampled_from(["teacher", "llm"]), st.sampled_from([0.5, 0.25, 0.0, 0.99]))
+def test_prediction_correctness_equals_frozen_loop(pages, source, threshold):
+    got_iou = IouRecorder()
+    with mock.patch.object(geometry, "iou", got_iou):
+        confidences, correct = prediction_correctness(pages, source, threshold)
+    want_iou = IouRecorder()
+    want_confidences, want_correct = frozen_prediction_correctness(pages, source, threshold, want_iou)
+    assert confidences.tolist() == want_confidences.tolist()
+    assert correct.dtype == bool and correct.tolist() == want_correct.tolist()
+    assert got_iou.calls == want_iou.calls
+
+
+@example([_TIED_PAGE, _BARE_PAGE], 0.5)
+@given(annotated_pages(), st.sampled_from([0.5, 0.25, 0.01, 0.99]))
+def test_gate_samples_equal_frozen_loop(pages, threshold):
+    got_iou = IouRecorder()
+    with mock.patch.object(geometry, "iou", got_iou):
+        got = gate_samples_from_pages(pages, FusionConfig(iou_threshold=threshold))
+    want_iou = IouRecorder()
+    want = frozen_gate_samples(pages, threshold, DOCLAYNET, want_iou)
+    for array, rows in zip(
+        (got.features, got.teacher_boxes, got.llm_boxes, got.truth_boxes, got.llm_correct), want
+    ):
+        assert array.tolist() == rows
+    assert got_iou.calls == want_iou.calls
 
 
 temperatures = st.floats(min_value=0.0, exclude_min=True, allow_infinity=True)

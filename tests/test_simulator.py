@@ -1,6 +1,7 @@
 """Synthetic corpus generator: determinism, noise model, calibration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -247,3 +248,8 @@ class TestGateInstances:
             GateTask(rho=1.5)
         with pytest.raises(ValueError):
             GateTask(mixture=((0.0, 0.1, 0.1),))
+
+    @pytest.mark.parametrize("sigma_scale", [0.0, -0.05, math.nan, math.inf])
+    def test_sigma_scale_must_be_finite_and_positive(self, sigma_scale):
+        with pytest.raises(ValueError, match=r"sigma_scale=.* must be finite and > 0"):
+            GateTask(sigma_scale=sigma_scale)
