@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,15 @@ def _object(value, where: str) -> dict:
     """``value`` if it is a JSON object; else exit 2 naming ``where``."""
     if not isinstance(value, dict):
         raise CliError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """``value`` if it is a JSON integer; else exit 2 naming ``where``.
+    ``int()`` would truncate 2.7, accept ``true`` and raise ``TypeError``
+    on an array."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{where} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
@@ -150,7 +160,13 @@ def cmd_simulate(args) -> int:
 def cmd_fuse(args) -> int:
     started = manifest.now_utc()
     taxonomy = _taxonomy(args.taxonomy)
-    config = _build_config(FusionConfig, _load_config(args.config), "fusion config")
+    raw = _load_config(args.config)
+    config = _build_config(FusionConfig, raw, "fusion config")
+    # Only configured names are checked: the default set names categories
+    # that some taxonomies (publaynet) lack.
+    unknown = [name for name in raw.get("soft_categories", ()) if name not in taxonomy]
+    if unknown:
+        raise CliError(f"unknown soft_categories for taxonomy {taxonomy.name!r}: {', '.join(unknown)}")
     gate = None
     if args.gate:
         if not Path(args.gate).exists():
@@ -196,7 +212,7 @@ def _theory_csv_rows(report) -> tuple[list[str], list[list]]:
 def cmd_theory(args) -> int:
     started = manifest.now_utc()
     raw = _load_config(args.config)
-    n_reference = int(raw.pop("n", args.n))
+    n_reference = _integer(raw.pop("n", args.n), f"{args.config}: n")
     experiment = raw.pop("experiment", None)
     # snapshot before the experiment block below consumes sub-dicts
     effective = json.loads(
@@ -214,14 +230,17 @@ def cmd_theory(args) -> int:
         unknown = set(experiment) - known
         if unknown:
             raise CliError(f"unknown experiment field(s): {', '.join(sorted(unknown))}")
+        n_grid = experiment.get("n_grid", [500, 1000, 2000, 4000, 8000, 16000, 32000])
+        if not isinstance(n_grid, list):
+            raise CliError(f"{args.config}: experiment.n_grid must be a JSON array, got {json.dumps(n_grid)}")
         report = run_sample_complexity_experiment(
-            n_grid=experiment.get("n_grid", [500, 1000, 2000, 4000, 8000, 16000, 32000]),
-            seeds=int(experiment.get("seeds", 3)),
+            n_grid=[_integer(n, f"{args.config}: experiment.n_grid[{i}]") for i, n in enumerate(n_grid)],
+            seeds=_integer(experiment.get("seeds", 3), f"{args.config}: experiment.seeds"),
             task=task,
             train_config=train,
             config=config,
-            heldout=int(experiment.get("heldout", 20000)),
-            hidden=int(experiment.get("hidden", 32)),
+            heldout=_integer(experiment.get("heldout", 20000), f"{args.config}: experiment.heldout"),
+            hidden=_integer(experiment.get("hidden", 32), f"{args.config}: experiment.hidden"),
             master_seed=args.seed,
         )
     else:
@@ -593,6 +612,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # A command builds large acyclic record graphs that reference counting frees; GC passes find nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValueError as exc:  # CliError and DatasetError included
@@ -601,6 +623,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

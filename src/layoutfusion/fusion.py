@@ -103,9 +103,13 @@ class FusionConfig:
             raise ValueError("temperatures must be positive")
         if not 0.0 <= self.soft_smoothing < 1.0:
             raise ValueError(f"soft_smoothing={self.soft_smoothing} must be in [0, 1)")
+        # A bare string would pass the membership test by substring.
+        names = self.soft_categories
+        if not (isinstance(names, tuple) and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"soft_categories={names!r} must be a tuple of category names")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     """A consumed teacher/text pairing; emitted matches are compatible."""
 

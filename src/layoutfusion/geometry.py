@@ -17,7 +17,7 @@ import numpy as np
 __all__ = ["BoundingBox", "iou", "best_overlap", "paired_iou", "giou", "clamp_coordinates"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Normalized rectangle with strict ordering invariants.
 

@@ -44,7 +44,7 @@ COCO_IOU_THRESHOLDS: tuple[float, ...] = tuple(np.round(np.linspace(0.5, 0.95, 1
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     page_id: str
     category: str
@@ -52,7 +52,7 @@ class Detection:
     box: BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthBox:
     page_id: str
     category: str

@@ -35,7 +35,7 @@ def _check_probability(value: float, name: str) -> None:
         raise ValueError(f"{name}={value} must be strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeacherPrediction:
     """One visual-detector output: box, category, confidence.
 
@@ -58,7 +58,7 @@ class TeacherPrediction:
             raise ValueError(f"coordinate_variance={var} must be >= 0 and not NaN")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LlmRegion:
     """One text-derived structural region: box, category, score.
 
@@ -86,20 +86,20 @@ class LlmRegion:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcrBlock:
     box: BoundingBox
     text: str = ""
     is_bold: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthAnnotation:
     box: BoundingBox
     category: LayoutCategory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedLabel:
     """A refined pseudo-label with provenance.
 
@@ -125,7 +125,7 @@ class FusedLabel:
             raise ValueError("smoothing is only meaningful for llm-soft labels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Page:
     """One document page: OCR blocks plus the two prediction streams.
 

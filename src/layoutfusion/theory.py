@@ -280,6 +280,8 @@ def run_sample_complexity_experiment(
     n_grid = sorted(int(n) for n in n_grid)
     if len(n_grid) < 4:
         raise ValueError("need at least 4 grid sizes")
+    if seeds < 1:
+        raise ValueError(f"seeds={seeds} must be >= 1: with no cells there is no slope to fit")
     if train_config is None:
         # Single-pass SGD: every cell sees its data exactly once, so the
         # excess risk tracks the statistical budget rather than an

@@ -1,7 +1,12 @@
 """Command-line surface: every subcommand end-to-end on small data."""
 
 import csv
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,76 @@ class TestSchedule:
         assert len(rows) == 9  # header + 8 epochs
 
 
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector off and puts
+    the caller's setting back however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def _spy(monkeypatch, raised=None) -> list[bool]:
+        """Make ``schedule``'s table builder record whether the collector
+        is on, then raise ``raised`` if given."""
+        seen = []
+        real = cli.schedule_table
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "schedule_table", spy)
+        return seen
+
+    @staticmethod
+    def _schedule(tmp_path) -> int:
+        return main(["schedule", "--epochs", "2", "--out", str(tmp_path / "sched")])
+
+    def test_collector_is_off_while_a_command_runs(self, tmp_path, monkeypatch):
+        seen = self._spy(monkeypatch)
+        gc.enable()
+        assert self._schedule(tmp_path) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["was-on", "was-off"])
+    @pytest.mark.parametrize(
+        "raised, code", [(None, 0), (ValueError("bad"), 2), (OSError("disk full"), 1)], ids=["exit-0", "exit-2", "exit-1"]
+    )
+    def test_previous_state_restored_on_exit(self, tmp_path, monkeypatch, enabled, raised, code):
+        seen = self._spy(monkeypatch, raised)
+        (gc.enable if enabled else gc.disable)()
+        assert self._schedule(tmp_path) == code
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["was-on", "was-off"])
+    def test_previous_state_restored_after_an_uncaught_exception(self, tmp_path, monkeypatch, enabled):
+        seen = self._spy(monkeypatch, RuntimeError("boom"))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="boom"):
+            self._schedule(tmp_path)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    """``python -m layoutfusion.cli`` reaches ``main`` and exits with its status."""
+    src = Path(layoutfusion.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "layoutfusion.cli", "simulate", "--seed", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(load_dataset(tmp_path / "dataset.jsonl")) == SimConfig().pages
+
+
 # Every config the CLI reads goes through one loader. Each case is a
 # command, whether it needs a dataset, and a config file around a field.
 CONFIG_SITES = {
@@ -405,6 +480,50 @@ class TestConfigLoader:
         calls = _capture(monkeypatch, "refine_pseudo_labels")
         assert _run_with_config(tmp_path, request, "fuse", {"soft_categories": ["title", "footer"]}) == 0
         assert calls and calls[0][0][1] == FusionConfig(soft_categories=("title", "footer"))
+
+    @pytest.mark.parametrize(
+        "names, named",
+        [
+            ("caption", "soft_categories='caption' must be a tuple of category names"),
+            (["title", 3], "soft_categories=('title', 3) must be a tuple of category names"),
+            (["title", "captoin"], "unknown soft_categories for taxonomy 'doclaynet': captoin"),
+        ],
+        ids=["string", "non-string-entry", "unknown-name"],
+    )
+    def test_fuse_bad_soft_categories_exit_2_and_name_them(self, tmp_path, request, capsys, names, named):
+        assert _run_with_config(tmp_path, request, "fuse", {"soft_categories": names}) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"n": [1]}, "n"),
+            ({"n": 2.7}, "n"),
+            ({"n": True}, "n"),
+            ({"experiment": {"seeds": [1]}}, "experiment.seeds"),
+            ({"experiment": {"seeds": 1.5}}, "experiment.seeds"),
+            ({"experiment": {"heldout": True}}, "experiment.heldout"),
+            ({"experiment": {"hidden": "4"}}, "experiment.hidden"),
+            ({"experiment": {"n_grid": [100, 200, [300], 400]}}, "experiment.n_grid[2]"),
+            ({"experiment": {"n_grid": [100, 200, 300, 400.5]}}, "experiment.n_grid[3]"),
+        ],
+        ids=[
+            "n-array", "n-float", "n-bool", "seeds-array", "seeds-float", "heldout-bool", "hidden-string",
+            "n_grid-entry-array", "n_grid-entry-float",
+        ],
+    )
+    def test_theory_non_integer_counts_exit_2_and_name_them(self, tmp_path, request, capsys, config, field):
+        # Small valid values elsewhere, so a tree that accepts the bad one
+        # fails this test quickly.
+        if "experiment" in config:
+            small = {"n_grid": [100, 200, 300, 400], "seeds": 1, "heldout": 100, "hidden": 2}
+            config = {"experiment": {**small, **config["experiment"]}}
+        assert _run_with_config(tmp_path, request, "theory", config) == 2
+        assert f"config.json: {field} must be a JSON integer" in capsys.readouterr().err
+
+    def test_theory_n_grid_that_is_not_an_array_exits_2_and_names_it(self, tmp_path, request, capsys):
+        assert _run_with_config(tmp_path, request, "theory", {"experiment": {"n_grid": 5}}) == 2
+        assert "config.json: experiment.n_grid must be a JSON array, got 5" in capsys.readouterr().err
 
     def test_heuristics_caption_prefixes_load_as_tuple(self, tmp_path, request, monkeypatch):
         calls = _capture(monkeypatch, "heuristic_regions")

@@ -1,7 +1,7 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
-``iou``."""
+``iou``, and the per-record types are slotted."""
 
 import ast
 import importlib
@@ -56,3 +56,30 @@ def test_only_geometry_binds_iou():
         if value is geometry.iou
     ]
     assert holders == []
+
+
+# The types built once per record: slotted, so each instance is one
+# object without a ``__dict__``.
+SLOTTED = {
+    "geometry": ("BoundingBox",),
+    "model": ("TeacherPrediction", "LlmRegion", "OcrBlock", "GroundTruthAnnotation", "FusedLabel", "Page"),
+    "metrics": ("Detection", "GroundTruthBox"),
+    "fusion": ("MatchResult",),
+}
+
+
+def test_per_record_types_are_slotted():
+    unslotted = [
+        f"{module}.{name}"
+        for module, names in SLOTTED.items()
+        for name in names
+        if "__slots__" not in vars(getattr(importlib.import_module(f"layoutfusion.{module}"), name))
+    ]
+    assert unslotted == []
+
+
+def test_box_validation_stays_a_class_attribute():
+    """Box validation is hooked, and counted, as ``BoundingBox.__post_init__``."""
+    from layoutfusion.geometry import BoundingBox
+
+    assert "__post_init__" in vars(BoundingBox)

@@ -68,6 +68,15 @@ class TestFusionConfig:
         with pytest.raises(ValueError, match="temperatures must be positive"):
             FusionConfig(**{field: math.nan})
 
+    @pytest.mark.parametrize("names", ["caption", ("title", 3), ("title", None), ["title"], 1])
+    def test_soft_categories_must_be_a_tuple_of_names(self, names):
+        # "caption" as a string would match "cap" and "ion" by substring.
+        with pytest.raises(ValueError, match="soft_categories=.* must be a tuple of category names"):
+            FusionConfig(soft_categories=names)
+
+    def test_soft_categories_may_be_empty(self):
+        assert FusionConfig(soft_categories=()).soft_categories == ()
+
 
 class TestCompatible:
     def test_reflexive(self):

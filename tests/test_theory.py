@@ -214,6 +214,11 @@ class TestExperiment:
         with pytest.raises(ValueError):
             run_sample_complexity_experiment([100, 200, 300])
 
+    def test_no_seeds_is_rejected(self):
+        # Zero seeds leave no cells, and the slope fit would report NaN.
+        with pytest.raises(ValueError, match="seeds=0 must be >= 1"):
+            run_sample_complexity_experiment([100, 200, 300, 400], seeds=0, heldout=100, hidden=2)
+
     def test_degenerate_task_rejects_slope(self):
         # Equal deviations everywhere: the optimal weight is 0.5 for
         # every instance and there is nothing to learn.
