@@ -12,7 +12,7 @@ simulator that serves as ground-truth oracle for all of it.
 # Set before the submodules load: manifest reads it as the artifact version.
 __version__ = "0.1.0"
 
-from .geometry import BoundingBox, giou, iou
+from .geometry import BoundingBox, iou
 from .taxonomy import DOCLAYNET, PUBLAYNET, TAXONOMIES, LayoutCategory, Taxonomy
 from .model import (
     FusedLabel,
@@ -28,7 +28,6 @@ from .fusion import (
     MatchOutcome,
     MatchResult,
     apply_temperature,
-    compatible,
     fit_temperature,
     fuse_confidence_logit,
     fuse_fixed_box,
@@ -39,16 +38,15 @@ from .fusion import (
     match_regions,
     optimal_alpha,
     optimal_weights,
+    pair_features,
     refine_pseudo_labels,
     resolve_category,
 )
 from .gating import (
     GateBatch,
-    GateFeatures,
     GateParams,
     GateTrainConfig,
     estimate_lipschitz,
-    gate_forward,
     gate_forward_batch,
     init_gate,
     load_gate,
@@ -81,7 +79,6 @@ from .simulator import (
     GateInstances,
     GateTask,
     SimConfig,
-    default_asymmetric_config,
     generate_pages,
     monte_carlo_fusion_variance,
     sample_calibration_data,

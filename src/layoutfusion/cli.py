@@ -24,13 +24,14 @@ import numpy as np
 
 from . import manifest
 from .curriculum import CurriculumConfig, schedule_table, threshold_table
-from .dataset_io import DatasetError, load_dataset, save_dataset
+from .dataset_io import load_dataset, save_dataset
 from .fusion import (
     FusionConfig,
     fit_temperature,
     apply_temperature,
     gate_samples_from_pages,
     match_regions,
+    pair_features,
     refine_pseudo_labels,
 )
 from .gating import GateTrainConfig, estimate_lipschitz, load_gate, save_gate, train_gate
@@ -99,20 +100,23 @@ def _tuples(value):
 
 def _build_config(cls, obj: dict, name: str):
     """The one config loader: a dataclass from a JSON object, with unknown
-    fields rejected by name and arrays loaded as tuples."""
-    unknown = set(obj) - set(cls.__dataclass_fields__)
+    fields rejected by name and arrays loaded as tuples. A field annotated
+    ``int`` takes a JSON integer, one annotated ``float`` any JSON number
+    but a boolean."""
+    fields = cls.__dataclass_fields__
+    unknown = set(obj) - set(fields)
     if unknown:
         raise CliError(f"unknown {name} field(s): {', '.join(sorted(unknown))}")
+    for key, value in obj.items():
+        # The config modules postpone annotations, so each type is its source text.
+        if fields[key].type == "int":
+            _integer(value, f"{name}: {key}")
+        elif fields[key].type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise CliError(f"{name}: {key} must be a JSON number, got {json.dumps(value)}")
     try:
         return cls(**_tuples(obj))
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid {name}: {exc}") from exc
-
-
-def _taxonomy(name: str):
-    if name not in TAXONOMIES:
-        raise CliError(f"unknown taxonomy {name!r}; choose from {sorted(TAXONOMIES)}")
-    return TAXONOMIES[name]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -133,8 +137,6 @@ def _load_pages(path, taxonomy):
         return load_dataset(path, taxonomy=taxonomy)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {path}") from exc
-    except DatasetError as exc:
-        raise CliError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +161,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fuse(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(FusionConfig, raw, "fusion config")
     # Only configured names are checked: the default set names categories
@@ -246,7 +248,7 @@ def cmd_theory(args) -> int:
     else:
         report = summarize_reference_point(n_reference, config)
         if args.dataset:
-            taxonomy = _taxonomy(args.taxonomy)
+            taxonomy = TAXONOMIES[args.taxonomy]
             pages = _load_pages(args.dataset, taxonomy)
             gammas = gammas_from_pages(pages, taxonomy=taxonomy)
             report.boundary_fraction = boundary_measure(gammas, config)
@@ -286,12 +288,9 @@ def _metrics_csv_rows(result) -> tuple[list[str], list[list]]:
 
 def cmd_evaluate(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     pages = _load_pages(args.dataset, taxonomy)
-    try:
-        result = evaluate_pages(pages, source=args.source)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = evaluate_pages(pages, source=args.source)
     doc = {
         "source": args.source,
         "ap": result.ap,
@@ -337,11 +336,8 @@ def cmd_compare(args) -> int:
         raise CliError("comparison inputs must be JSON arrays of per-seed metric values")
     if len(a) != len(b):
         raise CliError(f"unpaired metric lists: {len(a)} vs {len(b)} values")
-    try:
-        ttest = paired_t_test(a, b)
-        equivalence = tost(a, b, delta=args.delta, alpha=args.alpha)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    ttest = paired_t_test(a, b)
+    equivalence = tost(a, b, delta=args.delta, alpha=args.alpha)
     doc = {
         "n": len(a),
         "mean_difference": equivalence.mean_difference,
@@ -369,7 +365,7 @@ def cmd_compare(args) -> int:
 
 def cmd_heuristics(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(HeuristicConfig, raw, "heuristic config")
     pages = _load_pages(args.dataset, taxonomy)
@@ -410,7 +406,7 @@ def cmd_heuristics(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     pages = _load_pages(args.dataset, taxonomy)
     doc: dict = {}
     for source in ("teacher", "llm"):
@@ -438,16 +434,13 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train_gate(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     raw.setdefault("seed", args.seed)
     config = _build_config(GateTrainConfig, raw, "gate training config")
     pages = _load_pages(args.dataset, taxonomy)
     samples = gate_samples_from_pages(pages, taxonomy=taxonomy)
-    try:
-        result = train_gate(samples, config, hidden=args.hidden)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = train_gate(samples, config, hidden=args.hidden)
     out = Path(args.out)
     gate_path = out / "gate.json"
     save_gate(result.params, gate_path)
@@ -473,25 +466,16 @@ def cmd_lipschitz(args) -> int:
         raise CliError(f"gate file not found: {args.gate}")
     gate = load_gate(args.gate)
     if args.dataset:
-        taxonomy = _taxonomy(args.taxonomy)
+        taxonomy = TAXONOMIES[args.taxonomy]
         pages = _load_pages(args.dataset, taxonomy)
-        points = []
-        for page in pages:
-            outcome = match_regions(page.teacher, page.llm, taxonomy=taxonomy)
-            for m in outcome.matches:
-                pred = page.teacher[m.teacher_index]
-                region = page.llm[m.llm_index]
-                points.append([pred.confidence, region.score, m.iou])
-        points = np.array(points, dtype=np.float64)
+        rows = [pair_features(page, match_regions(page.teacher, page.llm, taxonomy=taxonomy).matches) for page in pages]
+        points = np.concatenate(rows) if rows else np.empty((0, 3))
         if points.size == 0:
             raise CliError("dataset produced no matched pairs to probe")
     else:
         axis = np.linspace(0.0, 1.0, args.grid)
         points = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
-    try:
-        estimate = estimate_lipschitz(gate, points, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    estimate = estimate_lipschitz(gate, points, seed=args.seed)
     out = Path(args.out)
     _write_json(out / "lipschitz.json", {"lipschitz": estimate, "points": int(points.shape[0])})
     manifest.write_manifest(
@@ -504,7 +488,7 @@ def cmd_lipschitz(args) -> int:
 
 def cmd_schedule(args) -> int:
     started = manifest.now_utc()
-    taxonomy = _taxonomy(args.taxonomy)
+    taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(CurriculumConfig, raw, "curriculum config")
     rows = schedule_table(args.epochs, config, taxonomy)

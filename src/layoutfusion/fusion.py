@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curriculum import CurriculumConfig, threshold_table
-from .gating import GateBatch, GateFeatures, GateParams, gate_forward_batch
+from .gating import GateBatch, GateParams, gate_forward_batch
 from .geometry import BoundingBox, best_overlap
 from .model import (
     FusedLabel,
@@ -44,8 +44,8 @@ __all__ = [
     "MatchResult",
     "MatchOutcome",
     "match_regions",
-    "compatible",
     "resolve_category",
+    "pair_features",
     "fuse_fixed_box",
     "llm_spatial_variance",
     "fuse_inverse_variance",
@@ -116,7 +116,6 @@ class MatchResult:
     teacher_index: int
     llm_index: int
     iou: float
-    compatible: bool = True
 
 
 @dataclass(frozen=True)
@@ -124,13 +123,6 @@ class MatchOutcome:
     matches: tuple[MatchResult, ...]
     unmatched_teacher: tuple[int, ...]
     unmatched_llm: tuple[int, ...]
-
-
-def compatible(a, b, taxonomy: Taxonomy = DOCLAYNET) -> bool:
-    """True iff the categories are identical or a confusable pair."""
-    name_a = a.name if isinstance(a, LayoutCategory) else a
-    name_b = b.name if isinstance(b, LayoutCategory) else b
-    return taxonomy.compatible(name_a, name_b)
 
 
 def match_regions(
@@ -159,32 +151,33 @@ def match_regions(
         pos, overlap = best_overlap(pred.box, boxes)
         if pos >= 0 and overlap >= threshold:
             li = available[pos]
-            if compatible(pred.category, llm[li].category, taxonomy):
-                matches.append(MatchResult(ti, li, overlap, compatible=True))
+            if taxonomy.compatible(pred.category.name, llm[li].category.name):
+                matches.append(MatchResult(ti, li, overlap))
                 del available[pos], boxes[pos]
                 continue
         unmatched_teacher.append(ti)
     return MatchOutcome(tuple(matches), tuple(unmatched_teacher), tuple(available))
 
 
-def resolve_category(
-    c_t: LayoutCategory,
-    p_t: float,
-    c_l: LayoutCategory,
-    s_l: float,
-    taxonomy: Taxonomy = DOCLAYNET,
-) -> LayoutCategory:
+def resolve_category(c_t: LayoutCategory, c_l: LayoutCategory, taxonomy: Taxonomy = DOCLAYNET) -> LayoutCategory:
     """Category of a fused label: agreement keeps it, disagreement
     trusts the text source.
 
-    The policy is unconditional on the scores; they participate in
-    confidence fusion only. Incompatible pairs are an error because the
-    matcher must never produce them.
+    The policy does not read the scores; they take part in confidence
+    fusion only. Incompatible pairs are an error because the matcher
+    must never produce them.
     """
-    del p_t, s_l
-    if not compatible(c_t, c_l, taxonomy):
+    if not taxonomy.compatible(c_t.name, c_l.name):
         raise ValueError(f"incompatible categories {c_t.name!r} and {c_l.name!r}")
     return c_t if c_t.name == c_l.name else c_l
+
+
+def pair_features(page: Page, matches) -> np.ndarray:
+    """The gate's input rows for ``matches`` of ``page``: teacher
+    confidence, text score and pair IoU, as an (n, 3) float64 array in
+    match order."""
+    rows = [(page.teacher[m.teacher_index].confidence, page.llm[m.llm_index].score, m.iou) for m in matches]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def _within(v: float, a: float, b: float) -> float:
@@ -381,7 +374,7 @@ def _fuse_pair(
         z = lambda_t * _finite_logit(z_t) + (1.0 - lambda_t) * _finite_logit(z_l)
     fused = sigmoid(z)
     confidence = min(max(fused, _FUSED_CONF_CLIP), 1.0 - _FUSED_CONF_CLIP)
-    category = resolve_category(pred.category, pred.confidence, region.category, region.score, taxonomy)
+    category = resolve_category(pred.category, region.category, taxonomy)
     return FusedLabel(box=box, category=category, confidence=confidence, provenance=PROVENANCE_FUSED)
 
 
@@ -409,11 +402,7 @@ def refine_pseudo_labels(
     # The gate runs once per page, one feature row per matched pair.
     weights: dict[int, float] = {}
     if gate is not None and outcome.matches:
-        rows = []
-        for m in outcome.matches:
-            f = GateFeatures(page.teacher[m.teacher_index].confidence, page.llm[m.llm_index].score, m.iou)
-            rows.append((f.teacher_confidence, f.llm_score, f.iou))
-        g = gate_forward_batch(gate, np.array(rows, dtype=np.float64)).tolist()
+        g = gate_forward_batch(gate, pair_features(page, outcome.matches)).tolist()
         weights = {m.teacher_index: w for m, w in zip(outcome.matches, g)}
 
     labels: list[FusedLabel] = []
@@ -465,20 +454,21 @@ def gate_samples_from_pages(
         if page.ground_truth is None:
             raise ValueError(f"page {page.page_id!r} has no ground truth")
         truth = [annotation.box for annotation in page.ground_truth]
-        outcome = match_regions(page.teacher, page.llm, config, taxonomy)
-        for match in outcome.matches:
+        kept = []
+        for match in match_regions(page.teacher, page.llm, config, taxonomy).matches:
             pred = page.teacher[match.teacher_index]
             region = page.llm[match.llm_index]
             pos, _ = best_overlap(pred.box, truth)
             if pos < 0:
                 continue
+            kept.append(match)
             best = page.ground_truth[pos]
-            features.append((pred.confidence, region.score, match.iou))
             for rows, box in ((teacher_boxes, pred.box), (llm_boxes, region.box), (truth_boxes, best.box)):
                 rows.append((box.x1, box.y1, box.x2, box.y2))
             llm_correct.append(region.category.name == best.category.name)
+        features.append(pair_features(page, kept))
     return GateBatch(
-        features=np.array(features, dtype=np.float64).reshape(-1, 3),
+        features=np.concatenate(features) if features else np.empty((0, 3)),
         teacher_boxes=np.array(teacher_boxes, dtype=np.float64).reshape(-1, 4),
         llm_boxes=np.array(llm_boxes, dtype=np.float64).reshape(-1, 4),
         truth_boxes=np.array(truth_boxes, dtype=np.float64).reshape(-1, 4),

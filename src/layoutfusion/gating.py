@@ -25,12 +25,10 @@ from .numerics import sigmoid
 
 __all__ = [
     "GateBatch",
-    "GateFeatures",
     "GateParams",
     "GateTrainConfig",
     "TrainResult",
     "init_gate",
-    "gate_forward",
     "gate_forward_batch",
     "train_gate",
     "estimate_lipschitz",
@@ -41,24 +39,8 @@ __all__ = [
 GATE_FORMAT_VERSION = 1
 _LOGIT_CLIP = 1e-6
 _CONF_WEIGHT = 0.1  # weight of the confidence BCE in the gate loss
-
-
-@dataclass(frozen=True)
-class GateFeatures:
-    """The sufficient statistic driving the gate: confidences plus IoU."""
-
-    teacher_confidence: float
-    llm_score: float
-    iou: float
-
-    def __post_init__(self) -> None:
-        for name in ("teacher_confidence", "llm_score", "iou"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} must be in [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.teacher_confidence, self.llm_score, self.iou], dtype=np.float64)
+# What ``load_gate`` expects of a weight, by its number of dimensions.
+_NESTING = ("a JSON number", "an array of JSON numbers", "an array of arrays of JSON numbers")
 
 
 @dataclass
@@ -204,11 +186,6 @@ def gate_forward_batch(params: GateParams, features: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (n, 3) features, got {features.shape}")
     g, _, _ = _forward(params, features)
     return np.asarray(g, dtype=np.float64)
-
-
-def gate_forward(params: GateParams, features: GateFeatures) -> float:
-    """Deterministic gate weight in [0, 1] for one feature triple."""
-    return float(gate_forward_batch(params, features.as_array()[None, :])[0])
 
 
 def _pack(batch: GateBatch):
@@ -378,10 +355,7 @@ def estimate_lipschitz(params: GateParams, points, max_pairs: int = 10_000_000, 
     seeded subsample of pairs. Pairs closer than 1e-9 are skipped; all
     points identical is an error.
     """
-    if isinstance(points, np.ndarray):
-        x = np.asarray(points, dtype=np.float64)
-    else:
-        x = np.stack([p.as_array() if isinstance(p, GateFeatures) else np.asarray(p) for p in points])
+    x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
         raise ValueError(f"expected (n, 3) points, got {x.shape}")
     n = x.shape[0]
@@ -446,17 +420,34 @@ def save_gate(params: GateParams, path) -> None:
 
 
 def load_gate(path) -> GateParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "format_version" not in doc:
+    """The parameters in a gate file written by ``save_gate``. A file that
+    is not one raises ValueError naming the file and the key at fault."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "format_version" not in doc:
         raise ValueError(f"{path}: missing format_version")
     if doc["format_version"] != GATE_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {doc['format_version']}")
-    w = doc["weights"]
-    return GateParams(
-        w1=np.array(w["w1"], dtype=np.float64),
-        b1=np.array(w["b1"], dtype=np.float64),
-        w2=np.array(w["w2"], dtype=np.float64),
-        b2=np.array(w["b2"], dtype=np.float64),
-        w3=np.array(w["w3"], dtype=np.float64),
-        b3=float(w["b3"]),
-    )
+    if "weights" not in doc:
+        raise ValueError(f"{path}: missing weights")
+    weights = doc["weights"]
+    if not isinstance(weights, dict):
+        raise ValueError(f"{path}: weights must be a JSON object")
+    arrays = {}
+    for key, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1), ("w3", 1), ("b3", 0)):
+        if key not in weights:
+            raise ValueError(f"{path}: missing weights.{key}")
+        try:
+            value = np.array(weights[key])
+        except ValueError:  # ragged nesting
+            value = np.array(None)
+        # Kinds i and f: JSON numbers only, not booleans, strings or nulls.
+        if value.dtype.kind not in "if" or value.ndim != ndim:
+            raise ValueError(f"{path}: weights.{key} must be {_NESTING[ndim]}")
+        arrays[key] = value.astype(np.float64)
+    try:
+        return GateParams(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

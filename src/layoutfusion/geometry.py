@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundingBox", "iou", "best_overlap", "paired_iou", "giou", "clamp_coordinates"]
+__all__ = ["BoundingBox", "iou", "best_overlap", "paired_iou", "clamp_coordinates"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,19 +134,3 @@ def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     intersection = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
     return intersection / union
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU: IoU minus enclosing-hull slack over hull area.
-
-    Equals IoU when the hull coincides with the union (e.g. one box
-    contains the other); tends to -1 for far-separated small boxes.
-    """
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    intersection = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - intersection
-    hull_w = max(a.x2, b.x2) - min(a.x1, b.x1)
-    hull_h = max(a.y2, b.y2) - min(a.y1, b.y1)
-    hull = hull_w * hull_h
-    return intersection / union - (hull - union) / hull

@@ -40,6 +40,10 @@ class HeuristicConfig:
             raise ValueError("alignment_tolerance must be positive")
         if self.min_aligned_lines < 2 or self.min_shared_columns < 1:
             raise ValueError("grid thresholds too small to mean anything")
+        # A bare string would pass the prefix test by character.
+        prefixes = self.caption_prefixes
+        if not (isinstance(prefixes, tuple) and all(isinstance(prefix, str) for prefix in prefixes)):
+            raise ValueError(f"caption_prefixes={prefixes!r} must be a tuple of strings")
 
 
 def classify_block(

@@ -79,7 +79,6 @@ class ApResult:
     ap50: float
     ap75: float
     per_category: dict[str, CategoryAp]
-    macro_ap: float
     weighted_ap: float
 
 
@@ -168,7 +167,6 @@ def average_precision(
         ap50=_mean_at(0.5),
         ap75=_mean_at(0.75),
         per_category=per_category,
-        macro_ap=macro,
         weighted_ap=weighted,
     )
 
@@ -342,22 +340,26 @@ class TTestResult:
     p: float
 
 
+def _paired_differences(a, b) -> tuple[int, float, float]:
+    """Count, mean and sample standard deviation of the paired
+    differences ``a - b``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError("paired samples must have equal length")
+    if a.size < 2:
+        raise ValueError("need at least 2 pairs")
+    d = a - b
+    return a.size, float(d.mean()), float(d.std(ddof=1))
+
+
 def paired_t_test(a, b) -> TTestResult:
     """Two-sided paired t-test.
 
     Conventions: all-zero differences give t=0, p=1; nonzero differences
     with zero variance give p=0 (an infinite t).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("paired samples must have equal length")
-    n = a.size
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    d = a - b
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    n, mean, sd = _paired_differences(a, b)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, p=1.0)
@@ -385,16 +387,7 @@ def tost(a, b, delta: float, alpha: float = 0.05) -> TostResult:
     """
     if delta <= 0.0:
         raise ValueError("margin must be positive")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("paired samples must have equal length")
-    n = a.size
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    d = a - b
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    n, mean, sd = _paired_differences(a, b)
     if sd == 0.0:
         p_lower = 0.0 if mean > -delta else 1.0
         p_upper = 0.0 if mean < delta else 1.0

@@ -38,7 +38,6 @@ __all__ = [
     "SimConfig",
     "GateTask",
     "GateInstances",
-    "default_asymmetric_config",
     "generate_pages",
     "simulate_predictions",
     "simulate_dataset",
@@ -124,18 +123,16 @@ class SimConfig:
             values = sigma.values() if isinstance(sigma, Mapping) else [sigma]
             if any(v < 0.0 for v in values):
                 raise ValueError(f"{name} must be nonnegative")
+            if isinstance(sigma, Mapping):
+                missing = [c for c, f in self.category_frequencies.items() if f > 0.0 and c not in sigma]
+                if missing:
+                    raise ValueError(f"{name} has no deviation for drawn categories: {', '.join(missing)}")
 
     def sigma_for(self, which: str, category: str) -> float:
         sigma = self.sigma_t if which == "teacher" else self.sigma_l
         if isinstance(sigma, Mapping):
             return float(sigma[category])
         return float(sigma)
-
-
-def default_asymmetric_config(pages: int = 200, seed: int = 0) -> SimConfig:
-    """Complementary-strengths default: the visual stream localizes
-    better, the text stream classifies better."""
-    return SimConfig(pages=pages, seed=seed)
 
 
 def _page_rng(seed: int, stream: int, index: int) -> np.random.Generator:

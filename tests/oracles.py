@@ -397,7 +397,7 @@ def frozen_average_precision(detections, ground_truth, iou_thresholds, iou):
 
     return ApResult(
         ap=macro, ap50=mean_at(0.5), ap75=mean_at(0.75), per_category=per_category,
-        macro_ap=macro, weighted_ap=weighted,
+        weighted_ap=weighted,
     )
 
 

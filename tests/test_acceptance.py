@@ -45,7 +45,6 @@ from layoutfusion.model import OcrBlock, Page
 from layoutfusion.simulator import (
     GateTask,
     SimConfig,
-    default_asymmetric_config,
     monte_carlo_fusion_variance,
     sample_calibration_data,
     sample_gate_instances,
@@ -229,7 +228,7 @@ def test_07_temperature_recovery_and_ece():
 
 def test_08_fusion_beats_both_sources():
     start = time.monotonic()
-    pages = simulate_dataset(default_asymmetric_config(pages=200, seed=0))
+    pages = simulate_dataset(SimConfig(pages=200, seed=0))
     refined = [p.with_refined(refine_pseudo_labels(p)) for p in pages]
     fused_ap = evaluate_pages(refined, "refined").ap
     teacher_ap = evaluate_pages(refined, "teacher").ap

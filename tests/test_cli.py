@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from layoutfusion import cli
 from layoutfusion.cli import main
 from layoutfusion.dataset_io import load_dataset, save_dataset
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
+from layoutfusion.gating import init_gate, save_gate
 from layoutfusion.heuristics import HeuristicConfig
 from layoutfusion.simulator import GateTask, SimConfig, simulate_dataset
 from layoutfusion.theory import summarize_reference_point
@@ -441,6 +443,33 @@ def _capture(monkeypatch, name, result=None):
     return calls
 
 
+# A config field of the wrong JSON type: the command, the config, and
+# the message that names the field.
+WRONG_TYPES = [
+    ("simulate", {"pages": 2.5}, "simulator config: pages must be a JSON integer, got 2.5"),
+    ("simulate", {"seed": 1.5}, "simulator config: seed must be a JSON integer, got 1.5"),
+    ("simulate", {"pages": True}, "simulator config: pages must be a JSON integer, got true"),
+    ("simulate", {"regions_max": 5.5}, "simulator config: regions_max must be a JSON integer, got 5.5"),
+    ("train-gate", {"epochs": 2.5}, "gate training config: epochs must be a JSON integer, got 2.5"),
+    ("train-gate", {"batch_size": 4.5}, "gate training config: batch_size must be a JSON integer, got 4.5"),
+    ("train-gate", {"seed": 1.5}, "gate training config: seed must be a JSON integer, got 1.5"),
+    ("train-gate", {"epochs": True}, "gate training config: epochs must be a JSON integer, got true"),
+    ("schedule", {"warmup_epochs": 1.5}, "curriculum config: warmup_epochs must be a JSON integer, got 1.5"),
+    ("schedule", {"regeneration_period": 2.5}, "curriculum config: regeneration_period must be a JSON integer, got 2.5"),
+    ("heuristics", {"min_shared_columns": 1.5}, "heuristic config: min_shared_columns must be a JSON integer, got 1.5"),
+    ("heuristics", {"min_aligned_lines": 2.5}, "heuristic config: min_aligned_lines must be a JSON integer, got 2.5"),
+    ("theory", {"dim_psi": 2.5}, "theory config: dim_psi must be a JSON integer, got 2.5"),
+    ("fuse", {"soft_score_min": None}, "fusion config: soft_score_min must be a JSON number, got null"),
+    ("fuse", {"soft_score_min": "a"}, 'fusion config: soft_score_min must be a JSON number, got "a"'),
+    ("heuristics", {"region_score": "x"}, 'heuristic config: region_score must be a JSON number, got "x"'),
+    ("heuristics", {"region_quality": None}, "heuristic config: region_quality must be a JSON number, got null"),
+    ("theory", {"ap_scale": "x"}, 'theory config: ap_scale must be a JSON number, got "x"'),
+    ("theory", {"gap_constant": None}, "theory config: gap_constant must be a JSON number, got null"),
+    ("simulate", {"sigma_t": {"text": 0.01}}, "sigma_t has no deviation for drawn categories: "),
+    ("heuristics", {"caption_prefixes": ["Figure", 3]}, "caption_prefixes=('Figure', 3) must be a tuple of strings"),
+]
+
+
 class TestConfigLoader:
     @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
     def test_unknown_field_exits_2_and_names_it(self, tmp_path, request, capsys, site):
@@ -525,6 +554,15 @@ class TestConfigLoader:
         assert _run_with_config(tmp_path, request, "theory", {"experiment": {"n_grid": 5}}) == 2
         assert "config.json: experiment.n_grid must be a JSON array, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "site, config, named",
+        WRONG_TYPES,
+        ids=[f"{site}-{key}={json.dumps(value)}" for site, config, _ in WRONG_TYPES for key, value in config.items()],
+    )
+    def test_field_of_the_wrong_type_exits_2_and_names_it(self, tmp_path, request, capsys, site, config, named):
+        assert _run_with_config(tmp_path, request, site, config) == 2
+        assert named in capsys.readouterr().err
+
     def test_heuristics_caption_prefixes_load_as_tuple(self, tmp_path, request, monkeypatch):
         calls = _capture(monkeypatch, "heuristic_regions")
         assert _run_with_config(tmp_path, request, "heuristics", {"caption_prefixes": ["Fig."]}) == 0
@@ -542,3 +580,71 @@ class TestConfigLoader:
             mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)), p_t_range=(0.5, 0.8), synthetic_iou=(0.5, 0.9)
         )
         assert calls[0][1]["task"] == expected
+
+
+def _gate_file(tmp_path, mutate=None, text=None):
+    """A gate file: a saved gate, changed by ``mutate`` on its JSON
+    document, or ``text`` verbatim."""
+    path = tmp_path / "gate.json"
+    save_gate(init_gate(hidden=4, seed=0), path)
+    if mutate is not None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        mutate(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    return path
+
+
+MALFORMED_GATES = {
+    "format-version-only": (dict(text='{"format_version": 1}'), "missing weights"),
+    "missing-b3": (dict(mutate=lambda doc: doc["weights"].pop("b3")), "missing weights.b3"),
+    "weights-array": (dict(mutate=lambda doc: doc.update(weights=[1.0, 2.0])), "weights must be a JSON object"),
+    "null-b3": (dict(mutate=lambda doc: doc["weights"].update(b3=None)), "weights.b3 must be a JSON number"),
+    "invalid-json": (dict(text='{"format_version": 1,'), "invalid JSON"),
+    "non-numeric-weight": (
+        dict(mutate=lambda doc: doc["weights"]["w1"][0].__setitem__(0, "a")),
+        "weights.w1 must be an array of arrays of JSON numbers",
+    ),
+}
+
+
+class TestMalformedGateFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GATES))
+    @pytest.mark.parametrize("command", ["fuse", "lipschitz"])
+    def test_exits_2_naming_file_and_key(self, tmp_path, dataset_path, capsys, command, case):
+        change, named = MALFORMED_GATES[case]
+        gate = _gate_file(tmp_path, **change)
+        argv = [command, "--gate", str(gate), "--out", str(tmp_path / "out")]
+        argv += ["--dataset", str(dataset_path)] if command == "fuse" else ["--grid", "3"]
+        assert main(argv) == 2
+        assert f"error: {gate}: {named}" in capsys.readouterr().err
+
+
+# sha256 of the gate commands' data files on one small corpus, recorded
+# with numpy 2.4.6 on x86-64 before the gate rows came from
+# fusion.pair_features. Gate training runs BLAS matmuls, so another BLAS
+# build or CPU may round differently and change them.
+GATE_PIPELINE_SHA256 = {
+    "gate/gate.json": "4e5b4f16fc80c9532152dbaa2671a0166ede33e591dd41cc9bc1ca7d8e08c6e7",
+    "gate/gate_training.csv": "17ce392d45ecd5cdeccee8e57e00feb9ac9e718864addae9bd675d08ab315ccf",
+    "gfuse/refined.jsonl": "71f0adc16314e7cfe965db59ba85f69c3a5c92666800404af58a8ff14184a7bc",
+    "lip/lipschitz.json": "872f0ce1cc44e0e66b80b26e896291aa12eba157db2f87d4ad28b6f1b32fc72b",
+}
+
+
+def test_gate_pipeline_bytes_unchanged(tmp_path):
+    (tmp_path / "sim.json").write_text(json.dumps({"pages": 30, "regions_min": 8, "regions_max": 12, "seed": 2}))
+    (tmp_path / "gate_cfg.json").write_text(json.dumps({"epochs": 5}))
+    dataset = str(tmp_path / "sim" / "dataset.jsonl")
+    gate = str(tmp_path / "gate" / "gate.json")
+    for argv in (
+        ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")],
+        ["train-gate", "--dataset", dataset, "--config", str(tmp_path / "gate_cfg.json"), "--hidden", "8",
+         "--seed", "2", "--out", str(tmp_path / "gate")],
+        ["fuse", "--dataset", dataset, "--gate", gate, "--out", str(tmp_path / "gfuse")],
+        ["lipschitz", "--gate", gate, "--dataset", dataset, "--out", str(tmp_path / "lip")],
+    ):
+        assert main(argv) == 0
+    got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in GATE_PIPELINE_SHA256}
+    assert got == GATE_PIPELINE_SHA256

@@ -83,3 +83,29 @@ def test_box_validation_stays_a_class_attribute():
     from layoutfusion.geometry import BoundingBox
 
     assert "__post_init__" in vars(BoundingBox)
+
+
+def _unread_parameters(tree: ast.Module, module: str):
+    """``module.function (names)`` for each function with a parameter
+    that its body never loads. ``self``, ``cls`` and names with a leading
+    ``_`` are exempt; a read in a nested function counts."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+        loaded = {
+            n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread = [p for p in params if p not in loaded and p not in ("self", "cls") and not p.startswith("_")]
+        if unread:
+            yield f"{module}.{node.name} ({', '.join(unread)})"
+
+
+def test_no_function_ignores_a_parameter():
+    """A parameter nothing reads is an input callers must supply for no
+    effect; ``del`` does not count as a read."""
+    found = []
+    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
+        found += _unread_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == []

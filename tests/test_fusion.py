@@ -9,7 +9,6 @@ import pytest
 from layoutfusion.fusion import (
     FusionConfig,
     apply_temperature,
-    compatible,
     fit_temperature,
     fuse_confidence_logit,
     fuse_fixed_box,
@@ -19,6 +18,7 @@ from layoutfusion.fusion import (
     llm_spatial_variance,
     match_regions,
     optimal_alpha,
+    pair_features,
     refine_pseudo_labels,
     resolve_category,
 )
@@ -80,33 +80,33 @@ class TestFusionConfig:
 
 class TestCompatible:
     def test_reflexive(self):
-        assert compatible(cat("caption"), cat("caption"))
+        assert TAX.compatible("caption", "caption")
 
     def test_confusable_pair(self):
-        assert compatible(cat("caption"), cat("footer"))
-        assert compatible(cat("footer"), cat("caption"))
+        assert TAX.compatible("caption", "footer")
+        assert TAX.compatible("footer", "caption")
 
     def test_unrelated_pair(self):
-        assert not compatible(cat("figure"), cat("paragraph"))
+        assert not TAX.compatible("figure", "paragraph")
 
     def test_unknown_category_errors(self):
         with pytest.raises(KeyError):
-            compatible("caption", "watermark")
+            TAX.compatible("caption", "watermark")
 
     def test_symmetric_over_all_pairs(self):
         for a in TAX.names:
             for b in TAX.names:
-                assert compatible(a, b) == compatible(b, a)
+                assert TAX.compatible(a, b) == TAX.compatible(b, a)
 
 
 class TestResolveCategory:
     def test_agreement_keeps_category(self):
-        assert resolve_category(cat("text"), 0.9, cat("text"), 0.8).name == "text"
+        assert resolve_category(cat("text"), cat("text")).name == "text"
 
     def test_disagreement_trusts_text_source(self):
-        # Unconditional on the scores: the lower-scoring text category
-        # still wins on a compatible disagreement.
-        assert resolve_category(cat("footer"), 0.9, cat("caption"), 0.3).name == "caption"
+        # The scores are no input: the text category wins on a compatible
+        # disagreement, however low its score.
+        assert resolve_category(cat("footer"), cat("caption")).name == "caption"
 
     def test_class_correction_example(self):
         # A detector calling a caption line "paragraph" while the text
@@ -117,14 +117,12 @@ class TestResolveCategory:
             categories=(LayoutCategory("paragraph"), LayoutCategory("caption", "rare")),
             confusable_pairs=frozenset({frozenset({"paragraph", "caption"})}),
         )
-        resolved = resolve_category(
-            tax.category("paragraph"), 0.78, tax.category("caption"), 0.92, taxonomy=tax
-        )
+        resolved = resolve_category(tax.category("paragraph"), tax.category("caption"), taxonomy=tax)
         assert resolved.name == "caption"
 
     def test_incompatible_errors(self):
         with pytest.raises(ValueError):
-            resolve_category(cat("figure"), 0.9, cat("paragraph"), 0.9)
+            resolve_category(cat("figure"), cat("paragraph"))
 
 
 class TestMatchRegions:
@@ -140,7 +138,6 @@ class TestMatchRegions:
         outcome = match_regions([teacher(box)], [region(box)], FusionConfig())
         assert len(outcome.matches) == 1
         assert outcome.matches[0].iou == 1.0
-        assert outcome.matches[0].compatible
 
     def test_argmax_candidate_wins(self):
         # Two candidates at different overlaps: the better one is taken;
@@ -172,7 +169,37 @@ class TestMatchRegions:
             assert set(outcome.unmatched_llm) == set(range(len(page.llm))) - compat_pairs
             for m in outcome.matches:
                 assert m.iou >= config.iou_threshold
-                assert compatible(page.teacher[m.teacher_index].category, page.llm[m.llm_index].category)
+                assert TAX.compatible(page.teacher[m.teacher_index].category.name, page.llm[m.llm_index].category.name)
+
+
+class TestPairFeatures:
+    BOXES = (BoundingBox(0.1, 0.1, 0.4, 0.4), BoundingBox(0.5, 0.5, 0.9, 0.8))
+    REGION_BOXES = (BoundingBox(0.52, 0.5, 0.9, 0.82), BoundingBox(0.1, 0.12, 0.4, 0.4))
+
+    def _page(self):
+        return Page(
+            page_id="p",
+            teacher=(teacher(self.BOXES[0], conf=0.61), teacher(self.BOXES[1], conf=0.93)),
+            llm=(region(self.REGION_BOXES[0], score=0.7), region(self.REGION_BOXES[1], score=0.85)),
+        )
+
+    def test_rows_in_match_order(self):
+        # Teacher 0 takes region 1 and teacher 1 region 0: each row is
+        # (teacher confidence, text score, pair IoU) of one match.
+        page = self._page()
+        matches = match_regions(page.teacher, page.llm).matches
+        rows = [
+            [0.61, 0.85, iou(self.BOXES[0], self.REGION_BOXES[1])],
+            [0.93, 0.7, iou(self.BOXES[1], self.REGION_BOXES[0])],
+        ]
+        features = pair_features(page, matches)
+        assert features.dtype == np.float64
+        assert features.tolist() == rows
+        assert pair_features(page, matches[::-1]).tolist() == rows[::-1]
+
+    def test_no_matches_give_zero_rows(self):
+        features = pair_features(self._page(), ())
+        assert features.shape == (0, 3) and features.dtype == np.float64
 
 
 class TestBoxFusion:

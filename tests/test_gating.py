@@ -9,11 +9,9 @@ import pytest
 from layoutfusion.fusion import gate_samples_from_pages
 from layoutfusion.gating import (
     GateBatch,
-    GateFeatures,
     GateParams,
     GateTrainConfig,
     estimate_lipschitz,
-    gate_forward,
     gate_forward_batch,
     init_gate,
     load_gate,
@@ -73,11 +71,17 @@ class TestFeatures:
         assert batch.llm_correct.tolist() == [True]
 
     def test_boundary_values_allowed(self):
-        assert GateFeatures(0.0, 1.0, 0.0).as_array().tolist() == [0.0, 1.0, 0.0]
+        batch = _corpus_batch()
+        features = batch.features.copy()
+        features[0] = (0.0, 1.0, 0.0)
+        assert dataclasses.replace(batch, features=features).features[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_out_of_range_rejected(self):
+        batch = _corpus_batch()
+        features = batch.features.copy()
+        features[0] = (1.2, 0.3, 0.5)
         with pytest.raises(ValueError):
-            GateFeatures(1.2, 0.3, 0.5)
+            dataclasses.replace(batch, features=features)
 
 
 def _corpus_batch() -> GateBatch:
@@ -121,10 +125,10 @@ class TestGateBatch:
 
 class TestForward:
     def test_zero_params_give_half(self):
-        assert gate_forward(zero_params(), GateFeatures(0.3, 0.9, 0.2)) == 0.5
+        assert gate_forward_batch(zero_params(), np.array([[0.3, 0.9, 0.2]])).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
-        assert gate_forward(zero_params(b3=40.0), GateFeatures(0.5, 0.5, 0.5)) > 0.999999
+        assert gate_forward_batch(zero_params(b3=40.0), np.array([[0.5, 0.5, 0.5]]))[0] > 0.999999
 
     def test_output_always_in_unit_interval(self):
         rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ rasterization oracle."""
 import numpy as np
 import pytest
 
-from layoutfusion.geometry import BoundingBox, clamp_coordinates, giou, iou
+from layoutfusion.geometry import BoundingBox, clamp_coordinates, iou
 
 from oracles import raster_iou
 
@@ -37,7 +37,6 @@ class TestBoundingBox:
         b = BoundingBox(0.0, 0.0, 5e-324, 1.0)
         for x, y in ((a, a), (a, b), (b, b)):
             assert 0.0 <= iou(x, y) <= 1.0
-            assert -1.0 <= giou(x, y) <= 1.0
         assert iou(a, a) == 1.0
 
     def test_rejects_out_of_range(self):
@@ -105,35 +104,3 @@ class TestIou:
             current = iou(a, b)
             assert current >= previous - 1e-12
             previous = current
-
-
-class TestGiou:
-    def test_identical_boxes(self):
-        box = BoundingBox(0.2, 0.2, 0.6, 0.9)
-        assert giou(box, box) == 1.0
-
-    def test_far_separation_is_strongly_negative(self):
-        v = giou(BoundingBox(0, 0, 0.1, 0.1), BoundingBox(0.9, 0.9, 1, 1))
-        assert v < -0.9
-
-    def test_offset_overlap_exact_value(self):
-        # IoU = 1/7, hull 0.09, union 0.07 -> 1/7 - 2/9 = -5/63.
-        v = giou(BoundingBox(0, 0, 0.2, 0.2), BoundingBox(0.1, 0.1, 0.3, 0.3))
-        assert v == pytest.approx(-5.0 / 63.0, abs=1e-12)
-
-    def test_never_exceeds_iou(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            a, b = random_box(rng), random_box(rng)
-            assert giou(a, b) <= iou(a, b) + 1e-12
-
-    def test_equals_iou_on_containment(self):
-        outer = BoundingBox(0.1, 0.1, 0.9, 0.9)
-        inner = BoundingBox(0.3, 0.3, 0.6, 0.7)
-        assert giou(outer, inner) == pytest.approx(iou(outer, inner), abs=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            a, b = random_box(rng), random_box(rng)
-            assert -1.0 <= giou(a, b) <= 1.0

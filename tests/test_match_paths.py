@@ -107,8 +107,8 @@ def test_match_regions_equals_frozen_loop(teacher, llm, threshold):
         got = match_regions(teacher, llm, config)
     want_iou = IouRecorder()
     matches, unmatched_teacher, unmatched_llm = frozen_match_regions(teacher, llm, threshold, DOCLAYNET, want_iou)
-    assert [(m.teacher_index, m.llm_index, m.iou.hex(), m.compatible) for m in got.matches] == [
-        (ti, li, overlap.hex(), True) for ti, li, overlap in matches
+    assert [(m.teacher_index, m.llm_index, m.iou.hex()) for m in got.matches] == [
+        (ti, li, overlap.hex()) for ti, li, overlap in matches
     ]
     assert got.unmatched_teacher == unmatched_teacher
     assert got.unmatched_llm == unmatched_llm

@@ -125,8 +125,7 @@ class TestAveragePrecision:
         ]
         result = average_precision(detections, truths)
         per_cat = [c.ap for c in result.per_category.values()]
-        assert result.macro_ap == pytest.approx(np.mean(per_cat))
-        assert result.ap == result.macro_ap
+        assert result.ap == pytest.approx(np.mean(per_cat))
         weights = [c.gt_count for c in result.per_category.values()]
         assert result.weighted_ap == pytest.approx(np.average(per_cat, weights=weights))
 

@@ -4,8 +4,8 @@ copies of the code they replaced (``oracles``).
 sigmoid, 101-point AP, the simulator's box noise and gate training must
 match their old forms bit for bit. The gate runs once per page in
 ``refine_pseudo_labels``; a many-row matmul may sum in another order
-than a one-row one, so its weights must stay within a few ulps of the
-per-pair ``gate_forward``.
+than a one-row one, so its weights must stay within a few ulps of a
+one-row ``gate_forward_batch`` per pair.
 """
 
 import dataclasses
@@ -27,10 +27,8 @@ from layoutfusion.fusion import (
     refine_pseudo_labels,
 )
 from layoutfusion.gating import (
-    GateFeatures,
     GateTrainConfig,
     _batch_losses,
-    gate_forward,
     gate_forward_batch,
     init_gate,
     save_gate,
@@ -312,12 +310,13 @@ def test_batched_gate_within_eight_ulps_of_per_pair(rows, hidden, seed):
     params = init_gate(hidden=hidden, seed=seed)
     batched = gate_forward_batch(params, np.array(rows, dtype=np.float64)).tolist()
     for row, g in zip(rows, batched):
-        assert _ulps(g, gate_forward(params, GateFeatures(*row))) <= 8
+        assert _ulps(g, gate_forward_batch(params, np.array([row], dtype=np.float64))[0]) <= 8
 
 
 def test_gated_refine_within_eight_ulps_of_per_pair_gate():
     """Each fused label of a page refined with a trained gate equals, to
-    a few ulps, the label built from that pair's own ``gate_forward``."""
+    a few ulps, the label built from that pair's own one-row
+    ``gate_forward_batch``."""
     pages = simulate_dataset(SimConfig(pages=30, regions_min=10, regions_max=20, seed=9))
     gate = train_gate(gate_samples_from_pages(pages), GateTrainConfig(epochs=5, seed=2), hidden=16).params
     config = FusionConfig()
@@ -328,7 +327,7 @@ def test_gated_refine_within_eight_ulps_of_per_pair_gate():
         assert len(labels) == len(matches)
         for label, m in zip(labels, matches):
             pred, region = page.teacher[m.teacher_index], page.llm[m.llm_index]
-            g = gate_forward(gate, GateFeatures(pred.confidence, region.score, m.iou))
+            g = float(gate_forward_batch(gate, np.array([[pred.confidence, region.score, m.iou]]))[0])
             box = fuse_fixed_box(pred.box, region.box, g)
             z_t, z_l = logit(pred.confidence), logit(region.score)
             for got, want in zip(
