@@ -44,9 +44,11 @@ from .metrics import (
     significance_stars,
     tost,
 )
+from .schema import check
 from .simulator import GateTask, SimConfig, simulate_dataset
 from .taxonomy import TAXONOMIES
 from .theory import (
+    Experiment,
     TheoryConfig,
     gammas_from_pages,
     boundary_measure,
@@ -63,15 +65,6 @@ def _object(value, where: str) -> dict:
     """``value`` if it is a JSON object; else exit 2 naming ``where``."""
     if not isinstance(value, dict):
         raise CliError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    """``value`` if it is a JSON integer; else exit 2 naming ``where``.
-    ``int()`` would truncate 2.7, accept ``true`` and raise ``TypeError``
-    on an array."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"{where} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
@@ -100,23 +93,15 @@ def _tuples(value):
 
 def _build_config(cls, obj: dict, name: str):
     """The one config loader: a dataclass from a JSON object, with unknown
-    fields rejected by name and arrays loaded as tuples. A field annotated
-    ``int`` takes a JSON integer, one annotated ``float`` any JSON number
-    but a boolean."""
-    fields = cls.__dataclass_fields__
-    unknown = set(obj) - set(fields)
+    fields rejected by name, arrays loaded as tuples and errors prefixed
+    with ``name``. The class checks its field types and ranges itself."""
+    unknown = set(obj) - set(cls.__dataclass_fields__)
     if unknown:
         raise CliError(f"unknown {name} field(s): {', '.join(sorted(unknown))}")
-    for key, value in obj.items():
-        # The config modules postpone annotations, so each type is its source text.
-        if fields[key].type == "int":
-            _integer(value, f"{name}: {key}")
-        elif fields[key].type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise CliError(f"{name}: {key} must be a JSON number, got {json.dumps(value)}")
     try:
         return cls(**_tuples(obj))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid {name}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -132,6 +117,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_report(args, stem: str, doc, csv_table) -> list[str]:
+    """Write ``stem``.json and ``stem``.csv (header, rows) as ``--format`` asks; return the names."""
+    names = [f"{stem}.{ext}" for ext in ("json", "csv") if args.format in (ext, "both")]
+    if f"{stem}.json" in names:
+        _write_json(Path(args.out) / f"{stem}.json", doc)
+    if f"{stem}.csv" in names:
+        _write_csv(Path(args.out) / f"{stem}.csv", *csv_table)
+    return names
+
+
 def _load_pages(path, taxonomy):
     try:
         return load_dataset(path, taxonomy=taxonomy)
@@ -144,23 +139,20 @@ def _load_pages(path, taxonomy):
 # ----------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    started = manifest.now_utc()
+def cmd_simulate(args):
     raw = _load_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     config = _build_config(SimConfig, raw, "simulator config")
+    args.seed = config.seed
     pages = simulate_dataset(config)
-    out = Path(args.out)
-    dataset_path = out / "dataset.jsonl"
+    dataset_path = Path(args.out) / "dataset.jsonl"
     save_dataset(pages, dataset_path)
-    manifest.write_manifest(out, "simulate", dataclasses.asdict(config), config.seed, [dataset_path.name], started)
     print(f"wrote {len(pages)} pages to {dataset_path}")
-    return 0
+    return [dataset_path.name], [config]
 
 
-def cmd_fuse(args) -> int:
-    started = manifest.now_utc()
+def cmd_fuse(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(FusionConfig, raw, "fusion config")
@@ -183,15 +175,12 @@ def cmd_fuse(args) -> int:
         for label in labels:
             histogram[label.provenance] = histogram.get(label.provenance, 0) + 1
         refined_pages.append(page.with_refined(labels))
-    out = Path(args.out)
-    refined_path = out / "refined.jsonl"
+    refined_path = Path(args.out) / "refined.jsonl"
     save_dataset(refined_pages, refined_path)
-    effective = {"fusion": dataclasses.asdict(config), "gate": args.gate, "taxonomy": args.taxonomy}
-    manifest.write_manifest(out, "fuse", effective, args.seed, [refined_path.name], started)
     for provenance in sorted(histogram):
         print(f"{provenance}: {histogram[provenance]}")
     print(f"wrote {len(refined_pages)} pages to {refined_path}")
-    return 0
+    return [refined_path.name], [config]
 
 
 def _theory_csv_rows(report) -> tuple[list[str], list[list]]:
@@ -211,64 +200,39 @@ def _theory_csv_rows(report) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def cmd_theory(args) -> int:
-    started = manifest.now_utc()
+def cmd_theory(args):
     raw = _load_config(args.config)
-    n_reference = _integer(raw.pop("n", args.n), f"{args.config}: n")
-    experiment = raw.pop("experiment", None)
-    # snapshot before the experiment block below consumes sub-dicts
-    effective = json.loads(
-        json.dumps({"config": raw, "n": n_reference, "experiment": experiment, "dataset": args.dataset})
-    )
+    args.n = check(raw.pop("n", args.n), int, f"{args.config}: n")
+    block = raw.pop("experiment", None)
     config = _build_config(TheoryConfig, raw, "theory config")
+    configs = [config]
 
-    if experiment is not None:
-        experiment = _object(experiment, f"{args.config}: experiment")
-        task_raw = _object(experiment.pop("task", {}), f"{args.config}: experiment.task")
-        train_raw = _object(experiment.pop("train", {}), f"{args.config}: experiment.train")
+    if block is not None:
+        block = _object(block, f"{args.config}: experiment")
+        task_raw = _object(block.pop("task", {}), f"{args.config}: experiment.task")
+        train_raw = _object(block.pop("train", {}), f"{args.config}: experiment.train")
         task = _build_config(GateTask, task_raw, "gate task")
         train = _build_config(GateTrainConfig, train_raw, "gate training config") if train_raw else None
-        known = {"n_grid", "seeds", "heldout", "hidden"}
-        unknown = set(experiment) - known
-        if unknown:
-            raise CliError(f"unknown experiment field(s): {', '.join(sorted(unknown))}")
-        n_grid = experiment.get("n_grid", [500, 1000, 2000, 4000, 8000, 16000, 32000])
-        if not isinstance(n_grid, list):
-            raise CliError(f"{args.config}: experiment.n_grid must be a JSON array, got {json.dumps(n_grid)}")
+        experiment = _build_config(Experiment, block, "experiment")
+        configs += [experiment, task, train]
         report = run_sample_complexity_experiment(
-            n_grid=[_integer(n, f"{args.config}: experiment.n_grid[{i}]") for i, n in enumerate(n_grid)],
-            seeds=_integer(experiment.get("seeds", 3), f"{args.config}: experiment.seeds"),
-            task=task,
-            train_config=train,
-            config=config,
-            heldout=_integer(experiment.get("heldout", 20000), f"{args.config}: experiment.heldout"),
-            hidden=_integer(experiment.get("hidden", 32), f"{args.config}: experiment.hidden"),
-            master_seed=args.seed,
+            **dataclasses.asdict(experiment), task=task, train_config=train, config=config, master_seed=args.seed
         )
     else:
-        report = summarize_reference_point(n_reference, config)
+        report = summarize_reference_point(args.n, config)
         if args.dataset:
             taxonomy = TAXONOMIES[args.taxonomy]
             pages = _load_pages(args.dataset, taxonomy)
             gammas = gammas_from_pages(pages, taxonomy=taxonomy)
             report.boundary_fraction = boundary_measure(gammas, config)
 
-    out = Path(args.out)
-    outputs = []
-    if args.format in ("json", "both"):
-        _write_json(out / "theory_report.json", report.to_dict())
-        outputs.append("theory_report.json")
-    if args.format in ("csv", "both"):
-        header, rows = _theory_csv_rows(report)
-        _write_csv(out / "theory_report.csv", header, rows)
-        outputs.append("theory_report.csv")
-    manifest.write_manifest(out, "theory", effective, args.seed, outputs, started)
+    outputs = _write_report(args, "theory_report", report.to_dict(), _theory_csv_rows(report))
     print(f"k={report.k:.4f} sqrt(k/n)={report.sqrt_k_over_n:.6f}")
     if report.slope is not None:
         print(f"slope={report.slope:.4f} +/- {report.slope_stderr:.4f}")
     if report.degenerate:
         print(report.note)
-    return 0
+    return outputs, configs
 
 
 def _metrics_csv_rows(result) -> tuple[list[str], list[list]]:
@@ -286,8 +250,7 @@ def _metrics_csv_rows(result) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def cmd_evaluate(args) -> int:
-    started = manifest.now_utc()
+def cmd_evaluate(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     pages = _load_pages(args.dataset, taxonomy)
     result = evaluate_pages(pages, source=args.source)
@@ -311,25 +274,15 @@ def cmd_evaluate(args) -> int:
             "ece_before": before.ece,
             "ece_after": after.ece,
         }
-    out = Path(args.out)
-    outputs = []
-    if args.format in ("json", "both"):
-        _write_json(out / "metrics.json", doc)
-        outputs.append("metrics.json")
-    if args.format in ("csv", "both"):
-        header, rows = _metrics_csv_rows(result)
-        _write_csv(out / "metrics.csv", header, rows)
-        outputs.append("metrics.csv")
-    manifest.write_manifest(out, "evaluate", {"dataset": args.dataset, "source": args.source}, args.seed, outputs, started)
+    outputs = _write_report(args, "metrics", doc, _metrics_csv_rows(result))
     print(f"ap={result.ap:.4f} ap50={result.ap50:.4f} ap75={result.ap75:.4f}")
     if args.calibrate:
         cal = doc["calibration"]
         print(f"temperature={cal['temperature']:.4f} ece {cal['ece_before']:.4f} -> {cal['ece_after']:.4f}")
-    return 0
+    return outputs, []
 
 
-def cmd_compare(args) -> int:
-    started = manifest.now_utc()
+def cmd_compare(args):
     a = _load_json(args.a)
     b = _load_json(args.b)
     if not isinstance(a, list) or not isinstance(b, list):
@@ -352,19 +305,13 @@ def cmd_compare(args) -> int:
             "equivalent": equivalence.equivalent,
         },
     }
-    out = Path(args.out)
-    _write_json(out / "comparison.json", doc)
-    manifest.write_manifest(
-        out, "compare", {"a": args.a, "b": args.b, "delta": args.delta, "alpha": args.alpha},
-        args.seed, ["comparison.json"], started,
-    )
+    _write_json(Path(args.out) / "comparison.json", doc)
     stars = doc["stars"] or "ns"
     print(f"p={ttest.p:.6g} ({stars}); equivalent within +/-{args.delta}: {equivalence.equivalent}")
-    return 0
+    return ["comparison.json"], []
 
 
-def cmd_heuristics(args) -> int:
-    started = manifest.now_utc()
+def cmd_heuristics(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(HeuristicConfig, raw, "heuristic config")
@@ -396,16 +343,11 @@ def cmd_heuristics(args) -> int:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
             replaced.append(page.with_llm(regions))
     save_dataset(replaced, dataset_path)
-    manifest.write_manifest(
-        out, "heuristics", {"dataset": args.dataset, "taxonomy": args.taxonomy}, args.seed,
-        [regions_path.name, dataset_path.name], started,
-    )
     print(f"emitted {total} heuristic regions over {len(pages)} pages")
-    return 0
+    return [regions_path.name, dataset_path.name], [config]
 
 
-def cmd_calibrate(args) -> int:
-    started = manifest.now_utc()
+def cmd_calibrate(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     pages = _load_pages(args.dataset, taxonomy)
     doc: dict = {}
@@ -424,20 +366,16 @@ def cmd_calibrate(args) -> int:
             "samples": int(len(confidences)),
         }
         print(f"{source}: T={temperature:.4f} ece {before.ece:.4f} -> {after.ece:.4f}")
-    out = Path(args.out)
-    _write_json(out / "calibration.json", doc)
-    manifest.write_manifest(
-        out, "calibrate", {"dataset": args.dataset, "bins": args.bins}, args.seed, ["calibration.json"], started
-    )
-    return 0
+    _write_json(Path(args.out) / "calibration.json", doc)
+    return ["calibration.json"], []
 
 
-def cmd_train_gate(args) -> int:
-    started = manifest.now_utc()
+def cmd_train_gate(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     raw.setdefault("seed", args.seed)
     config = _build_config(GateTrainConfig, raw, "gate training config")
+    args.seed = config.seed
     pages = _load_pages(args.dataset, taxonomy)
     samples = gate_samples_from_pages(pages, taxonomy=taxonomy)
     result = train_gate(samples, config, hidden=args.hidden)
@@ -449,19 +387,14 @@ def cmd_train_gate(args) -> int:
         for epoch, (train_loss, val_loss) in enumerate(zip(result.train_losses, result.val_losses))
     ]
     _write_csv(out / "gate_training.csv", ["epoch", "train_loss", "val_loss"], history_rows)
-    manifest.write_manifest(
-        out, "train-gate", {"dataset": args.dataset, "config": raw, "hidden": args.hidden},
-        config.seed, [gate_path.name, "gate_training.csv"], started,
-    )
     print(
         f"trained on {len(samples)} samples; best epoch {result.best_epoch} "
         f"(val loss {result.val_losses[result.best_epoch - 1]:.6f}); wrote {gate_path}"
     )
-    return 0
+    return [gate_path.name, "gate_training.csv"], [config]
 
 
-def cmd_lipschitz(args) -> int:
-    started = manifest.now_utc()
+def cmd_lipschitz(args):
     if not Path(args.gate).exists():
         raise CliError(f"gate file not found: {args.gate}")
     gate = load_gate(args.gate)
@@ -476,31 +409,23 @@ def cmd_lipschitz(args) -> int:
         axis = np.linspace(0.0, 1.0, args.grid)
         points = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
     estimate = estimate_lipschitz(gate, points, seed=args.seed)
-    out = Path(args.out)
-    _write_json(out / "lipschitz.json", {"lipschitz": estimate, "points": int(points.shape[0])})
-    manifest.write_manifest(
-        out, "lipschitz", {"gate": args.gate, "dataset": args.dataset, "grid": args.grid},
-        args.seed, ["lipschitz.json"], started,
-    )
+    _write_json(Path(args.out) / "lipschitz.json", {"lipschitz": estimate, "points": int(points.shape[0])})
     print(f"lipschitz estimate {estimate:.4f} over {points.shape[0]} points")
-    return 0
+    return ["lipschitz.json"], []
 
 
-def cmd_schedule(args) -> int:
-    started = manifest.now_utc()
+def cmd_schedule(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(CurriculumConfig, raw, "curriculum config")
     rows = schedule_table(args.epochs, config, taxonomy)
-    out = Path(args.out)
     _write_csv(
-        out / "schedule.csv",
+        Path(args.out) / "schedule.csv",
         ["epoch", "sources", "thresholds", "regenerate"],
         [[r["epoch"], r["sources"], r["thresholds"], r["regenerate"]] for r in rows],
     )
-    manifest.write_manifest(out, "schedule", {"epochs": args.epochs}, args.seed, ["schedule.csv"], started)
     print(f"wrote schedule for {args.epochs} epochs")
-    return 0
+    return ["schedule.csv"], [config]
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +433,17 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators only from integers >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _add_common(parser, *, config=True, fmt=False, taxonomy=False, seed_default=0) -> None:
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=seed_default, help="master random seed")
+    parser.add_argument("--seed", type=_seed, default=seed_default, help="master random seed")
     if config:
         parser.add_argument("--config", help="JSON config file")
     if fmt:
@@ -595,12 +528,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its manifest. The digest covers every
+    flag but --out and --config, and each config the command built."""
     args = _parser().parse_args(argv)
+    started = manifest.now_utc()
     # A command builds large acyclic record graphs that reference counting frees; GC passes find nothing.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        outputs, configs = args.func(args)
+        flags = {key: value for key, value in vars(args).items() if key not in ("func", "out", "config")}
+        built = {type(config).__name__: dataclasses.asdict(config) for config in configs if config is not None}
+        manifest.write_manifest(args.out, args.command, {"flags": flags, "configs": built}, args.seed, outputs, started)
+        return 0
     except ValueError as exc:  # CliError and DatasetError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import PROVENANCE_FUSED, PROVENANCE_LLM_SOFT, PROVENANCE_TEACHER
+from .schema import check_fields
 from .taxonomy import DOCLAYNET, LayoutCategory, RARE, Taxonomy
 
 __all__ = [
@@ -31,6 +32,7 @@ class CurriculumConfig:
     regeneration_period: int = 2
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("threshold_frequent", "threshold_rare"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

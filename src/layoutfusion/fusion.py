@@ -37,6 +37,7 @@ from .model import (
     TeacherPrediction,
 )
 from .numerics import logit, sigmoid, softplus
+from .schema import check_fields
 from .taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
 
 __all__ = [
@@ -93,6 +94,7 @@ class FusionConfig:
     soft_smoothing: float = 0.2
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError(f"iou_threshold={self.iou_threshold} must be in (0, 1)")
         if not 0.0 <= self.teacher_box_weight <= 1.0:
@@ -103,10 +105,6 @@ class FusionConfig:
             raise ValueError("temperatures must be positive")
         if not 0.0 <= self.soft_smoothing < 1.0:
             raise ValueError(f"soft_smoothing={self.soft_smoothing} must be in [0, 1)")
-        # A bare string would pass the membership test by substring.
-        names = self.soft_categories
-        if not (isinstance(names, tuple) and all(isinstance(name, str) for name in names)):
-            raise ValueError(f"soft_categories={names!r} must be a tuple of category names")
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,11 +332,23 @@ def fit_temperature(confidences, correct, *, tol: float = 1e-4) -> float:
     return (lo + hi) / 2.0
 
 
-def fuse_confidence_logit(p_t: float, s_l: float, lambda_t: float) -> float:
-    """Convex combination of the two confidences in logit space."""
+def fuse_confidence_logit(
+    p_t: float, s_l: float, lambda_t: float, teacher_temperature: float = 1.0, llm_temperature: float = 1.0
+) -> float:
+    """Logit-space blend of two temperature-scaled confidences, teacher weight ``lambda_t``."""
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError(f"lambda_t={lambda_t} must be in [0, 1]")
-    return float(sigmoid(lambda_t * logit(p_t) + (1.0 - lambda_t) * logit(s_l)))
+    # Calibrated logits stay in logit space: a sharp temperature would
+    # saturate sigmoid(logit / T) to exactly 1.0, which logit rejects.
+    z_t = logit(p_t) / teacher_temperature
+    z_l = logit(s_l) / llm_temperature
+    z = lambda_t * z_t + (1.0 - lambda_t) * z_l
+    if z != z:
+        # A temperature near 0 overflowed a calibrated logit to +-inf, and
+        # 0 * inf or inf - inf is NaN: combine the logits clipped to
+        # +-_LOGIT_BOUND, which gives the side the larger weight is on.
+        z = lambda_t * _finite_logit(z_t) + (1.0 - lambda_t) * _finite_logit(z_l)
+    return min(max(sigmoid(z), _FUSED_CONF_CLIP), 1.0 - _FUSED_CONF_CLIP)
 
 
 def _fuse_pair(
@@ -350,10 +360,6 @@ def _fuse_pair(
 ) -> FusedLabel:
     """Fuse one matched pair; ``g`` is the gate's teacher weight, or
     None without a gate."""
-    # Calibrated logits stay in logit space: a sharp temperature would
-    # saturate sigmoid(logit / T) to exactly 1.0, which logit rejects.
-    z_t = logit(pred.confidence) / config.teacher_temperature
-    z_l = logit(region.score) / config.llm_temperature
     if g is not None:
         box = fuse_fixed_box(pred.box, region.box, g)
         lambda_t = g
@@ -366,14 +372,9 @@ def _fuse_pair(
     else:
         box = fuse_fixed_box(pred.box, region.box, config.teacher_box_weight)
         lambda_t = config.teacher_logit_weight
-    z = lambda_t * z_t + (1.0 - lambda_t) * z_l
-    if z != z:
-        # A temperature near 0 overflowed a calibrated logit to +-inf, and
-        # 0 * inf or inf - inf is NaN: combine the logits clipped to
-        # +-_LOGIT_BOUND, which gives the side the larger weight is on.
-        z = lambda_t * _finite_logit(z_t) + (1.0 - lambda_t) * _finite_logit(z_l)
-    fused = sigmoid(z)
-    confidence = min(max(fused, _FUSED_CONF_CLIP), 1.0 - _FUSED_CONF_CLIP)
+    confidence = fuse_confidence_logit(
+        pred.confidence, region.score, lambda_t, config.teacher_temperature, config.llm_temperature
+    )
     category = resolve_category(pred.category, region.category, taxonomy)
     return FusedLabel(box=box, category=category, confidence=confidence, provenance=PROVENANCE_FUSED)
 

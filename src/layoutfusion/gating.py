@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import sigmoid
+from .schema import check_fields
 
 __all__ = [
     "GateBatch",
@@ -133,12 +134,15 @@ class GateTrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate={self.learning_rate} must be finite and >= 0")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass

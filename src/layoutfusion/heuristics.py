@@ -12,11 +12,13 @@ most specific signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 from .geometry import BoundingBox
 from .model import LlmRegion, OcrBlock, Page
+from .schema import check_fields
 from .taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
 
 __all__ = ["HeuristicConfig", "classify_block", "detect_grid_alignment", "heuristic_regions"]
@@ -34,16 +36,19 @@ class HeuristicConfig:
     region_quality: float = 0.8
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.header_band < self.footer_band < 1.0:
             raise ValueError("need 0 < header_band < footer_band < 1")
         if self.alignment_tolerance <= 0.0:
             raise ValueError("alignment_tolerance must be positive")
         if self.min_aligned_lines < 2 or self.min_shared_columns < 1:
             raise ValueError("grid thresholds too small to mean anything")
-        # A bare string would pass the prefix test by character.
-        prefixes = self.caption_prefixes
-        if not (isinstance(prefixes, tuple) and all(isinstance(prefix, str) for prefix in prefixes)):
-            raise ValueError(f"caption_prefixes={prefixes!r} must be a tuple of strings")
+        # The bounds every emitted LlmRegion enforces on its score and qualities.
+        if not 0.0 < self.region_score < 1.0:
+            raise ValueError(f"region_score={self.region_score} must be strictly inside (0, 1)")
+        quality = self.region_quality * self.region_quality
+        if not (0.0 < self.region_quality <= 1.0 and quality > 0.0 and 1.0 / quality < math.inf):
+            raise ValueError(f"region_quality={self.region_quality} must be in (0, 1], with 1/region_quality**2 finite")
 
 
 def classify_block(

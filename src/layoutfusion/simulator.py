@@ -32,6 +32,7 @@ from .gating import GateBatch
 from .geometry import BoundingBox, paired_iou
 from .model import GroundTruthAnnotation, LlmRegion, OcrBlock, Page, TeacherPrediction
 from .numerics import sigmoid
+from .schema import check_fields
 from .taxonomy import TAXONOMIES, Taxonomy
 
 __all__ = [
@@ -95,8 +96,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.pages < 0:
             raise ValueError("pages must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if not 1 <= self.regions_min <= self.regions_max:
             raise ValueError("need 1 <= regions_min <= regions_max")
         if self.taxonomy not in TAXONOMIES:
@@ -108,9 +112,8 @@ class SimConfig:
         for name in self.category_frequencies:
             if name not in tax:
                 raise ValueError(f"frequency for unknown category {name!r}")
-        for name, value in (("rho", self.rho),):
-            if not 0.0 <= value <= 0.99:
-                raise ValueError(f"{name}={value} must be in [0, 0.99]")
+        if not 0.0 <= self.rho <= 0.99:
+            raise ValueError(f"rho={self.rho} must be in [0, 0.99]")
         for name in ("teacher_confusion", "llm_confusion"):
             value = getattr(self, name)
             if not 0.0 <= value < 0.5:
@@ -421,6 +424,7 @@ class GateTask:
     synthetic_iou: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.sigma_scale < math.inf:
             raise ValueError(f"sigma_scale={self.sigma_scale} must be finite and > 0")
         if not 0.0 <= self.rho <= 0.99:
@@ -430,6 +434,10 @@ class GateTask:
         if self.mixture is not None:
             if not self.mixture or any(w <= 0 or st <= 0 or sl <= 0 for w, st, sl in self.mixture):
                 raise ValueError("mixture components need positive weight and deviations")
+        for name in ("p_t_range", "s_l_range", "synthetic_iou"):
+            pair = getattr(self, name)
+            if pair is not None and not 0.0 <= pair[0] <= pair[1] <= 1.0:
+                raise ValueError(f"{name}={pair} must be (lo, hi) with 0 <= lo <= hi <= 1")
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,20 @@ the per-instance noise parameters are known exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fusion import FusionConfig, llm_spatial_variance, match_regions, optimal_weights
 from .gating import GateParams, GateTrainConfig, gate_forward_batch, train_gate
+from .schema import check_fields
 from .simulator import GateInstances, GateTask, sample_gate_instances
 from .taxonomy import DOCLAYNET, Taxonomy
 
 __all__ = [
     "TheoryConfig",
+    "Experiment",
     "GapPrediction",
     "SlopeFit",
     "ExperimentCell",
@@ -67,6 +69,7 @@ class TheoryConfig:
     ap_scale: float = 100.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dim_psi < 1:
             raise ValueError("dim_psi must be >= 1")
         if self.lipschitz_scale < 0.0:
@@ -75,6 +78,19 @@ class TheoryConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.boundary_half_width <= 0.0:
             raise ValueError("boundary_half_width must be positive")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """The ``theory`` experiment block: ``run_sample_complexity_experiment`` keywords, range-checked there."""
+
+    n_grid: tuple[int, ...] = (500, 1000, 2000, 4000, 8000, 16000, 32000)
+    seeds: int = 3
+    heldout: int = 20_000
+    hidden: int = 32
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def complementarity_dimension(dim_psi: int, lipschitz_scale: float, n: int) -> float:
@@ -282,6 +298,8 @@ def run_sample_complexity_experiment(
         raise ValueError("need at least 4 grid sizes")
     if seeds < 1:
         raise ValueError(f"seeds={seeds} must be >= 1: with no cells there is no slope to fit")
+    if heldout < 1:
+        raise ValueError(f"heldout={heldout} must be >= 1: the gap is a mean over held-out instances")
     if train_config is None:
         # Single-pass SGD: every cell sees its data exactly once, so the
         # excess risk tracks the statistical budget rather than an
@@ -303,13 +321,8 @@ def run_sample_complexity_experiment(
     for n in n_grid:
         for s in range(seeds):
             instances = sample_gate_instances(task, n, seed=(master_seed, n, s))
-            cell_train = GateTrainConfig(
-                learning_rate=train_config.learning_rate,
-                epochs=train_config.epochs,
-                batch_size=train_config.batch_size,
-                seed=int(np.random.default_rng((master_seed, n, s, 1)).integers(2**31 - 1)),
-                validation_fraction=train_config.validation_fraction,
-            )
+            cell_seed = int(np.random.default_rng((master_seed, n, s, 1)).integers(2**31 - 1))
+            cell_train = replace(train_config, seed=cell_seed)
             result = train_gate(instances, cell_train, hidden=hidden)
             g = gate_forward_batch(result.params, heldout_instances.features)
             risk = expected_weight_risk(

@@ -1,9 +1,11 @@
 """Command-line surface: every subcommand end-to-end on small data."""
 
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,16 +13,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import layoutfusion
 from layoutfusion import cli
 from layoutfusion.cli import main
+from layoutfusion.curriculum import CurriculumConfig
 from layoutfusion.dataset_io import load_dataset, save_dataset
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
-from layoutfusion.gating import init_gate, save_gate
+from layoutfusion.gating import GateTrainConfig, TrainResult, init_gate, save_gate
 from layoutfusion.heuristics import HeuristicConfig
 from layoutfusion.simulator import GateTask, SimConfig, simulate_dataset
-from layoutfusion.theory import summarize_reference_point
+from layoutfusion.theory import Experiment, TheoryConfig, summarize_reference_point
 
 
 @pytest.fixture()
@@ -403,23 +407,28 @@ def test_module_entry_point_runs_a_command(tmp_path):
     assert len(load_dataset(tmp_path / "dataset.jsonl")) == SimConfig().pages
 
 
+# A theory experiment that runs in well under a second, so a tree that
+# accepts a bad value next to it fails a test quickly.
+SMALL_EXPERIMENT = {"n_grid": [100, 200, 300, 400], "seeds": 1, "heldout": 100, "hidden": 2}
+
 # Every config the CLI reads goes through one loader. Each case is a
-# command, whether it needs a dataset, and a config file around a field.
+# command, whether it needs a dataset, the config file around some
+# fields, and the config class the fields load into.
 CONFIG_SITES = {
-    "simulate": (False, lambda field: {"pages": 2, field: 1}),
-    "fuse": (True, lambda field: {field: 1}),
-    "theory": (False, lambda field: {field: 1}),
-    "theory-experiment": (False, lambda field: {"experiment": {field: 1}}),
-    "theory-task": (False, lambda field: {"experiment": {"task": {field: 1}}}),
-    "theory-train": (False, lambda field: {"experiment": {"train": {field: 1}}}),
-    "heuristics": (True, lambda field: {field: 1}),
-    "train-gate": (True, lambda field: {field: 1}),
-    "schedule": (False, lambda field: {field: 1}),
+    "simulate": (False, lambda fields: {"pages": 2, **fields}, SimConfig),
+    "fuse": (True, lambda fields: fields, FusionConfig),
+    "theory": (False, lambda fields: fields, TheoryConfig),
+    "theory-experiment": (False, lambda fields: {"experiment": {**SMALL_EXPERIMENT, **fields}}, Experiment),
+    "theory-task": (False, lambda fields: {"experiment": {**SMALL_EXPERIMENT, "task": fields}}, GateTask),
+    "theory-train": (False, lambda fields: {"experiment": {**SMALL_EXPERIMENT, "train": fields}}, GateTrainConfig),
+    "heuristics": (True, lambda fields: fields, HeuristicConfig),
+    "train-gate": (True, lambda fields: fields, GateTrainConfig),
+    "schedule": (False, lambda fields: fields, CurriculumConfig),
 }
 
 
 def _run_with_config(tmp_path, request, site, config):
-    needs_dataset, _ = CONFIG_SITES[site]
+    needs_dataset = CONFIG_SITES[site][0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     command = "theory" if site.startswith("theory") else site
@@ -466,14 +475,14 @@ WRONG_TYPES = [
     ("theory", {"ap_scale": "x"}, 'theory config: ap_scale must be a JSON number, got "x"'),
     ("theory", {"gap_constant": None}, "theory config: gap_constant must be a JSON number, got null"),
     ("simulate", {"sigma_t": {"text": 0.01}}, "sigma_t has no deviation for drawn categories: "),
-    ("heuristics", {"caption_prefixes": ["Figure", 3]}, "caption_prefixes=('Figure', 3) must be a tuple of strings"),
+    ("heuristics", {"caption_prefixes": ["Figure", 3]}, 'heuristic config: caption_prefixes must be JSON that fits tuple[str, ...], got ["Figure", 3]'),
 ]
 
 
 class TestConfigLoader:
     @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
     def test_unknown_field_exits_2_and_names_it(self, tmp_path, request, capsys, site):
-        config = CONFIG_SITES[site][1]("no_such_knob")
+        config = CONFIG_SITES[site][1]({"no_such_knob": 1})
         assert _run_with_config(tmp_path, request, site, config) == 2
         assert "no_such_knob" in capsys.readouterr().err
 
@@ -513,8 +522,8 @@ class TestConfigLoader:
     @pytest.mark.parametrize(
         "names, named",
         [
-            ("caption", "soft_categories='caption' must be a tuple of category names"),
-            (["title", 3], "soft_categories=('title', 3) must be a tuple of category names"),
+            ("caption", 'fusion config: soft_categories must be JSON that fits tuple[str, ...], got "caption"'),
+            (["title", 3], 'fusion config: soft_categories must be JSON that fits tuple[str, ...], got ["title", 3]'),
             (["title", "captoin"], "unknown soft_categories for taxonomy 'doclaynet': captoin"),
         ],
         ids=["string", "non-string-entry", "unknown-name"],
@@ -524,35 +533,41 @@ class TestConfigLoader:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config, field",
+        "config, named",
         [
-            ({"n": [1]}, "n"),
-            ({"n": 2.7}, "n"),
-            ({"n": True}, "n"),
-            ({"experiment": {"seeds": [1]}}, "experiment.seeds"),
-            ({"experiment": {"seeds": 1.5}}, "experiment.seeds"),
-            ({"experiment": {"heldout": True}}, "experiment.heldout"),
-            ({"experiment": {"hidden": "4"}}, "experiment.hidden"),
-            ({"experiment": {"n_grid": [100, 200, [300], 400]}}, "experiment.n_grid[2]"),
-            ({"experiment": {"n_grid": [100, 200, 300, 400.5]}}, "experiment.n_grid[3]"),
+            ({"n": [1]}, "config.json: n must be a JSON integer, got [1]"),
+            ({"n": 2.7}, "config.json: n must be a JSON integer, got 2.7"),
+            ({"n": True}, "config.json: n must be a JSON integer, got true"),
+            ({"experiment": {"seeds": [1]}}, "experiment: seeds must be a JSON integer, got [1]"),
+            ({"experiment": {"seeds": 1.5}}, "experiment: seeds must be a JSON integer, got 1.5"),
+            ({"experiment": {"heldout": True}}, "experiment: heldout must be a JSON integer, got true"),
+            ({"experiment": {"hidden": "4"}}, 'experiment: hidden must be a JSON integer, got "4"'),
+            (
+                {"experiment": {"n_grid": [100, 200, [300], 400]}},
+                "experiment: n_grid must be JSON that fits tuple[int, ...], got [100, 200, [300], 400]",
+            ),
+            (
+                {"experiment": {"n_grid": [100, 200, 300, 400.5]}},
+                "experiment: n_grid must be JSON that fits tuple[int, ...], got [100, 200, 300, 400.5]",
+            ),
         ],
         ids=[
             "n-array", "n-float", "n-bool", "seeds-array", "seeds-float", "heldout-bool", "hidden-string",
             "n_grid-entry-array", "n_grid-entry-float",
         ],
     )
-    def test_theory_non_integer_counts_exit_2_and_name_them(self, tmp_path, request, capsys, config, field):
+    def test_theory_non_integer_counts_exit_2_and_name_them(self, tmp_path, request, capsys, config, named):
         # Small valid values elsewhere, so a tree that accepts the bad one
         # fails this test quickly.
         if "experiment" in config:
             small = {"n_grid": [100, 200, 300, 400], "seeds": 1, "heldout": 100, "hidden": 2}
             config = {"experiment": {**small, **config["experiment"]}}
         assert _run_with_config(tmp_path, request, "theory", config) == 2
-        assert f"config.json: {field} must be a JSON integer" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_theory_n_grid_that_is_not_an_array_exits_2_and_names_it(self, tmp_path, request, capsys):
         assert _run_with_config(tmp_path, request, "theory", {"experiment": {"n_grid": 5}}) == 2
-        assert "config.json: experiment.n_grid must be a JSON array, got 5" in capsys.readouterr().err
+        assert "experiment: n_grid must be JSON that fits tuple[int, ...], got 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "site, config, named",
@@ -580,6 +595,169 @@ class TestConfigLoader:
             mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)), p_t_range=(0.5, 0.8), synthetic_iou=(0.5, 0.9)
         )
         assert calls[0][1]["task"] == expected
+
+
+# Values of the right JSON type but out of range: each exits 2 naming the
+# field, before the command writes anything.
+OUT_OF_RANGE = [
+    ("heuristics", {"region_score": 2.5}, "heuristic config: region_score=2.5 must be strictly inside (0, 1)"),
+    ("heuristics", {"region_score": -1}, "heuristic config: region_score=-1 must be strictly inside (0, 1)"),
+    ("heuristics", {"region_score": 0}, "heuristic config: region_score=0 must be strictly inside (0, 1)"),
+    ("heuristics", {"region_quality": 2.5}, "heuristic config: region_quality=2.5 must be in (0, 1]"),
+    ("heuristics", {"region_quality": 1e-200}, "heuristic config: region_quality=1e-200 must be in (0, 1]"),
+    ("simulate", {"seed": -1}, "simulator config: seed=-1 must be >= 0"),
+    ("train-gate", {"seed": -1}, "gate training config: seed=-1 must be >= 0"),
+    ("theory-experiment", {"heldout": 0}, "heldout=0 must be >= 1"),
+    ("theory-experiment", {"heldout": -1}, "heldout=-1 must be >= 1"),
+    (
+        "theory-task",
+        {"mixture": [[1.0, 0.03, 0.03]], "p_t_range": [1.5, 2.0]},
+        "gate task: p_t_range=(1.5, 2.0) must be (lo, hi) with 0 <= lo <= hi <= 1",
+    ),
+    ("theory-task", {"p_t_range": [0.9, 0.5]}, "gate task: p_t_range=(0.9, 0.5) must be (lo, hi)"),
+    ("theory-task", {"s_l_range": [-0.1, 0.5]}, "gate task: s_l_range=(-0.1, 0.5) must be (lo, hi)"),
+    ("theory-task", {"synthetic_iou": [1.5, 2.0]}, "gate task: synthetic_iou=(1.5, 2.0) must be (lo, hi)"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, fields, named", OUT_OF_RANGE, ids=[f"{site}-{json.dumps(fields)}" for site, fields, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_field_exits_2_before_any_output(tmp_path, request, capsys, site, fields, named):
+    assert _run_with_config(tmp_path, request, site, CONFIG_SITES[site][1](fields)) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _json_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(float(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _json_list(value, item, length=None) -> bool:
+    return type(value) is list and (length is None or len(value) == length) and all(map(item, value))
+
+
+# The JSON values that fit each annotation the configs use, written out
+# apart from ``layoutfusion.schema``: the property below checks the
+# schema against this table.
+FITS = {
+    "int": lambda v: type(v) is int,
+    "float": _json_number,
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple[int, ...]": lambda v: _json_list(v, lambda x: type(x) is int),
+    "tuple[str, ...]": lambda v: _json_list(v, lambda x: type(x) is str),
+    "tuple[float, float]": lambda v: _json_list(v, _json_number, 2),
+    "tuple[float, float] | None": lambda v: v is None or _json_list(v, _json_number, 2),
+    "tuple[tuple[float, float, float], ...] | None": (
+        lambda v: v is None or _json_list(v, lambda c: _json_list(c, _json_number, 3))
+    ),
+    "Mapping[str, float]": lambda v: type(v) is dict and all(map(_json_number, v.values())),
+    "float | Mapping[str, float]": lambda v: _json_number(v) or FITS["Mapping[str, float]"](v),
+}
+
+# Arbitrary JSON, as json.loads can return it: NaN and the infinities
+# included, and integers too large for a float.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)]) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _site_fields(site) -> dict:
+    """Field name -> annotation source text of the config at ``site``."""
+    fields = {f.name: f.type for f in dataclasses.fields(CONFIG_SITES[site][2])}
+    return {**fields, "n": "int"} if site == "theory" else fields
+
+
+@pytest.mark.parametrize("site", sorted(CONFIG_SITES))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_value_in_any_field_exits_0_or_2(tmp_path, request, monkeypatch, capsys, site, data):
+    """Each command's work after loading is stubbed; loading alone must end
+    in exit 0 or 2, and a value that does not fit the field's annotation
+    in exit 2 naming the field."""
+    report = summarize_reference_point(100)
+    for name, stub in {
+        "simulate_dataset": lambda config: [],
+        "_load_pages": lambda path, taxonomy: [],
+        "train_gate": lambda samples, config, hidden: TrainResult(init_gate(hidden=2), [1.0], [1.0], 1),
+        "summarize_reference_point": lambda n, config: report,
+        "run_sample_complexity_experiment": lambda **kwargs: report,
+    }.items():
+        monkeypatch.setattr(cli, name, stub)
+    fields = _site_fields(site)
+    field = data.draw(st.sampled_from(sorted(fields)), label="field")
+    value = data.draw(json_values, label="value")
+    capsys.readouterr()
+    code = _run_with_config(tmp_path, request, site, CONFIG_SITES[site][1]({field: value}))
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if not FITS[fields[field]](value):
+        assert code == 2 and f"{field} must be " in err, err
+
+
+def _digest(out: Path, command: str) -> str:
+    return json.loads((out / f"{command}_manifest.json").read_text(encoding="utf-8"))["config_digest"]
+
+
+# Per command: its arguments, and the same with one input changed that the
+# digest must see.
+DIGEST_CASES = {
+    "simulate": (["--config", "{sim}"], ["--config", "{sim}", "--seed", "4"]),
+    "fuse": (["--dataset", "{data}"], ["--dataset", "{data}", "--config", "{fuse}"]),
+    "theory": ([], ["--n", "1000"]),
+    "evaluate": (["--dataset", "{data}", "--source", "teacher"], ["--dataset", "{data}", "--source", "teacher", "--calibrate"]),
+    "compare": (["--a", "{a}", "--b", "{b}"], ["--a", "{a}", "--b", "{b}", "--delta", "0.3"]),
+    "heuristics": (["--dataset", "{data}"], ["--dataset", "{data}", "--config", "{heur}"]),
+    "calibrate": (["--dataset", "{data}"], ["--dataset", "{data}", "--bins", "10"]),
+    "train-gate": (
+        ["--dataset", "{data}", "--hidden", "2", "--config", "{gate1}"],
+        ["--dataset", "{data}", "--hidden", "2", "--config", "{gate2}"],
+    ),
+    "lipschitz": (["--gate", "{gate}", "--grid", "3"], ["--gate", "{gate}", "--grid", "3", "--taxonomy", "publaynet"]),
+    "schedule": ([], ["--config", "{sched}"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIGEST_CASES))
+def test_manifest_digest_is_stable_and_sees_each_input(tmp_path, command):
+    data = tmp_path / "data.jsonl"
+    save_dataset(simulate_dataset(SimConfig(pages=30, seed=3)), data)
+    files = {"data": data, "sim": tmp_path / "sim.json", "gate": _gate_file(tmp_path)}
+    for name, doc in {
+        "fuse": {"iou_threshold": 0.4},
+        "heur": {"region_score": 0.7},
+        "gate1": {"epochs": 1},
+        "gate2": {"epochs": 2},
+        "sched": {"warmup_epochs": 1},
+        "a": [0.5, 0.6, 0.7],
+        "b": [0.5, 0.6, 0.8],
+    }.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc), encoding="utf-8")
+    files["sim"].write_text(json.dumps({"pages": 2}), encoding="utf-8")
+    digests = []
+    for i, args in enumerate((*DIGEST_CASES[command], DIGEST_CASES[command][0])):
+        out = tmp_path / f"out{i}"
+        assert main([command, *(a.format(**files) for a in args), "--out", str(out)]) == 0
+        digests.append(_digest(out, command))
+    base, changed, rerun = digests
+    assert rerun == base
+    assert changed != base
 
 
 def _gate_file(tmp_path, mutate=None, text=None):

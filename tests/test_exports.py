@@ -1,9 +1,11 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
-``iou``, and the per-record types are slotted."""
+``iou``, the per-record types are slotted, and every loaded config checks
+its field types."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -109,3 +111,32 @@ def test_no_function_ignores_a_parameter():
     for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
         found += _unread_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == []
+
+
+def _loaded_config_classes():
+    """Each class that ``cli`` passes to ``_build_config``, the one loader."""
+    from layoutfusion import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {
+        node.args[0].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_build_config"
+    }
+    return [getattr(cli, name) for name in sorted(names)]
+
+
+def test_every_loaded_config_checks_each_field_type():
+    """A config class, or a field, that skips ``schema.check_fields`` fails
+    here: each field takes a value of the wrong JSON type and must raise a
+    ValueError that names it."""
+    classes = _loaded_config_classes()
+    assert {cls.__name__ for cls in classes} >= {
+        "CurriculumConfig", "Experiment", "FusionConfig", "GateTask", "GateTrainConfig",
+        "HeuristicConfig", "SimConfig", "TheoryConfig",
+    }
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            wrong = 1 if field.type == "str" else "x"
+            with pytest.raises(ValueError, match=f"^{field.name} must be "):
+                cls(**{field.name: wrong})

@@ -65,13 +65,13 @@ class TestFusionConfig:
 
     @pytest.mark.parametrize("field", ["teacher_temperature", "llm_temperature"])
     def test_rejects_nan_temperature(self, field):
-        with pytest.raises(ValueError, match="temperatures must be positive"):
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON number, got NaN$"):
             FusionConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("names", ["caption", ("title", 3), ("title", None), ["title"], 1])
     def test_soft_categories_must_be_a_tuple_of_names(self, names):
         # "caption" as a string would match "cap" and "ion" by substring.
-        with pytest.raises(ValueError, match="soft_categories=.* must be a tuple of category names"):
+        with pytest.raises(ValueError, match=r"^soft_categories must be JSON that fits tuple\[str, \.\.\.\], got "):
             FusionConfig(soft_categories=names)
 
     def test_soft_categories_may_be_empty(self):
@@ -360,6 +360,32 @@ class TestConfidenceFusion:
             assert 0.0 < base < 1.0
             assert fuse_confidence_logit(min(p + eps, 0.99), s, lam) > base
             assert fuse_confidence_logit(p, min(s + eps, 0.99), lam) > base
+
+    def test_temperatures_divide_each_logit(self):
+        z = 0.7 * math.log(4.0) / 0.5 + 0.3 * math.log(1.5) / 2.0
+        assert fuse_confidence_logit(0.8, 0.6, 0.7, 0.5, 2.0) == pytest.approx(1.0 / (1.0 + math.exp(-z)), abs=1e-12)
+
+    def test_saturated_blend_is_kept_inside_the_unit_interval(self):
+        assert fuse_confidence_logit(0.999999, 0.999999, 0.7, 0.05, 0.05) == 1.0 - 1e-12
+        assert fuse_confidence_logit(1e-6, 1e-6, 0.7, 0.05, 0.05) == 1e-12
+
+    def test_overflowed_logits_take_the_heavier_side(self):
+        # logit(0.75) / 5e-324 overflows; times a zero weight it was NaN.
+        assert fuse_confidence_logit(0.75, 0.5, 0.0, 5e-324) == 0.5
+        assert fuse_confidence_logit(0.75, 0.25, 0.7, 5e-324, 5e-324) == 1.0 - 1e-12
+        assert fuse_confidence_logit(0.75, 0.25, 0.3, 5e-324, 5e-324) == 1e-12
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+    def test_rejects_a_weight_outside_the_unit_interval(self, lam):
+        with pytest.raises(ValueError, match="lambda_t=.* must be in"):
+            fuse_confidence_logit(0.8, 0.6, lam)
+
+    def test_refinement_fuses_with_this_blend(self):
+        config = FusionConfig(teacher_temperature=0.5, llm_temperature=2.0)
+        box = BoundingBox(0.1, 0.1, 0.5, 0.5)
+        page = Page(page_id="t", teacher=(teacher(box, conf=0.8),), llm=(region(box, score=0.6),))
+        (label,) = refine_pseudo_labels(page, config)
+        assert label.confidence == fuse_confidence_logit(0.8, 0.6, 0.7, 0.5, 2.0)
 
 
 class TestRefinePseudoLabels:

@@ -233,7 +233,8 @@ def test_gate_samples_equal_frozen_loop(pages, threshold):
     assert got_iou.calls == want_iou.calls
 
 
-temperatures = st.floats(min_value=0.0, exclude_min=True, allow_infinity=True)
+# A float config field takes only finite numbers (``schema``).
+temperatures = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite

@@ -251,5 +251,7 @@ class TestGateInstances:
 
     @pytest.mark.parametrize("sigma_scale", [0.0, -0.05, math.nan, math.inf])
     def test_sigma_scale_must_be_finite_and_positive(self, sigma_scale):
-        with pytest.raises(ValueError, match=r"sigma_scale=.* must be finite and > 0"):
+        # A non-finite value fails the float type rule before the range check.
+        named = r"sigma_scale=.* must be finite and > 0" if math.isfinite(sigma_scale) else "^sigma_scale must be a JSON number"
+        with pytest.raises(ValueError, match=named):
             GateTask(sigma_scale=sigma_scale)
