@@ -211,6 +211,10 @@ def cmd_theory(args):
         block = _object(block, f"{args.config}: experiment")
         task_raw = _object(block.pop("task", {}), f"{args.config}: experiment.task")
         train_raw = _object(block.pop("train", {}), f"{args.config}: experiment.train")
+        if "seed" in train_raw:
+            raise CliError(
+                f"{args.config}: experiment.train.seed must be left out: each cell's training seed is drawn from --seed"
+            )
         task = _build_config(GateTask, task_raw, "gate task")
         train = _build_config(GateTrainConfig, train_raw, "gate training config") if train_raw else None
         experiment = _build_config(Experiment, block, "experiment")

@@ -148,15 +148,16 @@ def _checked(field: str, raw, i: int, page_id: str, taxonomy: Taxonomy, stats: I
 def _unit_box(bbox) -> BoundingBox | None:
     """The box of a bbox that needs no conversion and no clamp, else None.
 
-    That is a list of four floats with 0 < x1 < x2 <= 1 and
-    0 < y1 < y2 <= 1. An exact zero is left to the checked path, whose
-    clamp turns -0.0 into 0.0.
+    That is a list of four floats with x1 > 0 and y1 > 0 that
+    ``BoundingBox`` accepts; a box it rejects raises its ValueError,
+    which every fast path answers with the checked path. An exact zero
+    is left to the checked path too, whose clamp turns -0.0 into 0.0.
     """
     if type(bbox) is list and len(bbox) == 4:
         x1, y1, x2, y2 = bbox
         if (
             type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float
-            and 0.0 < x1 < x2 <= 1.0 and 0.0 < y1 < y2 <= 1.0
+            and x1 > 0.0 and y1 > 0.0
         ):
             return BoundingBox(x1, y1, x2, y2)
     return None

@@ -37,7 +37,7 @@ from .model import (
     TeacherPrediction,
 )
 from .numerics import logit, sigmoid, softplus
-from .schema import check_fields
+from .schema import check_fields, record
 from .taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
 
 __all__ = [
@@ -107,7 +107,7 @@ class FusionConfig:
             raise ValueError(f"soft_smoothing={self.soft_smoothing} must be in [0, 1)")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MatchResult:
     """A consumed teacher/text pairing; emitted matches are compatible."""
 

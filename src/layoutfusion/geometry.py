@@ -10,14 +10,15 @@ downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .schema import record
 
 __all__ = ["BoundingBox", "iou", "best_overlap", "paired_iou", "clamp_coordinates"]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BoundingBox:
     """Normalized rectangle with strict ordering invariants.
 

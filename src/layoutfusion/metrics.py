@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import BoundingBox, best_overlap
 from .model import Page
+from .schema import record
 
 __all__ = [
     "Detection",
@@ -44,7 +45,7 @@ COCO_IOU_THRESHOLDS: tuple[float, ...] = tuple(np.round(np.linspace(0.5, 0.95, 1
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Detection:
     page_id: str
     category: str
@@ -52,7 +53,7 @@ class Detection:
     box: BoundingBox
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundTruthBox:
     page_id: str
     category: str

@@ -7,9 +7,9 @@ parallel with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import BoundingBox
+from .schema import record
 from .taxonomy import LayoutCategory
 
 __all__ = [
@@ -35,7 +35,7 @@ def _check_probability(value: float, name: str) -> None:
         raise ValueError(f"{name}={value} must be strictly inside (0, 1)")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TeacherPrediction:
     """One visual-detector output: box, category, confidence.
 
@@ -58,7 +58,7 @@ class TeacherPrediction:
             raise ValueError(f"coordinate_variance={var} must be >= 0 and not NaN")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LlmRegion:
     """One text-derived structural region: box, category, score.
 
@@ -74,10 +74,10 @@ class LlmRegion:
 
     def __post_init__(self) -> None:
         _check_probability(self.score, "score")
-        for name in ("q_text", "q_spatial"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name}={value} must be in (0, 1]")
+        if not 0.0 < self.q_text <= 1.0:
+            raise ValueError(f"q_text={self.q_text} must be in (0, 1]")
+        if not 0.0 < self.q_spatial <= 1.0:
+            raise ValueError(f"q_spatial={self.q_spatial} must be in (0, 1]")
         # The region's spatial variance is 1 / (q_text * q_spatial).
         quality = self.q_text * self.q_spatial
         if not (quality > 0.0 and 1.0 / quality < math.inf):
@@ -86,20 +86,20 @@ class LlmRegion:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OcrBlock:
     box: BoundingBox
     text: str = ""
     is_bold: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundTruthAnnotation:
     box: BoundingBox
     category: LayoutCategory
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FusedLabel:
     """A refined pseudo-label with provenance.
 
@@ -125,7 +125,7 @@ class FusedLabel:
             raise ValueError("smoothing is only meaningful for llm-soft labels")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Page:
     """One document page: OCR blocks plus the two prediction streams.
 

@@ -1,17 +1,20 @@
-"""One type rule for every config: each field against its annotation, as
-JSON loads it, arrays as tuples. The README tabulates what each accepts."""
+"""Dataclass machinery. One type rule for every config: each field against
+its annotation, as JSON loads it, arrays as tuples; the README tabulates
+what each accepts. One decorator, ``record``, for the types built once per
+record."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 import types
 import typing
 from collections.abc import Mapping
 
-__all__ = ["check", "check_fields"]
+__all__ = ["check", "check_fields", "record"]
 
 _SCALARS = {int: "a JSON integer", float: "a JSON number", bool: "true or false", str: "a JSON string"}
 
@@ -50,3 +53,46 @@ def check_fields(config) -> None:
     hints = _hints(type(config))
     for field in dataclasses.fields(config):
         check(getattr(config, field.name), hints[field.name], field.name, field.type)
+
+
+def record(cls):
+    """``dataclass(frozen=True, slots=True)`` with a faster ``__init__``.
+
+    The generated ``__init__`` stores each field with
+    ``object.__setattr__``; this one, built the same way (one ``exec``
+    per class), stores it through the field's slot descriptor, which
+    skips the attribute lookup. Signature, defaults, equality, hashing
+    and ``dataclasses.replace`` are the dataclass's. ``__post_init__``
+    is looked up on each call, so a hook rebound on the class sees every
+    instance. A field with a ``default_factory``, ``init=False`` or
+    ``kw_only``, or an ``InitVar``, is a TypeError.
+    """
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, ["self"], []
+    for f in dataclasses.fields(cls):
+        env[f"_type_{f.name}"] = f.type
+        env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
+        param = f"{f.name}:_type_{f.name}"
+        if f.default is not dataclasses.MISSING:
+            env[f"_dflt_{f.name}"] = f.default
+            param += f"=_dflt_{f.name}"
+        params.append(param)
+        body.append(f"  _set_{f.name}(self,{f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    text = f" def __init__({','.join(params)})->None:\n" + "\n".join(body or ["  pass"])
+    source = f"def __create_fn__({', '.join(env)}):\n{text}\n return __init__"
+    namespace: dict = {}
+    # dont_inherit: this module's ``from __future__ import annotations``
+    # would otherwise turn the annotations into their names.
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec", dont_inherit=True), {}, namespace)
+    init = namespace["__create_fn__"](**env)
+    # Each unsupported field form changes the dataclass's own signature
+    # (a default marker, a missing, keyword-only or extra parameter).
+    if inspect.signature(init) != inspect.signature(cls.__init__):
+        raise TypeError(
+            f"@record {cls.__qualname__}: a field has a default_factory, init=False or kw_only, or is an InitVar"
+        )
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls

@@ -434,6 +434,10 @@ class GateTask:
         if self.mixture is not None:
             if not self.mixture or any(w <= 0 or st <= 0 or sl <= 0 for w, st, sl in self.mixture):
                 raise ValueError("mixture components need positive weight and deviations")
+            try:  # the weights are finite, so only an overflowing sum fails
+                math.fsum(w for w, _, _ in self.mixture)
+            except OverflowError:
+                raise ValueError("mixture weights must have a finite sum: they are normalized by it") from None
         for name in ("p_t_range", "s_l_range", "synthetic_iou"):
             pair = getattr(self, name)
             if pair is not None and not 0.0 <= pair[0] <= pair[1] <= 1.0:

@@ -294,8 +294,8 @@ def run_sample_complexity_experiment(
     nothing to learn; the slope fit is then rejected with a note.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    if len(n_grid) < 4:
-        raise ValueError("need at least 4 grid sizes")
+    if len(n_grid) < 4 or len(set(n_grid)) < len(n_grid) or n_grid[0] < 100:
+        raise ValueError(f"n_grid={n_grid} must hold at least 4 distinct sizes, each >= 100 (train_gate's minimum)")
     if seeds < 1:
         raise ValueError(f"seeds={seeds} must be >= 1: with no cells there is no slope to fit")
     if heldout < 1:

@@ -617,6 +617,11 @@ OUT_OF_RANGE = [
     ("theory-task", {"p_t_range": [0.9, 0.5]}, "gate task: p_t_range=(0.9, 0.5) must be (lo, hi)"),
     ("theory-task", {"s_l_range": [-0.1, 0.5]}, "gate task: s_l_range=(-0.1, 0.5) must be (lo, hi)"),
     ("theory-task", {"synthetic_iou": [1.5, 2.0]}, "gate task: synthetic_iou=(1.5, 2.0) must be (lo, hi)"),
+    (
+        "theory-task",
+        {"mixture": [[1e308, 0.01, 0.01], [1e308, 0.02, 0.02]]},
+        "gate task: mixture weights must have a finite sum",
+    ),
 ]
 
 
@@ -626,6 +631,33 @@ OUT_OF_RANGE = [
 def test_out_of_range_field_exits_2_before_any_output(tmp_path, request, capsys, site, fields, named):
     assert _run_with_config(tmp_path, request, site, CONFIG_SITES[site][1](fields)) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "n_grid",
+    [[0, 100, 200, 300], [50, 100, 200, 300], [-5, 100, 200, 300], [300, 300, 300, 300], [100, 200, 300]],
+    ids=["zero", "below-100", "negative", "repeated", "three-sizes"],
+)
+def test_theory_n_grid_out_of_range_exits_2_before_any_cell_trains(tmp_path, request, capsys, monkeypatch, n_grid):
+    from layoutfusion import theory
+
+    drawn = []
+    monkeypatch.setattr(theory, "sample_gate_instances", lambda *args, **kwargs: drawn.append(args))
+    config = {"experiment": {**SMALL_EXPERIMENT, "n_grid": n_grid}}
+    assert _run_with_config(tmp_path, request, "theory-experiment", config) == 2
+    err = capsys.readouterr().err
+    assert f"n_grid={sorted(n_grid)} must hold at least 4 distinct sizes, each >= 100" in err
+    assert drawn == [] and not (tmp_path / "out").exists()
+
+
+def test_theory_train_seed_exits_2_naming_it(tmp_path, request, capsys):
+    """Each cell trains with a seed drawn from (--seed, n, s); a configured
+    one would change the digest and nothing else."""
+    config = {"experiment": {**SMALL_EXPERIMENT, "train": {"epochs": 1, "seed": 7}}}
+    assert _run_with_config(tmp_path, request, "theory-train", config) == 2
+    err = capsys.readouterr().err
+    assert "experiment.train.seed must be left out" in err and "drawn from --seed" in err
     assert not (tmp_path / "out").exists()
 
 

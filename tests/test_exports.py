@@ -1,8 +1,8 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
-``iou``, the per-record types are slotted, and every loaded config checks
-its field types."""
+``iou``, the per-record types are built by ``schema.record``, and every
+loaded config checks its field types."""
 
 import ast
 import dataclasses
@@ -60,24 +60,41 @@ def test_only_geometry_binds_iou():
     assert holders == []
 
 
-# The types built once per record: slotted, so each instance is one
-# object without a ``__dict__``.
-SLOTTED = {
-    "geometry": ("BoundingBox",),
-    "model": ("TeacherPrediction", "LlmRegion", "OcrBlock", "GroundTruthAnnotation", "FusedLabel", "Page"),
-    "metrics": ("Detection", "GroundTruthBox"),
-    "fusion": ("MatchResult",),
-}
+def _decorator_name(node: ast.expr) -> str | None:
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
 
 
 def test_per_record_types_are_slotted():
-    unslotted = [
-        f"{module}.{name}"
-        for module, names in SLOTTED.items()
-        for name in names
-        if "__slots__" not in vars(getattr(importlib.import_module(f"layoutfusion.{module}"), name))
-    ]
-    assert unslotted == []
+    """A slotted type is built once per record, so it takes ``record``'s
+    ``__init__``, not the slower one of ``dataclass(slots=True)``; and
+    each ``record`` class is frozen and slotted, with that ``__init__``."""
+    plain, records = [], []
+    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                name = _decorator_name(decorator)
+                if name == "record":
+                    records.append((path.stem, node.name))
+                elif name == "dataclass" and isinstance(decorator, ast.Call) and any(
+                    k.arg == "slots" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+                    for k in decorator.keywords
+                ):
+                    plain.append(f"{path.stem}.{node.name}")
+    assert plain == []
+    assert len(records) >= 10
+    broken = []
+    for module, name in records:
+        cls = getattr(importlib.import_module(f"layoutfusion.{module}"), name)
+        if not (
+            "__slots__" in vars(cls)
+            and cls.__dataclass_params__.frozen
+            and cls.__init__.__code__.co_filename == f"<record {cls.__qualname__}>"
+        ):
+            broken.append(f"{module}.{name}")
+    assert broken == []
 
 
 def test_box_validation_stays_a_class_attribute():
