@@ -36,7 +36,6 @@ from .fusion import (
     gate_samples_from_pages,
     llm_spatial_variance,
     match_regions,
-    optimal_alpha,
     optimal_weights,
     pair_features,
     refine_pseudo_labels,
@@ -90,7 +89,6 @@ from .theory import (
     TheoryConfig,
     TheoryReport,
     boundary_measure,
-    classify_regime,
     complementarity_dimension,
     complementarity_factor,
     fit_convergence_slope,
@@ -98,4 +96,4 @@ from .theory import (
     regime_residual_analysis,
     run_sample_complexity_experiment,
 )
-from .heuristics import HeuristicConfig, classify_block, detect_grid_alignment, heuristic_regions
+from .heuristics import HeuristicConfig, classify_block, heuristic_regions

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import manifest
 from .curriculum import CurriculumConfig, schedule_table, threshold_table
-from .dataset_io import load_dataset, save_dataset
+from .dataset_io import load_dataset, region_record, save_dataset
 from .fusion import (
     FusionConfig,
     fit_temperature,
@@ -239,6 +239,22 @@ def cmd_theory(args):
     return outputs, configs
 
 
+def _calibration(pages, source: str, bins: int) -> tuple[dict, int]:
+    """The fitted temperature of ``source``'s confidences with its ECE
+    before and after, and the number of confidences it was fitted on."""
+    confidences, correct = prediction_correctness(pages, source=source)
+    try:
+        temperature = fit_temperature(confidences, correct)
+    except ValueError as exc:
+        raise CliError(f"{source} stream: {exc}") from exc
+    report = {
+        "temperature": temperature,
+        "ece_before": ece(confidences, correct, bins=bins).ece,
+        "ece_after": ece(apply_temperature(confidences, temperature), correct, bins=bins).ece,
+    }
+    return report, len(confidences)
+
+
 def _metrics_csv_rows(result) -> tuple[list[str], list[list]]:
     header = ["category", "iou_threshold", "gt_count", "ap"]
     rows = []
@@ -269,15 +285,7 @@ def cmd_evaluate(args):
         },
     }
     if args.calibrate:
-        confidences, correct = prediction_correctness(pages, source=args.source)
-        before = ece(confidences, correct)
-        temperature = fit_temperature(confidences, correct)
-        after = ece(apply_temperature(confidences, temperature), correct)
-        doc["calibration"] = {
-            "temperature": temperature,
-            "ece_before": before.ece,
-            "ece_after": after.ece,
-        }
+        doc["calibration"], _ = _calibration(pages, args.source, bins=15)
     outputs = _write_report(args, "metrics", doc, _metrics_csv_rows(result))
     print(f"ap={result.ap:.4f} ap50={result.ap50:.4f} ap75={result.ap75:.4f}")
     if args.calibrate:
@@ -287,13 +295,15 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    a = _load_json(args.a)
-    b = _load_json(args.b)
-    if not isinstance(a, list) or not isinstance(b, list):
-        raise CliError("comparison inputs must be JSON arrays of per-seed metric values")
+    # Per-seed metric values: finite JSON numbers, by the config type rule.
+    a = check(_tuples(_load_json(args.a)), tuple[float, ...], f"--a file {args.a}")
+    b = check(_tuples(_load_json(args.b)), tuple[float, ...], f"--b file {args.b}")
     if len(a) != len(b):
         raise CliError(f"unpaired metric lists: {len(a)} vs {len(b)} values")
-    ttest = paired_t_test(a, b)
+    try:
+        ttest = paired_t_test(a, b)
+    except ValueError as exc:
+        raise CliError(f"{args.a} - {args.b}: {exc}") from exc
     equivalence = tost(a, b, delta=args.delta, alpha=args.alpha)
     doc = {
         "n": len(a),
@@ -330,21 +340,8 @@ def cmd_heuristics(args):
         for page in pages:
             regions = heuristic_regions(page, config, taxonomy)
             total += len(regions)
-            record = {
-                "page_id": page.page_id,
-                "regions": [
-                    {
-                        "type": r.category.name,
-                        "bbox": [r.box.x1, r.box.y1, r.box.x2, r.box.y2],
-                        "score": r.score,
-                        "q_text": r.q_text,
-                        "q_spatial": r.q_spatial,
-                        "source": "heuristic",
-                    }
-                    for r in regions
-                ],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            records = [{**region_record(r), "source": "heuristic"} for r in regions]
+            fh.write(json.dumps({"page_id": page.page_id, "regions": records}, separators=(",", ":")) + "\n")
             replaced.append(page.with_llm(regions))
     save_dataset(replaced, dataset_path)
     print(f"emitted {total} heuristic regions over {len(pages)} pages")
@@ -356,20 +353,9 @@ def cmd_calibrate(args):
     pages = _load_pages(args.dataset, taxonomy)
     doc: dict = {}
     for source in ("teacher", "llm"):
-        confidences, correct = prediction_correctness(pages, source=source)
-        try:
-            temperature = fit_temperature(confidences, correct)
-        except ValueError as exc:
-            raise CliError(f"{source} stream: {exc}") from exc
-        before = ece(confidences, correct, bins=args.bins)
-        after = ece(apply_temperature(confidences, temperature), correct, bins=args.bins)
-        doc[source] = {
-            "temperature": temperature,
-            "ece_before": before.ece,
-            "ece_after": after.ece,
-            "samples": int(len(confidences)),
-        }
-        print(f"{source}: T={temperature:.4f} ece {before.ece:.4f} -> {after.ece:.4f}")
+        cal, samples = _calibration(pages, source, args.bins)
+        doc[source] = {**cal, "samples": samples}
+        print(f"{source}: T={cal['temperature']:.4f} ece {cal['ece_before']:.4f} -> {cal['ece_after']:.4f}")
     _write_json(Path(args.out) / "calibration.json", doc)
     return ["calibration.json"], []
 
@@ -422,6 +408,8 @@ def cmd_schedule(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(CurriculumConfig, raw, "curriculum config")
+    if args.epochs < 1:
+        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
     rows = schedule_table(args.epochs, config, taxonomy)
     _write_csv(
         Path(args.out) / "schedule.csv",

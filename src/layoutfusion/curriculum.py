@@ -25,7 +25,6 @@ __all__ = [
 @dataclass(frozen=True)
 class CurriculumConfig:
     warmup_epochs: int = 2
-    fusion_start_epoch: int = 3
     soft_start_epoch: int = 6
     threshold_frequent: float = 0.7
     threshold_rare: float = 0.5
@@ -37,7 +36,7 @@ class CurriculumConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name}={value} must be in (0, 1)")
-        if self.warmup_epochs < 0 or self.fusion_start_epoch < 1 or self.soft_start_epoch < 1:
+        if self.warmup_epochs < 0 or self.soft_start_epoch < 1:
             raise ValueError("epoch boundaries must be positive")
         if self.regeneration_period < 1:
             raise ValueError("regeneration_period must be >= 1")

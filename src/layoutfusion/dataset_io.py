@@ -287,6 +287,17 @@ def _bbox(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
+def region_record(region: LlmRegion) -> dict:
+    """The JSON record of a text region."""
+    return {
+        "type": region.category.name,
+        "bbox": _bbox(region.box),
+        "score": region.score,
+        "q_text": region.q_text,
+        "q_spatial": region.q_spatial,
+    }
+
+
 def page_to_dict(page: Page) -> dict:
     obj: dict = {"page_id": page.page_id}
     obj["ocr_blocks"] = [
@@ -301,16 +312,7 @@ def page_to_dict(page: Page) -> dict:
         }
         for t in page.teacher
     ]
-    obj["llm"] = [
-        {
-            "type": r.category.name,
-            "bbox": _bbox(r.box),
-            "score": r.score,
-            "q_text": r.q_text,
-            "q_spatial": r.q_spatial,
-        }
-        for r in page.llm
-    ]
+    obj["llm"] = [region_record(r) for r in page.llm]
     if page.ground_truth is not None:
         obj["ground_truth"] = [
             {"type": g.category.name, "bbox": _bbox(g.box)} for g in page.ground_truth

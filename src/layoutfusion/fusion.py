@@ -51,7 +51,6 @@ __all__ = [
     "llm_spatial_variance",
     "fuse_inverse_variance",
     "optimal_weights",
-    "optimal_alpha",
     "fused_variance",
     "apply_temperature",
     "fit_temperature",
@@ -280,11 +279,6 @@ def optimal_weights(sigma_t, sigma_l, rho: float) -> np.ndarray:
     return np.clip((sigma_l**2 - rho * sigma_t * sigma_l) / denominator, 0.0, 1.0)
 
 
-def optimal_alpha(sigma_t: float, sigma_l: float, rho: float) -> float:
-    """``optimal_weights`` for one pair of deviations, as a float."""
-    return float(optimal_weights(sigma_t, sigma_l, rho))
-
-
 def fused_variance(sigma_t: float, sigma_l: float, rho: float) -> float:
     """Minimum variance achievable by any linear combination of the sources."""
     sigma_t, sigma_l, denominator = _fusion_terms(sigma_t, sigma_l, rho)
@@ -398,7 +392,6 @@ def refine_pseudo_labels(
     if thresholds is None:
         thresholds = threshold_table(taxonomy, CurriculumConfig())
     outcome = match_regions(page.teacher, page.llm, config, taxonomy)
-    matched_llm = {m.llm_index for m in outcome.matches}
     by_teacher = {m.teacher_index: m for m in outcome.matches}
     # The gate runs once per page, one feature row per matched pair.
     weights: dict[int, float] = {}
@@ -422,9 +415,8 @@ def refine_pseudo_labels(
                     provenance=PROVENANCE_TEACHER,
                 )
             )
-    for li, region in enumerate(page.llm):
-        if li in matched_llm:
-            continue
+    for li in outcome.unmatched_llm:
+        region = page.llm[li]
         if region.score >= config.soft_score_min and region.category.name in config.soft_categories:
             labels.append(
                 FusedLabel(

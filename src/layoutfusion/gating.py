@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import sigmoid
+from .numerics import logit, sigmoid
 from .schema import check_fields
 
 __all__ = [
@@ -44,6 +44,11 @@ _CONF_WEIGHT = 0.1  # weight of the confidence BCE in the gate loss
 _NESTING = ("a JSON number", "an array of JSON numbers", "an array of arrays of JSON numbers")
 
 
+def _shapes(hidden: int) -> dict[str, tuple[int, ...]]:
+    """The weight layout: each weight's name and shape, in file and buffer order."""
+    return {"w1": (hidden, 3), "b1": (hidden,), "w2": (hidden, hidden), "b2": (hidden,), "w3": (hidden,), "b3": ()}
+
+
 @dataclass
 class GateParams:
     """Dense parameters for the fixed two-hidden-layer architecture."""
@@ -56,24 +61,14 @@ class GateParams:
     b3: float
 
     def __post_init__(self) -> None:
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        self.w3 = np.asarray(self.w3, dtype=np.float64)
-        self.b3 = float(self.b3)
-        hidden = self.w1.shape[0]
-        if self.w1.shape != (hidden, 3):
-            raise ValueError(f"w1 must be (hidden, 3), got {self.w1.shape}")
-        if self.b1.shape != (hidden,) or self.b2.shape != (hidden,) or self.w3.shape != (hidden,):
-            raise ValueError("bias/output vector shapes inconsistent with hidden width")
-        if self.w2.shape != (hidden, hidden):
-            raise ValueError(f"w2 must be (hidden, hidden), got {self.w2.shape}")
-        for arr in (self.w1, self.b1, self.w2, self.b2, self.w3):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("gate parameters must be finite")
-        if not np.isfinite(self.b3):
-            raise ValueError("gate parameters must be finite")
+        hidden = np.shape(self.w1)[0] if np.ndim(self.w1) else 0
+        for name, shape in _shapes(hidden).items():
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for hidden width {hidden}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value if shape else float(value))
 
     @property
     def hidden_width(self) -> int:
@@ -81,7 +76,7 @@ class GateParams:
 
     @property
     def parameter_count(self) -> int:
-        return int(self.w1.size + self.b1.size + self.w2.size + self.b2.size + self.w3.size + 1)
+        return sum(math.prod(shape) for shape in _shapes(self.hidden_width).values())
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,8 @@ def _pack(batch: GateBatch):
     # disagreement the text category is emitted, so its flag decides; on
     # agreement both flags coincide anyway.
     y = batch.llm_correct.astype(np.float64)
-    clipped = np.clip(x[:, :2], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
-    z_t = np.log(clipped[:, 0]) - np.log1p(-clipped[:, 0])
-    z_l = np.log(clipped[:, 1]) - np.log1p(-clipped[:, 1])
+    z = logit(np.clip(x[:, :2], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP))
+    z_t, z_l = z[:, 0], z[:, 1]
     return x, bt, bl, gt, bt - bl, y, z_t, z_l, z_t - z_l
 
 
@@ -260,7 +254,7 @@ def _views(flat: np.ndarray, hidden: int) -> list[np.ndarray]:
     """w1, b1, w2, b2 and w3 as reshaped views of one flat buffer."""
     views = []
     start = 0
-    for shape in ((hidden, 3), (hidden,), (hidden, hidden), (hidden,), (hidden,)):
+    for shape in filter(None, _shapes(hidden).values()):  # b3, a float, has shape ()
         stop = start + math.prod(shape)
         views.append(flat[start:stop].reshape(shape))
         start = stop
@@ -294,7 +288,7 @@ def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), 
     init = init_gate(hidden=hidden, seed=int(rng.integers(2**31 - 1)))
     # The weights, and their gradients, are views of one flat buffer
     # each, so a step updates every weight with two calls.
-    flat = np.concatenate([a.ravel() for a in (init.w1, init.b1, init.w2, init.b2, init.w3)])
+    flat = np.concatenate([getattr(init, name).ravel() for name, shape in _shapes(hidden).items() if shape])
     params = GateParams(*_views(flat, hidden), init.b3)
     grad = np.empty_like(flat)
     grads = _views(grad, hidden)
@@ -409,14 +403,7 @@ def save_gate(params: GateParams, path) -> None:
             "gate_semantics": "teacher_weight",
         },
         "parameter_count": params.parameter_count,
-        "weights": {
-            "w1": params.w1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.tolist(),
-            "b2": params.b2.tolist(),
-            "w3": params.w3.tolist(),
-            "b3": params.b3,
-        },
+        "weights": {name: np.asarray(getattr(params, name)).tolist() for name in _shapes(params.hidden_width)},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -440,7 +427,8 @@ def load_gate(path) -> GateParams:
     if not isinstance(weights, dict):
         raise ValueError(f"{path}: weights must be a JSON object")
     arrays = {}
-    for key, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1), ("w3", 1), ("b3", 0)):
+    # The layout's names and ranks; GateParams checks the widths.
+    for key, shape in _shapes(0).items():
         if key not in weights:
             raise ValueError(f"{path}: missing weights.{key}")
         try:
@@ -448,8 +436,8 @@ def load_gate(path) -> GateParams:
         except ValueError:  # ragged nesting
             value = np.array(None)
         # Kinds i and f: JSON numbers only, not booleans, strings or nulls.
-        if value.dtype.kind not in "if" or value.ndim != ndim:
-            raise ValueError(f"{path}: weights.{key} must be {_NESTING[ndim]}")
+        if value.dtype.kind not in "if" or value.ndim != len(shape):
+            raise ValueError(f"{path}: weights.{key} must be {_NESTING[len(shape)]}")
         arrays[key] = value.astype(np.float64)
     try:
         return GateParams(**arrays)

@@ -21,7 +21,7 @@ from .model import LlmRegion, OcrBlock, Page
 from .schema import check_fields
 from .taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
 
-__all__ = ["HeuristicConfig", "classify_block", "detect_grid_alignment", "heuristic_regions"]
+__all__ = ["HeuristicConfig", "classify_block", "heuristic_regions"]
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ def _find_grid(blocks: list[OcrBlock], config: HeuristicConfig) -> list[int] | N
         if r in grid_rows and c in grid_columns:
             members.extend(idx)
     return sorted(members)
-
-
-def detect_grid_alignment(blocks, config: HeuristicConfig = HeuristicConfig()) -> bool:
-    """True iff the blocks contain a grid-like aligned group."""
-    return _find_grid(list(blocks), config) is not None
 
 
 def heuristic_regions(

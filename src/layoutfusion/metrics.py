@@ -350,8 +350,13 @@ def _paired_differences(a, b) -> tuple[int, float, float]:
         raise ValueError("paired samples must have equal length")
     if a.size < 2:
         raise ValueError("need at least 2 pairs")
-    d = a - b
-    return a.size, float(d.mean()), float(d.std(ddof=1))
+    # Overflow is reported below, as a ValueError, not as a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        mean, sd = float(d.mean()), float(d.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("the paired differences' mean or standard deviation is not finite")
+    return a.size, mean, sd
 
 
 def paired_t_test(a, b) -> TTestResult:
@@ -386,8 +391,10 @@ def tost(a, b, delta: float, alpha: float = 0.05) -> TostResult:
     mass decides each side outright (p = 0 when the mean is strictly
     inside that margin, 1 otherwise).
     """
-    if delta <= 0.0:
-        raise ValueError("margin must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta={delta} must be finite and > 0")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} must be in (0, 1)")
     n, mean, sd = _paired_differences(a, b)
     if sd == 0.0:
         p_lower = 0.0 if mean > -delta else 1.0

@@ -37,7 +37,6 @@ __all__ = [
     "complementarity_dimension",
     "predicted_gap",
     "complementarity_factor",
-    "classify_regime",
     "boundary_measure",
     "fit_convergence_slope",
     "expected_weight_risk",
@@ -48,9 +47,6 @@ __all__ = [
     "disagreement_indicator",
     "local_error_correlation",
 ]
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
 
 # Learnable headroom (constant-gate risk minus oracle risk), relative
 # to the oracle risk, below which the slope fit is meaningless: the
@@ -139,11 +135,6 @@ def complementarity_factor(sigma_t, sigma_l, rho_hat):
 def _in_band(gammas, config: TheoryConfig) -> np.ndarray:
     """The boundary band test: |gamma - center| <= half width, elementwise."""
     return np.abs(np.asarray(gammas, dtype=np.float64) - config.boundary_center) <= config.boundary_half_width
-
-
-def classify_regime(gamma: float, config: TheoryConfig = TheoryConfig()) -> str:
-    """Boundary iff gamma lies within the configured band; else interior."""
-    return BOUNDARY if _in_band(gamma, config) else INTERIOR
 
 
 def boundary_measure(gammas: Iterable[float], config: TheoryConfig = TheoryConfig()) -> float:

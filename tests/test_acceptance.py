@@ -20,7 +20,7 @@ from layoutfusion.fusion import (
     apply_temperature,
     fit_temperature,
     fused_variance,
-    optimal_alpha,
+    optimal_weights,
     refine_pseudo_labels,
 )
 from layoutfusion.gating import (
@@ -31,7 +31,7 @@ from layoutfusion.gating import (
     train_gate,
 )
 from layoutfusion.geometry import BoundingBox
-from layoutfusion.heuristics import classify_block, detect_grid_alignment, heuristic_regions
+from layoutfusion.heuristics import classify_block, heuristic_regions
 from layoutfusion.metrics import (
     Detection,
     GroundTruthBox,
@@ -99,7 +99,7 @@ def test_02_optimal_weight_grid():
                 s_tl = float(np.mean(eps_t * eps_l))
                 curve = alphas**2 * s_tt + (1 - alphas) ** 2 * s_ll + 2 * alphas * (1 - alphas) * s_tl
                 empirical_argmin = float(alphas[int(np.argmin(curve))])
-                closed_form = optimal_alpha(sigma_t, sigma_l, rho)
+                closed_form = float(optimal_weights(sigma_t, sigma_l, rho))
                 worst_step = max(worst_step, abs(empirical_argmin - closed_form))
                 rel = abs(float(curve.min()) - fused_variance(sigma_t, sigma_l, rho)) / fused_variance(
                     sigma_t, sigma_l, rho
@@ -363,7 +363,9 @@ def test_11_heuristic_rule_fixtures():
             x1 = 0.2 + c * 0.12
             y1 = 0.4 + r * 0.06
             grid.append(OcrBlock(BoundingBox(x1, y1, x1 + 0.08, y1 + 0.03), str(r * 3 + c)))
-    grid_found = detect_grid_alignment(grid)
+    # The grid alone, on a page of its own, makes one table region.
+    grid_regions = heuristic_regions(Page(page_id="grid", ocr_blocks=tuple(grid)))
+    grid_found = [r.category.name for r in grid_regions] == ["table"]
 
     page = Page(
         page_id="acc11",

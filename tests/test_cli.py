@@ -187,6 +187,15 @@ class TestEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["ap"] == pytest.approx(1.0)
 
+    def test_calibration_that_cannot_be_fitted_names_the_stream(self, tmp_path, capsys):
+        # Every teacher box is correct, so no temperature fits.
+        config = SimConfig(pages=6, sigma_t=0.0, sigma_l=0.0, teacher_confusion=0.0, llm_confusion=0.0, seed=1)
+        path = tmp_path / "perfect.jsonl"
+        save_dataset(simulate_dataset(config), path)
+        out = tmp_path / "pe"
+        assert main(["evaluate", "--dataset", str(path), "--source", "teacher", "--calibrate", "--out", str(out)]) == 2
+        assert "error: teacher stream: need both correct and incorrect outcomes" in capsys.readouterr().err
+
     def test_calibration_flag_reports_before_after(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=150, teacher_temperature=2.0, seed=4))
         path = tmp_path / "cal.jsonl"
@@ -239,6 +248,30 @@ class TestCompare:
         pa, pb = self.write_runs(tmp_path, [1.0, 2.0], [1.0, 2.0, 3.0])
         assert main(["compare", "--a", str(pa), "--b", str(pb), "--out", str(tmp_path / "x")]) == 2
 
+    # Run A's values, extra flags, and what the error must name; run B is [1, 2, 3].
+    BAD_INPUTS = {
+        "null": ("[1, 2, null]", [], "--a file {a} must be JSON that fits tuple[float, ...], got [1, 2, null]"),
+        "nan": ("[1, 2, NaN]", [], "--a file {a} must be JSON that fits tuple[float, ...], got [1, 2, NaN]"),
+        "infinity": ("[1, Infinity, 3]", [], "--a file {a} must be JSON that fits tuple[float, ...]"),
+        "booleans": ("[true, false, true]", [], "--a file {a} must be JSON that fits tuple[float, ...]"),
+        "overflow": ("[1e308, -1e308, 1e308]", [], "{a} - {b}: the paired differences' mean or standard deviation"),
+        "delta-nan": ("[1, 2, 3]", ["--delta", "nan"], "delta=nan must be finite and > 0"),
+        "delta-inf": ("[1, 2, 3]", ["--delta", "inf"], "delta=inf must be finite and > 0"),
+        "alpha-2": ("[1, 2, 3]", ["--alpha", "2"], "alpha=2.0 must be in (0, 1)"),
+        "alpha-0": ("[1, 2, 3]", ["--alpha", "0"], "alpha=0.0 must be in (0, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2_naming_file_or_flag(self, tmp_path, capsys, case):
+        text, flags, named = self.BAD_INPUTS[case]
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(text, encoding="utf-8")
+        pb.write_text("[1, 2, 3]", encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--a", str(pa), "--b", str(pb), *flags, "--out", str(out)]) == 2
+        assert named.format(a=pa, b=pb) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHeuristicsCommand:
     def test_regions_file_and_dataset(self, tmp_path, dataset_path):
@@ -251,6 +284,17 @@ class TestHeuristicsCommand:
             assert record["regions"][0]["source"] == "heuristic"
         replaced = load_dataset(out / "heuristic_dataset.jsonl")
         assert len(replaced) == 12
+
+    def test_region_records_are_dataset_records_plus_source(self, tmp_path, dataset_path):
+        """Each region's record is its text-region record in the written
+        dataset, keys in the same order, then ``source``."""
+        out = tmp_path / "heur"
+        assert main(["heuristics", "--dataset", str(dataset_path), "--out", str(out)]) == 0
+        pages = [json.loads(line) for line in (out / "heuristic_dataset.jsonl").read_text().splitlines()]
+        records = [json.loads(line) for line in (out / "heuristic_regions.jsonl").read_text().splitlines()]
+        want = [[[*region.items(), ("source", "heuristic")] for region in page["llm"]] for page in pages]
+        assert [[list(region.items()) for region in record["regions"]] for record in records] == want
+        assert any(want)
 
     def test_heuristic_dataset_feeds_fuse(self, tmp_path, dataset_path):
         heur = tmp_path / "h2"
@@ -335,6 +379,13 @@ class TestSchedule:
         assert main(["schedule", "--epochs", "8", "--out", str(out)]) == 0
         rows = (out / "schedule.csv").read_text().strip().splitlines()
         assert len(rows) == 9  # header + 8 epochs
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_epochs_below_one_exit_2_naming_the_flag(self, tmp_path, capsys, epochs):
+        out = tmp_path / "sched"
+        assert main(["schedule", "--epochs", epochs, "--out", str(out)]) == 2
+        assert f"--epochs must be >= 1, got {epochs}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCollectorPause:
@@ -492,12 +543,13 @@ class TestConfigLoader:
             ("schedule", "ema_momentum"),
             ("schedule", "lambda_pseudo"),
             ("schedule", "lambda_cons"),
+            ("schedule", "fusion_start_epoch"),
             ("fuse", "llm_logit_weight"),
         ],
     )
     def test_removed_field_exits_2_and_names_it(self, tmp_path, request, capsys, site, field):
         assert _run_with_config(tmp_path, request, site, {field: 0.3}) == 2
-        assert field in capsys.readouterr().err
+        assert f"field(s): {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
     def test_non_object_exits_2_and_names_the_file(self, tmp_path, request, capsys, site):
@@ -858,3 +910,31 @@ def test_gate_pipeline_bytes_unchanged(tmp_path):
         assert main(argv) == 0
     got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in GATE_PIPELINE_SHA256}
     assert got == GATE_PIPELINE_SHA256
+
+
+# sha256 of the heuristics, calibrate and evaluate --calibrate data files
+# on one small corpus, recorded before the text-region record and the
+# calibration report each had one writer. These commands run no BLAS
+# matmuls.
+REPORT_SHA256 = {
+    "heur/heuristic_regions.jsonl": "32b20de563349447442fb5f3efaf0ae9f75a38d58826c67ce99e4dadc6ba9cce",
+    "heur/heuristic_dataset.jsonl": "12c6652618e1fcf09e7b8ea602e84d791ebe8ff2c74350c85b33a6d3ad5b6476",
+    "cal/calibration.json": "bcbd4d1132f13f803c90ae652db3e9497ca081611e26129e285e6445ab4eafd7",
+    "eval/metrics.json": "ed542807c5bd1c84aa55f6f2b8ab48e0518bbfaf6d7a31cdec186e376397a422",
+}
+
+
+def test_report_bytes_unchanged(tmp_path):
+    (tmp_path / "sim.json").write_text(json.dumps({"pages": 30, "emit_ocr_stubs": True, "seed": 2}))
+    dataset = str(tmp_path / "sim" / "dataset.jsonl")
+    for argv in (
+        ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")],
+        ["heuristics", "--dataset", dataset, "--out", str(tmp_path / "heur")],
+        ["calibrate", "--dataset", dataset, "--out", str(tmp_path / "cal")],
+        ["fuse", "--dataset", dataset, "--out", str(tmp_path / "fuse")],
+        ["evaluate", "--dataset", str(tmp_path / "fuse" / "refined.jsonl"), "--calibrate",
+         "--out", str(tmp_path / "eval")],
+    ):
+        assert main(argv) == 0
+    got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in REPORT_SHA256}
+    assert got == REPORT_SHA256

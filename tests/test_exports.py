@@ -2,11 +2,13 @@
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
 ``iou``, the per-record types are built by ``schema.record``, and every
-loaded config checks its field types."""
+loaded config checks its field types and has each field read."""
 
 import ast
+import collections
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -157,3 +159,39 @@ def test_every_loaded_config_checks_each_field_type():
             wrong = 1 if field.type == "str" else "x"
             with pytest.raises(ValueError, match=f"^{field.name} must be "):
                 cls(**{field.name: wrong})
+
+
+def _attribute_reads():
+    """Every attribute name the library loads (``x.name``), counted over
+    all modules and, separately, within each class body."""
+    everywhere, by_class = collections.Counter(), collections.defaultdict(collections.Counter)
+    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                everywhere[node.attr] += 1
+            elif isinstance(node, ast.ClassDef):
+                by_class[node.name].update(
+                    n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                )
+    return everywhere, by_class
+
+
+def test_every_loaded_config_field_is_read():
+    """A config field that nothing reads is accepted, validated and
+    digested, and changes no output. Each field of each loaded config
+    must be read as an attribute somewhere in the library outside its own
+    class body. ``theory.Experiment`` reaches
+    ``run_sample_complexity_experiment`` through ``dataclasses.asdict``,
+    so a field named like one of its parameters counts as read."""
+    from layoutfusion.theory import run_sample_complexity_experiment
+
+    keywords = set(inspect.signature(run_sample_complexity_experiment).parameters)
+    everywhere, by_class = _attribute_reads()
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in _loaded_config_classes()
+        for field in dataclasses.fields(cls)
+        if everywhere[field.name] - by_class[cls.__name__][field.name] <= 0 and field.name not in keywords
+    ]
+    assert unread == []

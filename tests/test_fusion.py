@@ -17,7 +17,7 @@ from layoutfusion.fusion import (
     gate_samples_from_pages,
     llm_spatial_variance,
     match_regions,
-    optimal_alpha,
+    optimal_weights,
     pair_features,
     refine_pseudo_labels,
     resolve_category,
@@ -268,20 +268,20 @@ class TestBoxFusion:
 
 class TestOptimalWeight:
     def test_balanced_case(self):
-        assert optimal_alpha(1.0, 1.0, 0.0) == pytest.approx(0.5)
+        assert float(optimal_weights(1.0, 1.0, 0.0)) == pytest.approx(0.5)
 
     def test_perfect_text_source_takes_all(self):
-        assert optimal_alpha(1.0, 1e-6, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert float(optimal_weights(1.0, 1e-6, 0.0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_clamped_at_one(self):
         # Unconstrained optimum (4-1)/(5-2) = 1 exactly.
-        assert optimal_alpha(1.0, 2.0, 0.5) == 1.0
+        assert float(optimal_weights(1.0, 2.0, 0.5)) == 1.0
 
     def test_degenerate_errors(self):
         with pytest.raises(ValueError):
-            optimal_alpha(1.0, 1.0, 1.0)
+            optimal_weights(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            optimal_alpha(0.0, 1.0, 0.0)
+            optimal_weights(0.0, 1.0, 0.0)
 
     def test_fused_variance_balanced(self):
         assert fused_variance(1.0, 1.0, 0.0) == pytest.approx(0.5)
@@ -302,7 +302,7 @@ class TestOptimalWeight:
 
     def test_closed_form_matches_monte_carlo(self):
         st, sl, rho = 0.9, 1.4, 0.35
-        alpha = optimal_alpha(st, sl, rho)
+        alpha = float(optimal_weights(st, sl, rho))
         mc = monte_carlo_fusion_variance(st, sl, rho, alpha, 10**6, seed=4)
         assert mc == pytest.approx(fused_variance(st, sl, rho), rel=0.02)
 

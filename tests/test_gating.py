@@ -2,6 +2,7 @@
 estimation, and serialization."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ class TestForward:
                 b3=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("w1", (4, 2)), ("b1", (5,)), ("w2", (4, 3)), ("b2", (4, 1)), ("w3", (3,)), ("b3", (1,))],
+    )
+    def test_wrong_shape_names_the_weight_and_its_shape(self, name, shape):
+        weights = vars(init_gate(hidden=4, seed=0)) | {name: np.zeros(shape)}
+        want = {"w1": (4, 3), "b1": (4,), "w2": (4, 4), "b2": (4,), "w3": (4,), "b3": ()}[name]
+        message = rf"^{name} must have shape {re.escape(str(want))} for hidden width 4, got "
+        with pytest.raises(ValueError, match=message):
+            GateParams(**weights)
+
     def test_parameter_count(self):
         params = init_gate(hidden=64, seed=0)
         assert params.parameter_count == 64 * 3 + 64 + 64 * 64 + 64 + 64 + 1
@@ -289,6 +301,11 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.w2, params.w2)
         np.testing.assert_array_equal(loaded.w3, params.w3)
         assert loaded.b3 == params.b3
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        save_gate(init_gate(hidden=8, seed=11), tmp_path / "first.json")
+        save_gate(load_gate(tmp_path / "first.json"), tmp_path / "second.json")
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
     def test_version_field_required(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -238,6 +238,12 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0], [0.5])
 
+    @pytest.mark.parametrize("a", [[1e308, -1e308, 1e308], [1.0, 2.0, math.nan], [1.7e308, 1.7e308, 1.0]])
+    def test_differences_without_a_finite_mean_or_deviation_are_rejected(self, a):
+        # Under the suite's RuntimeWarning filter, a numpy overflow warning fails this too.
+        with pytest.raises(ValueError, match="mean or standard deviation is not finite"):
+            paired_t_test(a, [1.0, -2.0, 3.0])
+
 
 class TestTost:
     def test_mean_outside_margin_never_equivalent(self):
@@ -289,6 +295,17 @@ class TestTost:
         result = tost(d, np.zeros(5), delta=0.5)
         assert (result.p_lower < 0.05) == (t_lower > 2.1318)
         assert (result.p_upper < 0.05) == (t_upper < -2.1318)
+
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf])
+    def test_margin_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match=f"delta={delta} must be finite and > 0"):
+            tost([1.0, 2.0, 3.0], [1.0, 2.0, 3.5], delta=delta)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, math.nan])
+    def test_level_must_be_inside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=rf"alpha={alpha} must be in \(0, 1\)"):
+            tost([1.0, 2.0, 3.0], [1.0, 2.0, 3.5], delta=0.5, alpha=alpha)
 
 
 class TestStars:

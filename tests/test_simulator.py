@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from layoutfusion.fusion import fused_variance, optimal_alpha
+from layoutfusion.fusion import fused_variance, optimal_weights
 from layoutfusion.gating import GateBatch
 from layoutfusion.geometry import iou
 from layoutfusion.simulator import (
@@ -184,7 +184,7 @@ class TestMonteCarloVariance:
         for st, sl, rho in ((0.8, 1.2, 0.0), (1.0, 1.0, 0.5), (1.3, 0.7, 0.25)):
             variances = [monte_carlo_fusion_variance(st, sl, rho, a, 10**5, seed=5) for a in alphas[::10]]
             best = alphas[::10][int(np.argmin(variances))]
-            assert abs(best - optimal_alpha(st, sl, rho)) <= 0.1 + 1e-9
+            assert abs(best - float(optimal_weights(st, sl, rho))) <= 0.1 + 1e-9
             assert min(variances) >= fused_variance(st, sl, rho) * 0.95
 
 

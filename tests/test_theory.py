@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from layoutfusion.fusion import optimal_alpha, optimal_weights
+from layoutfusion.fusion import optimal_weights
 from layoutfusion.gating import GateTrainConfig, train_gate
 from layoutfusion.simulator import GateTask, SimConfig, sample_gate_instances, simulate_dataset
 from layoutfusion.theory import (
     TheoryConfig,
     boundary_measure,
-    classify_regime,
     complementarity_dimension,
     complementarity_factor,
     expected_weight_risk,
@@ -89,20 +88,23 @@ class TestComplementarityFactor:
 
 
 class TestRegimes:
+    """A single factor's boundary measure is 1.0 in the boundary band
+    and 0.0 in the interior."""
+
     def test_center_is_boundary(self):
-        assert classify_regime(0.3) == "boundary"
+        assert boundary_measure([0.3]) == 1.0
 
     def test_clear_separation_is_interior(self):
-        assert classify_regime(0.52) == "interior"
+        assert boundary_measure([0.52]) == 0.0
 
     def test_near_zero_default_vs_zero_centered(self):
-        assert classify_regime(0.04) == "interior"
+        assert boundary_measure([0.04]) == 0.0
         zero_centered = TheoryConfig(boundary_center=0.0)
-        assert classify_regime(0.04, zero_centered) == "boundary"
+        assert boundary_measure([0.04], zero_centered) == 1.0
 
     def test_partition(self):
         for gamma in np.linspace(-2.5, 2.5, 101):
-            assert classify_regime(float(gamma)) in ("interior", "boundary")
+            assert boundary_measure([float(gamma)]) in (0.0, 1.0)
 
     def test_boundary_measure_counts(self):
         gammas = [0.3] * 9 + [2.0] * 41
@@ -149,7 +151,7 @@ class TestOracleHelpers:
         for rho in (0.0, 0.3):
             vec = optimal_weights(st, sl, rho)
             for i in range(50):
-                assert vec[i] == pytest.approx(optimal_alpha(st[i], sl[i], rho), abs=1e-12)
+                assert vec[i] == pytest.approx(float(optimal_weights(st[i], sl[i], rho)), abs=1e-12)
 
     def test_expected_risk_at_oracle_weight_is_minimal(self):
         rng = np.random.default_rng(16)
