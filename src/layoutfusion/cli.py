@@ -174,7 +174,7 @@ def cmd_fuse(args):
         labels = refine_pseudo_labels(page, config, gate, taxonomy=taxonomy, thresholds=thresholds)
         for label in labels:
             histogram[label.provenance] = histogram.get(label.provenance, 0) + 1
-        refined_pages.append(page.with_refined(labels))
+        refined_pages.append(dataclasses.replace(page, refined=tuple(labels)))
     refined_path = Path(args.out) / "refined.jsonl"
     save_dataset(refined_pages, refined_path)
     for provenance in sorted(histogram):
@@ -220,7 +220,7 @@ def cmd_theory(args):
         experiment = _build_config(Experiment, block, "experiment")
         configs += [experiment, task, train]
         report = run_sample_complexity_experiment(
-            **dataclasses.asdict(experiment), task=task, train_config=train, config=config, master_seed=args.seed
+            experiment=experiment, task=task, train_config=train, config=config, master_seed=args.seed
         )
     else:
         report = summarize_reference_point(args.n, config)
@@ -342,7 +342,7 @@ def cmd_heuristics(args):
             total += len(regions)
             records = [{**region_record(r), "source": "heuristic"} for r in regions]
             fh.write(json.dumps({"page_id": page.page_id, "regions": records}, separators=(",", ":")) + "\n")
-            replaced.append(page.with_llm(regions))
+            replaced.append(dataclasses.replace(page, llm=tuple(regions)))
     save_dataset(replaced, dataset_path)
     print(f"emitted {total} heuristic regions over {len(pages)} pages")
     return [regions_path.name, dataset_path.name], [config]
@@ -425,12 +425,20 @@ def cmd_schedule(args):
 # ----------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy seeds its generators only from integers >= 0."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum``, checked before the command runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_seed = _at_least(0)  # numpy seeds its generators only from integers >= 0
 
 
 def _add_common(parser, *, config=True, fmt=False, taxonomy=False, seed_default=0) -> None:
@@ -489,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit per-stream temperatures against ground truth")
     _add_common(p, config=False, taxonomy=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_at_least(1), default=15)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("train-gate", help="train the fusion gate on a dataset with ground truth")
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config=False, taxonomy=True)
     p.add_argument("--gate", required=True)
     p.add_argument("--dataset", help="probe points from this dataset's matched pairs")
-    p.add_argument("--grid", type=int, default=21, help="per-axis grid resolution when no dataset given")
+    p.add_argument("--grid", type=_at_least(2), default=21, help="per-axis grid resolution when no dataset given")
     p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("schedule", help="export the curriculum schedule table")

@@ -257,13 +257,16 @@ def fuse_inverse_variance(
 
 def _fusion_terms(sigma_t, sigma_l, rho: float):
     """Both deviations as float64 arrays and the fusion denominator
-    sigma_t^2 + sigma_l^2 - 2 rho sigma_t sigma_l, checked elementwise."""
+    sigma_t^2 + sigma_l^2 - 2 rho sigma_t sigma_l, checked elementwise.
+    The degeneracy test is relative to sigma_t^2 + sigma_l^2, so it holds
+    at any scale of the deviations."""
     sigma_t = np.asarray(sigma_t, dtype=np.float64)
     sigma_l = np.asarray(sigma_l, dtype=np.float64)
     if np.any(sigma_t <= 0.0) or np.any(sigma_l <= 0.0):
         raise ValueError("standard deviations must be positive")
-    denominator = sigma_t**2 + sigma_l**2 - 2.0 * rho * sigma_t * sigma_l
-    if np.any(denominator <= 1e-12):
+    total = sigma_t**2 + sigma_l**2
+    denominator = total - 2.0 * rho * sigma_t * sigma_l
+    if np.any(denominator <= 1e-12 * total):
         raise ValueError("degenerate fusion: equal deviations with correlation near 1")
     return sigma_t, sigma_l, denominator
 

@@ -40,6 +40,7 @@ __all__ = [
 GATE_FORMAT_VERSION = 1
 _LOGIT_CLIP = 1e-6
 _CONF_WEIGHT = 0.1  # weight of the confidence BCE in the gate loss
+_PAIR_BLOCK = 1 << 18  # sampled pairs scored at once by estimate_lipschitz
 # What ``load_gate`` expects of a weight, by its number of dimensions.
 _NESTING = ("a JSON number", "an array of JSON numbers", "an array of arrays of JSON numbers")
 
@@ -346,12 +347,23 @@ def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), 
     return TrainResult(best_params, train_losses, val_losses, best_epoch)
 
 
+def _steepest(x: np.ndarray, g: np.ndarray, first, second) -> float:
+    """The largest |g[second] - g[first]| / ||x[second] - x[first]|| over
+    the pairs at least 1e-9 apart; -1.0 when no pair is."""
+    d = np.linalg.norm(x[second] - x[first], axis=1)
+    valid = d >= 1e-9
+    if not valid.any():
+        return -1.0
+    return float((np.abs(g[second] - g[first])[valid] / d[valid]).max())
+
+
 def estimate_lipschitz(params: GateParams, points, max_pairs: int = 10_000_000, seed: int = 0) -> float:
     """Max pairwise difference quotient of the gate over the sample.
 
     Exhaustive over all pairs up to ``max_pairs``, otherwise a uniform
-    seeded subsample of pairs. Pairs closer than 1e-9 are skipped; all
-    points identical is an error.
+    seeded sample of ``max_pairs`` pairs, scored ``_PAIR_BLOCK`` at a
+    time. Pairs closer than 1e-9 are skipped; all points identical is an
+    error.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -359,50 +371,44 @@ def estimate_lipschitz(params: GateParams, points, max_pairs: int = 10_000_000, 
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs={max_pairs} must be >= 1")
     g = gate_forward_batch(params, x)
-
-    best = 0.0
-    found_pair = False
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_pairs:
-        for i in range(n - 1):
-            d = np.linalg.norm(x[i + 1 :] - x[i], axis=1)
-            valid = d >= 1e-9
-            if not np.any(valid):
-                continue
-            found_pair = True
-            q = np.abs(g[i + 1 :][valid] - g[i]) / d[valid]
-            best = max(best, float(q.max()))
+    if n * (n - 1) // 2 <= max_pairs:
+        pairs = ((i, slice(i + 1, None)) for i in range(n - 1))
     else:
         rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=max_pairs)
-        jj = rng.integers(0, n, size=max_pairs)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        d = np.linalg.norm(x[ii] - x[jj], axis=1)
-        valid = d >= 1e-9
-        if np.any(valid):
-            found_pair = True
-            q = np.abs(g[ii][valid] - g[jj][valid]) / d[valid]
-            best = float(q.max())
-    if not found_pair:
+        first = rng.integers(0, n, size=max_pairs)
+        second = rng.integers(0, n, size=max_pairs)
+        blocks = (slice(start, start + _PAIR_BLOCK) for start in range(0, max_pairs, _PAIR_BLOCK))
+        pairs = ((first[block], second[block]) for block in blocks)
+    best = max(_steepest(x, g, *pair) for pair in pairs)
+    if best < 0.0:
         raise ValueError("all sample points identical: slope undefined")
     return best
 
 
-def save_gate(params: GateParams, path) -> None:
-    """Serialize with an explicit architecture header and version field."""
-    doc = {
-        "format_version": GATE_FORMAT_VERSION,
+def _header(params: GateParams) -> dict:
+    """The header of ``params``'s gate file: its architecture and parameter count."""
+    hidden = params.hidden_width
+    return {
         "architecture": {
             "input": 3,
-            "hidden": [params.hidden_width, params.hidden_width],
+            "hidden": [hidden, hidden],
             "output": 1,
             "activation": "tanh",
             "output_squash": "sigmoid",
             "gate_semantics": "teacher_weight",
         },
         "parameter_count": params.parameter_count,
+    }
+
+
+def save_gate(params: GateParams, path) -> None:
+    """Serialize with an explicit architecture header and version field."""
+    doc = {
+        "format_version": GATE_FORMAT_VERSION,
+        **_header(params),
         "weights": {name: np.asarray(getattr(params, name)).tolist() for name in _shapes(params.hidden_width)},
     }
     path = Path(path)
@@ -412,7 +418,8 @@ def save_gate(params: GateParams, path) -> None:
 
 def load_gate(path) -> GateParams:
     """The parameters in a gate file written by ``save_gate``. A file that
-    is not one raises ValueError naming the file and the key at fault."""
+    is not one, or whose header does not describe its weights, raises
+    ValueError naming the file and the key at fault."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -440,6 +447,13 @@ def load_gate(path) -> GateParams:
             raise ValueError(f"{path}: weights.{key} must be {_NESTING[len(shape)]}")
         arrays[key] = value.astype(np.float64)
     try:
-        return GateParams(**arrays)
+        params = GateParams(**arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # The header must be the one save_gate writes for these weights.
+    for key, value in _header(params).items():
+        if key not in doc:
+            raise ValueError(f"{path}: missing {key}")
+        if doc[key] != value:
+            raise ValueError(f"{path}: {key} is {json.dumps(doc[key])}, but the weights give {json.dumps(value)}")
+    return params

@@ -139,23 +139,3 @@ class Page:
     llm: tuple[LlmRegion, ...] = ()
     ground_truth: tuple[GroundTruthAnnotation, ...] | None = None
     refined: tuple[FusedLabel, ...] | None = None
-
-    def with_refined(self, labels) -> "Page":
-        return Page(
-            page_id=self.page_id,
-            ocr_blocks=self.ocr_blocks,
-            teacher=self.teacher,
-            llm=self.llm,
-            ground_truth=self.ground_truth,
-            refined=tuple(labels),
-        )
-
-    def with_llm(self, regions) -> "Page":
-        return Page(
-            page_id=self.page_id,
-            ocr_blocks=self.ocr_blocks,
-            teacher=self.teacher,
-            llm=tuple(regions),
-            ground_truth=self.ground_truth,
-            refined=self.refined,
-        )

@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .fusion import optimal_weights
 from .gating import GateBatch
 from .geometry import BoundingBox, paired_iou
 from .model import GroundTruthAnnotation, LlmRegion, OcrBlock, Page, TeacherPrediction
@@ -408,10 +409,11 @@ class GateTask:
     """Recipe for sampling abstract fusion-gate instances.
 
     Default mode draws the text/teacher deviation ratio log-uniformly
-    and encodes it in both confidence channels (so the optimal weight is
-    an exact smooth function of the features). A ``mixture`` of
-    (weight, sigma_t, sigma_l) components overrides the ratio draw, with
-    confidences drawn uninformatively from the configured ranges.
+    and encodes it in both confidence channels as the uncorrelated
+    optimal weight (so the optimal weight is an exact smooth function of
+    the features). A ``mixture`` of (weight, sigma_t, sigma_l)
+    components overrides the ratio draw, with confidences drawn
+    uninformatively from the configured ranges.
     """
 
     sigma_scale: float = 0.05
@@ -501,8 +503,7 @@ def sample_gate_instances(task: GateTask, n: int, seed: int = 0) -> GateInstance
         p_t = rng.uniform(*task.p_t_range, size=n)
         s_l = rng.uniform(*task.s_l_range, size=n)
     else:
-        coded = sigma_l**2 / (sigma_t**2 + sigma_l**2)
-        p_t = np.clip(coded, 1e-3, 1.0 - 1e-3)
+        p_t = np.clip(optimal_weights(sigma_t, sigma_l, 0.0), 1e-3, 1.0 - 1e-3)
         s_l = p_t.copy()
 
     if task.synthetic_iou is not None:

@@ -82,9 +82,6 @@ class Taxonomy:
         except (KeyError, TypeError):
             raise KeyError(f"unknown category {name!r} in taxonomy {self.name!r}") from None
 
-    def rarity(self, name: str) -> str:
-        return self.category(name).rarity
-
     def compatible(self, a: str, b: str) -> bool:
         """True iff identical or a configured confusable pair.
 

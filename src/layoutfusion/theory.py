@@ -78,7 +78,9 @@ class TheoryConfig:
 
 @dataclass(frozen=True)
 class Experiment:
-    """The ``theory`` experiment block: ``run_sample_complexity_experiment`` keywords, range-checked there."""
+    """The ``theory`` experiment block: the training-set sizes, the gates
+    trained per size, the held-out instances the gap is measured on and
+    the gate's hidden width."""
 
     n_grid: tuple[int, ...] = (500, 1000, 2000, 4000, 8000, 16000, 32000)
     seeds: int = 3
@@ -87,6 +89,15 @@ class Experiment:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        sizes = sorted(self.n_grid)
+        if len(sizes) < 4 or len(set(sizes)) < len(sizes) or sizes[0] < 100:
+            raise ValueError(f"n_grid={sizes} must hold at least 4 distinct sizes, each >= 100 (train_gate's minimum)")
+        if self.seeds < 1:
+            raise ValueError(f"seeds={self.seeds} must be >= 1: with no cells there is no slope to fit")
+        if self.heldout < 1:
+            raise ValueError(f"heldout={self.heldout} must be >= 1: the gap is a mean over held-out instances")
+        if self.hidden < 1:
+            raise ValueError(f"hidden={self.hidden} must be >= 1")
 
 
 def complementarity_dimension(dim_psi: int, lipschitz_scale: float, n: int) -> float:
@@ -250,10 +261,9 @@ def local_error_correlation(features, err_t, err_l, neighbors: int = 50) -> np.n
     return np.clip(out, 0.0, 1.0)
 
 
-def summarize_reference_point(
-    n: int, config: TheoryConfig = TheoryConfig(), boundary_fraction: float = 0.0
-) -> TheoryReport:
-    """k and the gap predictions at one reference sample size."""
+def summarize_reference_point(n: int, config: TheoryConfig = TheoryConfig()) -> TheoryReport:
+    """k and the gap predictions at one reference sample size; the
+    boundary fraction is 0.0 until a caller measures it."""
     k = complementarity_dimension(config.dim_psi, config.lipschitz_scale, n)
     gaps = predicted_gap(k, n, config)
     return TheoryReport(
@@ -261,19 +271,16 @@ def summarize_reference_point(
         sqrt_k_over_n=math.sqrt(k / n),
         predicted_gap_simple=gaps.simple,
         predicted_gap_log_refined=gaps.log_refined,
-        boundary_fraction=boundary_fraction,
+        boundary_fraction=0.0,
         n_reference=n,
     )
 
 
 def run_sample_complexity_experiment(
-    n_grid: Sequence[int],
-    seeds: int = 3,
+    experiment: Experiment = Experiment(),
     task: GateTask = GateTask(),
     train_config: GateTrainConfig | None = None,
     config: TheoryConfig = TheoryConfig(),
-    heldout: int = 20_000,
-    hidden: int = 32,
     master_seed: int = 0,
 ) -> TheoryReport:
     """Train gates on growing subsets and fit the convergence slope.
@@ -284,37 +291,31 @@ def run_sample_complexity_experiment(
     where the oracle is exactly known). Near-zero gaps mean there was
     nothing to learn; the slope fit is then rejected with a note.
     """
-    n_grid = sorted(int(n) for n in n_grid)
-    if len(n_grid) < 4 or len(set(n_grid)) < len(n_grid) or n_grid[0] < 100:
-        raise ValueError(f"n_grid={n_grid} must hold at least 4 distinct sizes, each >= 100 (train_gate's minimum)")
-    if seeds < 1:
-        raise ValueError(f"seeds={seeds} must be >= 1: with no cells there is no slope to fit")
-    if heldout < 1:
-        raise ValueError(f"heldout={heldout} must be >= 1: the gap is a mean over held-out instances")
+    n_grid = sorted(experiment.n_grid)
     if train_config is None:
         # Single-pass SGD: every cell sees its data exactly once, so the
         # excess risk tracks the statistical budget rather than an
         # optimization schedule.
         train_config = GateTrainConfig(learning_rate=2.25, epochs=1, batch_size=32)
 
-    heldout_instances = sample_gate_instances(task, heldout, seed=(master_seed, 10**6))
+    heldout_instances = sample_gate_instances(task, experiment.heldout, seed=(master_seed, 10**6))
     alpha_star = optimal_weights(heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho)
     oracle_risk = expected_weight_risk(
         alpha_star, heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho
     )
     mean_oracle_risk = float(oracle_risk.mean())
     constant_risk = expected_weight_risk(
-        np.full(heldout, 0.5), heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho
+        np.full(experiment.heldout, 0.5), heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho
     )
     headroom = float((constant_risk - oracle_risk).mean())
 
     cells: list[ExperimentCell] = []
     for n in n_grid:
-        for s in range(seeds):
+        for s in range(experiment.seeds):
             instances = sample_gate_instances(task, n, seed=(master_seed, n, s))
             cell_seed = int(np.random.default_rng((master_seed, n, s, 1)).integers(2**31 - 1))
             cell_train = replace(train_config, seed=cell_seed)
-            result = train_gate(instances, cell_train, hidden=hidden)
+            result = train_gate(instances, cell_train, hidden=experiment.hidden)
             g = gate_forward_batch(result.params, heldout_instances.features)
             risk = expected_weight_risk(
                 g, heldout_instances.sigma_t, heldout_instances.sigma_l, task.rho

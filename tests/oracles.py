@@ -651,3 +651,47 @@ def frozen_find_grid(blocks, config):
         if r in grid_rows and c in grid_columns:
             members.extend(idx)
     return sorted(members)
+
+
+def frozen_estimate_lipschitz(params, points, max_pairs: int = 10_000_000, seed: int = 0) -> float:
+    """Frozen copy of ``gating.estimate_lipschitz`` as it was before one
+    pair scorer served both of its branches: the exhaustive loop scored
+    one point against all later points, and the sampled branch dropped
+    the self-pairs and then scored every sampled pair at once."""
+    from layoutfusion.gating import gate_forward_batch
+
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) points, got {x.shape}")
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    g = gate_forward_batch(params, x)
+
+    best = 0.0
+    found_pair = False
+    total_pairs = n * (n - 1) // 2
+    if total_pairs <= max_pairs:
+        for i in range(n - 1):
+            d = np.linalg.norm(x[i + 1 :] - x[i], axis=1)
+            valid = d >= 1e-9
+            if not np.any(valid):
+                continue
+            found_pair = True
+            q = np.abs(g[i + 1 :][valid] - g[i]) / d[valid]
+            best = max(best, float(q.max()))
+    else:
+        rng = np.random.default_rng(seed)
+        ii = rng.integers(0, n, size=max_pairs)
+        jj = rng.integers(0, n, size=max_pairs)
+        keep = ii != jj
+        ii, jj = ii[keep], jj[keep]
+        d = np.linalg.norm(x[ii] - x[jj], axis=1)
+        valid = d >= 1e-9
+        if np.any(valid):
+            found_pair = True
+            q = np.abs(g[ii][valid] - g[jj][valid]) / d[valid]
+            best = float(q.max())
+    if not found_pair:
+        raise ValueError("all sample points identical: slope undefined")
+    return best

@@ -8,6 +8,7 @@ too; they are generous on this hardware.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,7 @@ from layoutfusion.simulator import (
 )
 from layoutfusion.taxonomy import DOCLAYNET
 from layoutfusion.theory import (
+    Experiment,
     complementarity_dimension,
     regime_residual_analysis,
     run_sample_complexity_experiment,
@@ -128,7 +130,7 @@ def test_03_complementarity_dimension_constants():
 def test_04_sample_complexity_slope():
     start = time.monotonic()
     result = run_sample_complexity_experiment(
-        [500, 1000, 2000, 4000, 8000, 16000, 32000], seeds=3, master_seed=0
+        Experiment(n_grid=(500, 1000, 2000, 4000, 8000, 16000, 32000), seeds=3), master_seed=0
     )
     elapsed = time.monotonic() - start
     ok = (
@@ -229,7 +231,7 @@ def test_07_temperature_recovery_and_ece():
 def test_08_fusion_beats_both_sources():
     start = time.monotonic()
     pages = simulate_dataset(SimConfig(pages=200, seed=0))
-    refined = [p.with_refined(refine_pseudo_labels(p)) for p in pages]
+    refined = [replace(p, refined=tuple(refine_pseudo_labels(p))) for p in pages]
     fused_ap = evaluate_pages(refined, "refined").ap
     teacher_ap = evaluate_pages(refined, "teacher").ap
     llm_ap = evaluate_pages(refined, "llm").ap
@@ -372,7 +374,7 @@ def test_11_heuristic_rule_fixtures():
         ocr_blocks=(OcrBlock(BoundingBox(0.2, 0.33, 0.6, 0.37), "Table 1: data"), *grid),
     )
     regions = heuristic_regions(page)
-    labels = refine_pseudo_labels(page.with_llm(regions))
+    labels = refine_pseudo_labels(replace(page, llm=tuple(regions)))
 
     ok = (
         caption is not None

@@ -114,7 +114,7 @@ class TestFuse:
 
     def test_teacher_only_dataset(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=4, seed=8))
-        stripped = [p.with_llm([]) for p in pages]
+        stripped = [dataclasses.replace(p, llm=()) for p in pages]
         path = tmp_path / "teacher_only.jsonl"
         save_dataset(stripped, path)
         out = tmp_path / "fo"
@@ -661,6 +661,7 @@ OUT_OF_RANGE = [
     ("train-gate", {"seed": -1}, "gate training config: seed=-1 must be >= 0"),
     ("theory-experiment", {"heldout": 0}, "heldout=0 must be >= 1"),
     ("theory-experiment", {"heldout": -1}, "heldout=-1 must be >= 1"),
+    ("theory-experiment", {"hidden": 0}, "experiment: hidden=0 must be >= 1"),
     (
         "theory-task",
         {"mixture": [[1.0, 0.03, 0.03]], "p_t_range": [1.5, 2.0]},
@@ -711,6 +712,32 @@ def test_theory_train_seed_exits_2_naming_it(tmp_path, request, capsys):
     err = capsys.readouterr().err
     assert "experiment.train.seed must be left out" in err and "drawn from --seed" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["calibrate", "--bins", "0"], "argument --bins: must be >= 1, got 0"),
+        (["lipschitz", "--gate", "gate.json", "--grid", "1"], "argument --grid: must be >= 2, got 1"),
+        (["lipschitz", "--gate", "gate.json", "--grid", "-1"], "argument --grid: must be >= 2, got -1"),
+    ],
+    ids=["bins-0", "grid-1", "grid-negative"],
+)
+def test_count_flag_out_of_range_exits_2_naming_it_before_any_input_is_read(tmp_path, capsys, argv, named):
+    # Neither the dataset nor the gate file exists: the flag is checked first.
+    argv += ["--dataset", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_theory_on_deviations_below_1e_6_exits_0(tmp_path, request):
+    # optimal_weights once rejected deviations this small as degenerate.
+    config = {"experiment": {**SMALL_EXPERIMENT, "task": {"sigma_scale": 1e-7}}}
+    assert _run_with_config(tmp_path, request, "theory-task", config) == 0
+    assert (tmp_path / "out" / "theory_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "theory"])
@@ -867,6 +894,20 @@ MALFORMED_GATES = {
     "non-numeric-weight": (
         dict(mutate=lambda doc: doc["weights"]["w1"][0].__setitem__(0, "a")),
         "weights.w1 must be an array of arrays of JSON numbers",
+    ),
+    "missing-architecture": (dict(mutate=lambda doc: doc.pop("architecture")), "missing architecture"),
+    "missing-parameter-count": (dict(mutate=lambda doc: doc.pop("parameter_count")), "missing parameter_count"),
+    "header-hidden": (
+        dict(mutate=lambda doc: doc["architecture"].update(hidden=[50, 50])),
+        'architecture is {"input": 3, "hidden": [50, 50], "output": 1, "activation": "tanh"',
+    ),
+    "header-activation": (
+        dict(mutate=lambda doc: doc["architecture"].update(activation="relu")),
+        'architecture is {"input": 3, "hidden": [4, 4], "output": 1, "activation": "relu"',
+    ),
+    "header-parameter-count": (
+        dict(mutate=lambda doc: doc.update(parameter_count=999)),
+        "parameter_count is 999, but the weights give 41",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Dataset interchange: validation errors and bit-exact round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestRoundTrip:
         )
         from layoutfusion.fusion import refine_pseudo_labels
 
-        refined = page.with_refined(refine_pseudo_labels(page))
+        refined = replace(page, refined=tuple(refine_pseudo_labels(page)))
         path = tmp_path / "refined.jsonl"
         save_dataset([refined], path)
         (loaded,) = load_dataset(path)

@@ -8,7 +8,6 @@ import ast
 import collections
 import dataclasses
 import importlib
-import inspect
 import pkgutil
 from pathlib import Path
 
@@ -181,17 +180,64 @@ def test_every_loaded_config_field_is_read():
     """A config field that nothing reads is accepted, validated and
     digested, and changes no output. Each field of each loaded config
     must be read as an attribute somewhere in the library outside its own
-    class body. ``theory.Experiment`` reaches
-    ``run_sample_complexity_experiment`` through ``dataclasses.asdict``,
-    so a field named like one of its parameters counts as read."""
-    from layoutfusion.theory import run_sample_complexity_experiment
-
-    keywords = set(inspect.signature(run_sample_complexity_experiment).parameters)
+    class body."""
     everywhere, by_class = _attribute_reads()
     unread = [
         f"{cls.__name__}.{field.name}"
         for cls in _loaded_config_classes()
         for field in dataclasses.fields(cls)
-        if everywhere[field.name] - by_class[cls.__name__][field.name] <= 0 and field.name not in keywords
+        if everywhere[field.name] - by_class[cls.__name__][field.name] <= 0
     ]
     assert unread == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _traced_methods() -> set[str]:
+    """The class attributes ``perfbench/tracing.py`` rebinds by name (its ``METHODS``)."""
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["METHODS"]:
+            return {attribute for _, _, attribute, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracing.py defines no METHODS")
+
+
+def _references(node: ast.AST) -> collections.Counter:
+    """Per name, its reads in ``node`` as a variable or an attribute
+    (key ``name``) and its calls as a method, ``x.name(...)`` (key
+    ``name()``)."""
+    found = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            found[n.id if isinstance(n, ast.Name) else n.attr] += 1
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            found[n.func.attr + "()"] += 1
+    return found
+
+
+def test_every_public_member_is_used():
+    """A public method or property of a library class that nothing names
+    is code kept for no caller. Each must be referenced in the library,
+    the tests or the benchmark outside its own definition: a property
+    read, a method called. A field of the same name does not count for a
+    method (``LayoutCategory.rarity`` is not a call of
+    ``Taxonomy.rarity``). Dunder methods and the members the benchmark's
+    tracer rebinds are exempt."""
+    used = collections.Counter()
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (REPO / d).rglob("*.py")):
+        used += _references(ast.parse(path.read_text(encoding="utf-8")))
+    exempt = _traced_methods()
+    unused = []
+    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_") or member.name in exempt:
+                    continue
+                is_property = any(_decorator_name(d) == "property" for d in member.decorator_list)
+                key = member.name if is_property else member.name + "()"
+                if used[key] - _references(member)[key] <= 0:
+                    unused.append(f"{path.stem}.{cls.name}.{member.name}")
+    assert unused == []

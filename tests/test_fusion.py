@@ -283,6 +283,13 @@ class TestOptimalWeight:
         with pytest.raises(ValueError):
             optimal_weights(0.0, 1.0, 0.0)
 
+    def test_tiny_deviations_are_not_degenerate(self):
+        # The degeneracy test is relative to sigma_t^2 + sigma_l^2, so
+        # deviations far below 1e-6 still fuse: 4 / (1 + 4) = 0.8.
+        assert float(optimal_weights(1e-7, 2e-7, 0.0)) == pytest.approx(0.8, rel=1e-12)
+        with pytest.raises(ValueError, match="degenerate fusion"):
+            optimal_weights(1e-7, 1e-7, 1.0)
+
     def test_fused_variance_balanced(self):
         assert fused_variance(1.0, 1.0, 0.0) == pytest.approx(0.5)
         sigma = 0.7

@@ -290,6 +290,27 @@ class TestLipschitz:
         assert sampled <= full + 1e-12
         assert sampled >= 0.3 * full
 
+    def test_max_pairs_below_one_is_rejected(self):
+        points = np.random.default_rng(8).uniform(0, 1, size=(20, 3))
+        with pytest.raises(ValueError, match=r"^max_pairs=0 must be >= 1$"):
+            estimate_lipschitz(init_gate(hidden=4, seed=0), points, max_pairs=0)
+
+    def test_sampled_pairs_are_scored_in_bounded_memory(self):
+        # One million sampled pairs over 2000 points: the two index draws
+        # take 16 MB and each block of _PAIR_BLOCK pairs about 15 MiB more
+        # (31 MiB in all). Scoring every pair at once takes 77 MiB.
+        import tracemalloc
+
+        points = np.random.default_rng(9).uniform(0, 1, size=(2000, 3))
+        params = init_gate(hidden=4, seed=0)
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(params, points, max_pairs=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

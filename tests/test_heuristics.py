@@ -1,5 +1,7 @@
 """Rule-based text-prior baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,7 +156,7 @@ class TestHeuristicRegions:
         blocks = [block(0.2, 0.33, 0.6, 0.37, text="Figure 5: chart")] + grid_blocks()
         page = Page(page_id="p", ocr_blocks=tuple(blocks))
         regions = heuristic_regions(page)
-        fed = page.with_llm(regions)
+        fed = replace(page, llm=tuple(regions))
         labels = refine_pseudo_labels(fed)
         # caption clears the soft gate (0.8 >= 0.6, caption in soft set)
         assert any(l.provenance == "llm-soft" and l.category.name == "caption" for l in labels)

@@ -13,6 +13,7 @@ page/record prefix when a required number was missing.
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ def _base_pages() -> list[dict]:
     """Simulated pages with every region list filled, as saved."""
     pages = simulate_dataset(SimConfig(pages=4, regions_min=2, regions_max=3, emit_ocr_stubs=True,
                                        emit_coordinate_variance=True, seed=11))
-    return [page_to_dict(p.with_refined(refine_pseudo_labels(p))) for p in pages]
+    return [page_to_dict(replace(p, refined=tuple(refine_pseudo_labels(p)))) for p in pages]
 
 
 BASE_PAGES = _base_pages()

@@ -10,6 +10,7 @@ from layoutfusion.fusion import optimal_weights
 from layoutfusion.gating import GateTrainConfig, train_gate
 from layoutfusion.simulator import GateTask, SimConfig, sample_gate_instances, simulate_dataset
 from layoutfusion.theory import (
+    Experiment,
     TheoryConfig,
     boundary_measure,
     complementarity_dimension,
@@ -213,20 +214,25 @@ class TestRegimeResiduals:
 
 class TestExperiment:
     def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            run_sample_complexity_experiment([100, 200, 300])
+        with pytest.raises(ValueError, match=r"^n_grid=\[100, 200, 300\] must hold at least 4 distinct sizes"):
+            Experiment(n_grid=(100, 200, 300))
 
     def test_no_seeds_is_rejected(self):
         # Zero seeds leave no cells, and the slope fit would report NaN.
-        with pytest.raises(ValueError, match="seeds=0 must be >= 1"):
-            run_sample_complexity_experiment([100, 200, 300, 400], seeds=0, heldout=100, hidden=2)
+        with pytest.raises(ValueError, match="^seeds=0 must be >= 1"):
+            Experiment(n_grid=(100, 200, 300, 400), seeds=0, heldout=100, hidden=2)
+
+    @pytest.mark.parametrize("field", ["heldout", "hidden"])
+    def test_count_below_one_is_rejected_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"^{field}=0 must be >= 1"):
+            Experiment(**{field: 0})
 
     def test_degenerate_task_rejects_slope(self):
         # Equal deviations everywhere: the optimal weight is 0.5 for
         # every instance and there is nothing to learn.
         task = GateTask(ratio_lo=1.0, ratio_hi=1.0)
         report = run_sample_complexity_experiment(
-            [200, 400, 800, 1600], seeds=1, task=task, heldout=2000, hidden=8, master_seed=3
+            Experiment(n_grid=(200, 400, 800, 1600), seeds=1, heldout=2000, hidden=8), task=task, master_seed=3
         )
         assert report.degenerate
         assert report.slope is None
@@ -234,7 +240,7 @@ class TestExperiment:
 
     def test_small_experiment_structure(self):
         report = run_sample_complexity_experiment(
-            [300, 600, 1200, 2400], seeds=2, heldout=3000, hidden=16, master_seed=4
+            Experiment(n_grid=(300, 600, 1200, 2400), seeds=2, heldout=3000, hidden=16), master_seed=4
         )
         assert len(report.cells) == 8
         assert not report.degenerate

@@ -2,7 +2,8 @@
 copies of the code they replaced (``oracles``).
 
 sigmoid, 101-point AP, the simulator's box noise and gate training must
-match their old forms bit for bit. The gate runs once per page in
+match their old forms bit for bit, and so must the Lipschitz estimate
+match its old two-branch form. The gate runs once per page in
 ``refine_pseudo_labels``; a many-row matmul may sum in another order
 than a one-row one, so its weights must stay within a few ulps of a
 one-row ``gate_forward_batch`` per pair.
@@ -12,12 +13,14 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from layoutfusion import gating
 from layoutfusion.dataset_io import save_dataset
 from layoutfusion.fusion import (
     FusionConfig,
@@ -29,6 +32,7 @@ from layoutfusion.fusion import (
 from layoutfusion.gating import (
     GateTrainConfig,
     _batch_losses,
+    estimate_lipschitz,
     gate_forward_batch,
     init_gate,
     save_gate,
@@ -51,6 +55,7 @@ from layoutfusion.simulator import (
 from oracles import (
     array_correlated_offsets,
     array_noisy_box,
+    frozen_estimate_lipschitz,
     loop_interpolated_ap,
     masked_sigmoid,
     reference_train_gate,
@@ -338,3 +343,61 @@ def test_gated_refine_within_eight_ulps_of_per_pair_gate():
             assert _ulps(label.confidence, sigmoid(g * z_t + (1.0 - g) * z_l)) <= 8
             fused_seen += 1
     assert fused_seen > 200
+
+
+# Coordinates from a small set, so duplicate points and pairs closer
+# than, or exactly at, the estimator's 1e-9 cut-off are common.
+NEAR_VALUES = [0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-10, 1.0]
+
+
+@st.composite
+def lipschitz_cases(draw):
+    """A gate, 2 to 300 points, ``max_pairs`` on either side of the pair
+    count, a seed and a pair block small enough for a ragged last block."""
+    n = draw(st.integers(2, 300))
+    coordinate = st.one_of(st.sampled_from(NEAR_VALUES), unit)
+    pool = draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=n))
+    points = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    total = n * (n - 1) // 2
+    max_pairs = draw(st.one_of(st.integers(1, total), st.integers(total, 2 * total + 10)))
+    # At most about 400 blocks of sampled pairs.
+    block = max(draw(st.integers(1, 64)), max_pairs // 400 + 1)
+    params = init_gate(hidden=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)))
+    return params, points, max_pairs, draw(st.integers(0, 2**16)), block
+
+
+def _outcome(estimate, *args):
+    """The estimate's value as hex, or its error message."""
+    try:
+        return estimate(*args).hex()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(lipschitz_cases())
+def test_lipschitz_equals_two_branch_form_bit_for_bit(case):
+    params, points, max_pairs, seed, block = case
+    with mock.patch.object(gating, "_PAIR_BLOCK", block):
+        got = _outcome(estimate_lipschitz, params, points, max_pairs, seed)
+    assert got == _outcome(frozen_estimate_lipschitz, params, points, max_pairs, seed)
+
+
+@pytest.mark.parametrize("max_pairs", [1, 44, 45, 10_000], ids=["sampled-one", "sampled", "exhaustive-exact", "exhaustive"])
+def test_lipschitz_identical_points_error_on_both_branches(max_pairs):
+    points = np.tile([[0.5, 0.5, 0.5]], (10, 1))  # 45 pairs, all at distance 0
+    params = init_gate(hidden=4, seed=1)
+    want = "error: all sample points identical: slope undefined"
+    assert _outcome(estimate_lipschitz, params, points, max_pairs) == want
+    assert _outcome(frozen_estimate_lipschitz, params, points, max_pairs) == want
+
+
+@pytest.mark.parametrize("max_pairs", [2, 3], ids=["sampled", "exhaustive"])
+def test_lipschitz_scores_a_pair_exactly_at_the_cutoff(max_pairs):
+    # Two pairs exactly 1e-9 apart and one duplicate pair; seed 0 samples
+    # (2, 1) and (1, 0), both at the cut-off.
+    points = np.array([[0.0, 0.5, 0.5], [1e-9, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    params = init_gate(hidden=4, seed=1)
+    got = _outcome(estimate_lipschitz, params, points, max_pairs, 0)
+    assert not got.startswith("error")
+    assert got == _outcome(frozen_estimate_lipschitz, params, points, max_pairs, 0)
