@@ -118,13 +118,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_report(args, stem: str, doc, csv_table) -> list[str]:
-    """Write ``stem``.json and ``stem``.csv (header, rows) as ``--format`` asks; return the names."""
-    names = [f"{stem}.{ext}" for ext in ("json", "csv") if args.format in (ext, "both")]
-    if f"{stem}.json" in names:
-        _write_json(Path(args.out) / f"{stem}.json", doc)
-    if f"{stem}.csv" in names:
-        _write_csv(Path(args.out) / f"{stem}.csv", *csv_table)
-    return names
+    """Write ``stem``.json and ``stem``.csv (header, rows); return the names."""
+    _write_json(Path(args.out) / f"{stem}.json", doc)
+    _write_csv(Path(args.out) / f"{stem}.csv", *csv_table)
+    return [f"{stem}.json", f"{stem}.csv"]
 
 
 def _load_pages(path, taxonomy):
@@ -441,13 +438,11 @@ def _at_least(minimum: int):
 _seed = _at_least(0)  # numpy seeds its generators only from integers >= 0
 
 
-def _add_common(parser, *, config=True, fmt=False, taxonomy=False, seed_default=0) -> None:
+def _add_common(parser, *, config=True, taxonomy=False, seed_default=0) -> None:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=_seed, default=seed_default, help="master random seed")
     if config:
         parser.add_argument("--config", help="JSON config file")
-    if fmt:
-        parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     if taxonomy:
         parser.add_argument("--taxonomy", default="doclaynet", choices=sorted(TAXONOMIES))
 
@@ -469,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("theory", help="sample-complexity diagnostics and experiment")
-    _add_common(p, fmt=True, taxonomy=True)
+    _add_common(p, taxonomy=True)
     p.add_argument("--dataset", help="dataset for regime analysis")
     p.add_argument("--n", type=int, default=26000, help="reference sample count")
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("evaluate", help="AP and calibration metrics")
-    _add_common(p, config=False, fmt=True, taxonomy=True)
+    _add_common(p, config=False, taxonomy=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--source", default="refined", choices=("refined", "teacher", "llm"))
     p.add_argument("--calibrate", action="store_true", help="also fit a temperature and report ECE before/after")

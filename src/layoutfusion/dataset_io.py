@@ -9,9 +9,10 @@ round-trip precision so save followed by load is the identity.
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
-the page and field. Other values are converted with ``float()``,
-``str()`` and ``bool()``; a record whose values already have those
-types and whose box needs no clamp is built without the conversions.
+the page and field. Every record of a kind goes through the one parser
+of that kind. A value that already has its final type is used as it is;
+any other is converted with ``float()``, ``str()`` or ``bool()``. The
+first fault in field order (bbox, type, then the rest) is the one named.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     Page,
     TeacherPrediction,
 )
+from .schema import record
 from .taxonomy import DOCLAYNET, Taxonomy
 
 __all__ = ["DatasetError", "IngestStats", "load_dataset", "save_dataset", "page_to_dict", "page_from_dict"]
@@ -52,235 +54,164 @@ class IngestStats:
     clamped_coordinates: int = 0
 
 
-def _array(items, field: str, page_id: str) -> list:
-    if not isinstance(items, list):
-        raise DatasetError(f"page {page_id!r}: {field} must be a JSON array")
-    return items
+class _Fault(Exception):
+    """A record fault: the message ending after ``page 'p': field[i]``."""
 
 
-def _context(raw, field: str, i: int, page_id: str) -> str:
-    """``field[i]`` for error messages; the record must be an object."""
-    context = f"{field}[{i}]"
-    if not isinstance(raw, dict):
-        raise DatasetError(f"page {page_id!r}: {context} must be a JSON object")
-    return context
+@record
+class _Ingest:
+    """What the record parsers of one page read besides the record."""
+
+    stats: IngestStats
+    taxonomy: Taxonomy
 
 
-def _require(obj: dict, key: str, page_id: str, context: str):
-    if key not in obj:
-        raise DatasetError(f"page {page_id!r}: {context} missing field {key!r}")
-    return obj[key]
-
-
-def _parse_box(raw, page_id: str, context: str, stats: IngestStats) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DatasetError(f"page {page_id!r}: {context} bbox must be [x1, y1, x2, y2]")
-    try:
-        coords, moved = clamp_coordinates(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"page {page_id!r}: {context} bbox not numeric: {exc}") from exc
-    if moved:
-        # NaN and the infinities clamp too (to 0.0 and 1.0); reject them
-        # instead of counting them as out-of-range values.
-        for name, value in zip(_COORD_NAMES, raw):
-            value = float(value)
-            if not math.isfinite(value):
-                raise DatasetError(f"page {page_id!r}: {context} bbox coordinate {name}={value!r} is not finite")
-    stats.clamped_coordinates += moved
-    try:
-        return BoundingBox.from_array(coords)
-    except ValueError as exc:
-        raise DatasetError(f"page {page_id!r}: {context} bbox invalid: {exc}") from exc
-
-
-def _parse_category(raw, taxonomy: Taxonomy, page_id: str, context: str):
-    if not isinstance(raw, str):
-        raise DatasetError(f"page {page_id!r}: {context} type must be a string")
-    try:
-        return taxonomy.category(raw)
-    except KeyError as exc:
-        raise DatasetError(f"page {page_id!r}: {context} has unknown category {raw!r}") from exc
-
-
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
-_REQUIRED = object()
-
-# The checked path, per record field: the model class, whether the record
-# names a category, and each further constructor argument as (key,
-# conversion, default), where _REQUIRED marks a key the record must have.
-_RECORDS = {
-    "ocr_blocks": (OcrBlock, False, (("text", str, ""), ("is_bold", bool, False))),
-    "teacher": (TeacherPrediction, True, (("confidence", float, _REQUIRED), ("coord_var", _optional_float, None))),
-    "llm": (LlmRegion, True, (("score", float, _REQUIRED), ("q_text", float, 1.0), ("q_spatial", float, 1.0))),
-    "ground_truth": (GroundTruthAnnotation, True, ()),
-    "refined": (
-        FusedLabel,
-        True,
-        (("score", float, _REQUIRED), ("provenance", str, _REQUIRED), ("smoothing", float, 0.0)),
-    ),
-}
-
-
-def _checked(field: str, raw, i: int, page_id: str, taxonomy: Taxonomy, stats: IngestStats):
-    """Record ``i`` of ``field`` by the checked path, which takes every
-    record the fast path in ``page_from_dict`` does not: values are
-    converted, coordinates are clamped and counted, and the first fault
-    in field order is reported."""
-    cls, has_category, extra = _RECORDS[field]
-    context = _context(raw, field, i, page_id)
-    args = [_parse_box(_require(raw, "bbox", page_id, context), page_id, context, stats)]
-    if has_category:
-        args.append(_parse_category(_require(raw, "type", page_id, context), taxonomy, page_id, context))
-    try:
-        for key, convert, default in extra:
-            value = _require(raw, key, page_id, context) if default is _REQUIRED else raw.get(key, default)
-            args.append(convert(value))
-        return cls(*args)
-    except DatasetError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(f"page {page_id!r}: {context}: {exc}") from exc
-
-
-def _unit_box(bbox) -> BoundingBox | None:
-    """The box of a bbox that needs no conversion and no clamp, else None.
-
-    That is a list of four floats with x1 > 0 and y1 > 0 that
-    ``BoundingBox`` accepts; a box it rejects raises its ValueError,
-    which every fast path answers with the checked path. An exact zero
-    is left to the checked path too, whose clamp turns -0.0 into 0.0.
-    """
+def _box(raw: dict, ingest: _Ingest) -> BoundingBox:
+    """The record's box. A list of four floats with x1 > 0 and y1 > 0
+    that ``BoundingBox`` accepts is built as it is. Any other bbox is
+    converted, clamped into [0, 1] (each moved coordinate counted) and
+    then built; an exact zero takes that path too, whose clamp turns
+    -0.0 into 0.0."""
+    bbox = raw["bbox"]
     if type(bbox) is list and len(bbox) == 4:
         x1, y1, x2, y2 = bbox
         if (
             type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float
             and x1 > 0.0 and y1 > 0.0
         ):
-            return BoundingBox(x1, y1, x2, y2)
-    return None
+            try:
+                return BoundingBox(x1, y1, x2, y2)
+            except ValueError:
+                pass
+    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+        raise _Fault(" bbox must be [x1, y1, x2, y2]")
+    try:
+        coords, moved = clamp_coordinates(bbox)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _Fault(f" bbox not numeric: {exc}") from exc
+    if moved:
+        # NaN and the infinities clamp too (to 0.0 and 1.0); reject them
+        # instead of counting them as out-of-range values.
+        for name, value in zip(_COORD_NAMES, bbox):
+            value = float(value)
+            if not math.isfinite(value):
+                raise _Fault(f" bbox coordinate {name}={value!r} is not finite")
+    ingest.stats.clamped_coordinates += moved
+    try:
+        return BoundingBox.from_array(coords)
+    except ValueError as exc:
+        raise _Fault(f" bbox invalid: {exc}") from exc
+
+
+def _category(raw: dict, ingest: _Ingest):
+    """The record's category: one lookup, and only on a miss the reason."""
+    try:
+        return ingest.taxonomy.category(raw["type"])
+    except KeyError as exc:
+        if "type" not in raw:
+            raise _Fault(" missing field 'type'") from None
+        if not isinstance(raw["type"], str):
+            raise _Fault(" type must be a string") from None
+        raise _Fault(f" has unknown category {raw['type']!r}") from exc
+
+
+# One parser per record kind. Each reads its fields in constructor order
+# (bbox, type, then the rest), so the first fault in that order is the
+# one reported. A value that already has its final type is used as it is;
+# any other is converted with float(), str() or bool().
+
+
+def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
+    text = raw.get("text", "")
+    is_bold = raw.get("is_bold", False)
+    return OcrBlock(
+        _box(raw, ingest),
+        text if type(text) is str else str(text),
+        is_bold if type(is_bold) is bool else bool(is_bold),
+    )
+
+
+def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
+    box = _box(raw, ingest)
+    category = _category(raw, ingest)
+    confidence = raw["confidence"]
+    coord_var = raw.get("coord_var")
+    return TeacherPrediction(
+        box,
+        category,
+        confidence if type(confidence) is float else float(confidence),
+        coord_var if coord_var is None or type(coord_var) is float else float(coord_var),
+    )
+
+
+def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
+    box = _box(raw, ingest)
+    category = _category(raw, ingest)
+    score = raw["score"]
+    score = score if type(score) is float else float(score)
+    q_text = raw.get("q_text", 1.0)
+    q_text = q_text if type(q_text) is float else float(q_text)
+    q_spatial = raw.get("q_spatial", 1.0)
+    return LlmRegion(box, category, score, q_text, q_spatial if type(q_spatial) is float else float(q_spatial))
+
+
+def _ground_truth(raw: dict, ingest: _Ingest) -> GroundTruthAnnotation:
+    return GroundTruthAnnotation(_box(raw, ingest), _category(raw, ingest))
+
+
+def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
+    box = _box(raw, ingest)
+    category = _category(raw, ingest)
+    score = raw["score"]
+    score = score if type(score) is float else float(score)
+    provenance = raw["provenance"]
+    provenance = provenance if type(provenance) is str else str(provenance)
+    smoothing = raw.get("smoothing", 0.0)
+    return FusedLabel(box, category, score, provenance, smoothing if type(smoothing) is float else float(smoothing))
+
+
+def _records(items, field: str, page_id: str, parse, ingest: _Ingest) -> tuple:
+    """``parse(record, ingest)`` for each record of the array ``items``; a
+    fault raises DatasetError naming the page and ``field[i]``, where
+    ``i`` is the number of records parsed before it."""
+    if not isinstance(items, list):
+        raise DatasetError(f"page {page_id!r}: {field} must be a JSON array")
+    parsed = []
+    try:
+        for raw in items:
+            if not isinstance(raw, dict):
+                raise _Fault(" must be a JSON object")
+            parsed.append(parse(raw, ingest))
+    except _Fault as exc:
+        raise DatasetError(f"page {page_id!r}: {field}[{len(parsed)}]{exc}") from exc.__cause__
+    except KeyError as exc:
+        raise DatasetError(f"page {page_id!r}: {field}[{len(parsed)}] missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"page {page_id!r}: {field}[{len(parsed)}]: {exc}") from exc
+    return tuple(parsed)
 
 
 def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None) -> Page:
-    """Validate one page object against all type invariants.
-
-    One pass per record. A record whose bbox passes ``_unit_box`` and
-    whose other fields already have their final types is built
-    directly, and its box and objects still validate themselves. Any
-    other record, or one they reject, goes through the checked path,
-    which gives the same objects, or names the first fault.
-    """
+    """Validate one page object against all type invariants: each record
+    goes once through the parser of its kind, or names its first fault."""
     stats = stats if stats is not None else IngestStats()
     if not isinstance(obj, dict):
         raise DatasetError("page record must be a JSON object")
     page_id = obj.get("page_id")
     if not isinstance(page_id, str) or not page_id:
         raise DatasetError("page record missing non-empty 'page_id'")
-    category = taxonomy.category
-
-    ocr_blocks = []
-    for i, raw in enumerate(_array(obj.get("ocr_blocks", []), "ocr_blocks", page_id)):
-        if type(raw) is dict:
-            text = raw.get("text", "")
-            is_bold = raw.get("is_bold", False)
-            if type(text) is str and type(is_bold) is bool:
-                try:
-                    box = _unit_box(raw.get("bbox"))
-                    if box is not None:
-                        ocr_blocks.append(OcrBlock(box, text, is_bold))
-                        continue
-                except ValueError:
-                    pass
-        ocr_blocks.append(_checked("ocr_blocks", raw, i, page_id, taxonomy, stats))
-
-    teacher = []
-    for i, raw in enumerate(_array(obj.get("teacher", []), "teacher", page_id)):
-        if type(raw) is dict:
-            name = raw.get("type")
-            confidence = raw.get("confidence")
-            coord_var = raw.get("coord_var")
-            if (
-                type(name) is str and type(confidence) is float
-                and (coord_var is None or type(coord_var) is float)
-            ):
-                try:
-                    box = _unit_box(raw.get("bbox"))
-                    if box is not None:
-                        teacher.append(TeacherPrediction(box, category(name), confidence, coord_var))
-                        continue
-                except (KeyError, ValueError):
-                    pass
-        teacher.append(_checked("teacher", raw, i, page_id, taxonomy, stats))
-
-    llm = []
-    for i, raw in enumerate(_array(obj.get("llm", []), "llm", page_id)):
-        if type(raw) is dict:
-            name = raw.get("type")
-            score = raw.get("score")
-            q_text = raw.get("q_text", 1.0)
-            q_spatial = raw.get("q_spatial", 1.0)
-            if (
-                type(name) is str and type(score) is float
-                and type(q_text) is float and type(q_spatial) is float
-            ):
-                try:
-                    box = _unit_box(raw.get("bbox"))
-                    if box is not None:
-                        llm.append(LlmRegion(box, category(name), score, q_text, q_spatial))
-                        continue
-                except (KeyError, ValueError):
-                    pass
-        llm.append(_checked("llm", raw, i, page_id, taxonomy, stats))
-
-    ground_truth = None
-    if obj.get("ground_truth") is not None:
-        ground_truth = []
-        for i, raw in enumerate(_array(obj["ground_truth"], "ground_truth", page_id)):
-            if type(raw) is dict:
-                name = raw.get("type")
-                if type(name) is str:
-                    try:
-                        box = _unit_box(raw.get("bbox"))
-                        if box is not None:
-                            ground_truth.append(GroundTruthAnnotation(box, category(name)))
-                            continue
-                    except (KeyError, ValueError):
-                        pass
-            ground_truth.append(_checked("ground_truth", raw, i, page_id, taxonomy, stats))
-
-    refined = None
-    if obj.get("refined") is not None:
-        refined = []
-        for i, raw in enumerate(_array(obj["refined"], "refined", page_id)):
-            if type(raw) is dict:
-                name = raw.get("type")
-                score = raw.get("score")
-                provenance = raw.get("provenance")
-                smoothing = raw.get("smoothing", 0.0)
-                if (
-                    type(name) is str and type(score) is float
-                    and type(provenance) is str and type(smoothing) is float
-                ):
-                    try:
-                        box = _unit_box(raw.get("bbox"))
-                        if box is not None:
-                            refined.append(FusedLabel(box, category(name), score, provenance, smoothing))
-                            continue
-                    except (KeyError, ValueError):
-                        pass
-            refined.append(_checked("refined", raw, i, page_id, taxonomy, stats))
-
+    ingest = _Ingest(stats, taxonomy)
+    ocr_blocks = _records(obj.get("ocr_blocks", []), "ocr_blocks", page_id, _ocr_block, ingest)
+    teacher = _records(obj.get("teacher", []), "teacher", page_id, _teacher, ingest)
+    llm = _records(obj.get("llm", []), "llm", page_id, _text_region, ingest)
+    ground_truth = obj.get("ground_truth")
+    if ground_truth is not None:
+        ground_truth = _records(ground_truth, "ground_truth", page_id, _ground_truth, ingest)
+    refined = obj.get("refined")
+    if refined is not None:
+        refined = _records(refined, "refined", page_id, _refined_label, ingest)
     stats.pages += 1
-    return Page(
-        page_id,
-        tuple(ocr_blocks),
-        tuple(teacher),
-        tuple(llm),
-        None if ground_truth is None else tuple(ground_truth),
-        None if refined is None else tuple(refined),
-    )
+    return Page(page_id, ocr_blocks, teacher, llm, ground_truth, refined)
 
 
 def _bbox(box: BoundingBox) -> list[float]:

@@ -362,8 +362,8 @@ def estimate_lipschitz(params: GateParams, points, max_pairs: int = 10_000_000, 
 
     Exhaustive over all pairs up to ``max_pairs``, otherwise a uniform
     seeded sample of ``max_pairs`` pairs, scored ``_PAIR_BLOCK`` at a
-    time. Pairs closer than 1e-9 are skipped; all points identical is an
-    error.
+    time. Pairs closer than 1e-9 are skipped; a non-finite coordinate
+    and all points identical are errors.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -373,6 +373,7 @@ def estimate_lipschitz(params: GateParams, points, max_pairs: int = 10_000_000, 
         raise ValueError("need at least 2 points")
     if max_pairs < 1:
         raise ValueError(f"max_pairs={max_pairs} must be >= 1")
+    _first_bad_row("points", x, np.isfinite, "a non-finite coordinate")
     g = gate_forward_batch(params, x)
     if n * (n - 1) // 2 <= max_pairs:
         pairs = ((i, slice(i + 1, None)) for i in range(n - 1))

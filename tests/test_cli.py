@@ -154,6 +154,14 @@ class TestTheory:
         assert report["boundary_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("command", [["theory"], ["evaluate", "--dataset", "d.jsonl"]])
+def test_format_is_an_unknown_argument(tmp_path, command):
+    """Both report commands always write the JSON and the CSV."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--format", "json", "--out", str(tmp_path / "o")])
+    assert exit_.value.code == 2
+
+
 class TestEvaluate:
     def test_refined_metrics(self, tmp_path, dataset_path):
         fuse_out = tmp_path / "f"

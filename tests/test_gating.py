@@ -295,6 +295,14 @@ class TestLipschitz:
         with pytest.raises(ValueError, match=r"^max_pairs=0 must be >= 1$"):
             estimate_lipschitz(init_gate(hidden=4, seed=0), points, max_pairs=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        # Without the check the bad point drops out of every pair and the
+        # slope of the finite pair alone comes back.
+        points = [[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^points\[1\] = .* has a non-finite coordinate$"):
+            estimate_lipschitz(init_gate(hidden=4, seed=0), points)
+
     def test_sampled_pairs_are_scored_in_bounded_memory(self):
         # One million sampled pairs over 2000 points: the two index draws
         # take 16 MB and each block of _PAIR_BLOCK pairs about 15 MiB more
