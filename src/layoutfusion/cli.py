@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-gate", help="train the fusion gate on a dataset with ground truth")
     _add_common(p, taxonomy=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--hidden", type=_at_least(1), default=64)
     p.set_defaults(func=cmd_train_gate)
 
     p = sub.add_parser("lipschitz", help="estimate the gate's Lipschitz constant")

@@ -21,8 +21,14 @@ __all__ = ["sigmoid", "logit", "softplus"]
 _LOGIT_DOMAIN = "logit requires probabilities strictly inside (0, 1)"
 
 
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+def sigmoid(x, out=None, work=None):
+    """Numerically stable logistic function, elementwise.
+
+    For an array ``x``, ``out`` (a float64 array of its shape, not
+    overlapping it) receives the result, and ``work`` (a float64 and a
+    bool array of that shape) holds the intermediates, so a caller that
+    passes both allocates nothing; either one left out is made here.
+    """
     if type(x) is float:
         if x >= 0.0:
             return 1.0 / (1.0 + math.exp(-x))
@@ -34,12 +40,20 @@ def sigmoid(x):
         ex = np.exp(x)
         return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    d, positive = (None, None) if work is None else work  # None: the ufunc allocates
     # min(x, -x) is -x where x >= 0 and x elsewhere, and returns a NaN
-    # operand unchanged (-abs would flip its sign bit), so each branch
-    # sees the masked form's operands bit for bit and exp cannot overflow.
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    out = np.where(x >= 0, 1.0 / d, e / d)
+    # operand unchanged (-abs would flip its sign bit), so exp cannot
+    # overflow. The numerator is then 1 where x >= 0 and e elsewhere:
+    # 1 / d and e / d, each rounded once.
+    np.negative(x, out=out)
+    np.minimum(x, out, out=out)
+    e = np.exp(out, out=out)
+    d = np.add(1.0, e, out=d)
+    positive = np.greater_equal(x, 0, out=positive)
+    np.putmask(e, positive, 1.0)
+    np.divide(e, d, out=out)
     return out if out.ndim else float(out)
 
 

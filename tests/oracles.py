@@ -222,6 +222,21 @@ def loop_interpolated_ap(recall, precision) -> float:
     return float(ap / grid.size)
 
 
+def frozen_gate_forward(params, x):
+    """``gating._forward`` as it was before it wrote into a workspace:
+    every step allocates its result, and the output squash is the
+    ``np.where`` form of ``numerics.sigmoid``'s array path. Returns the
+    gate outputs of the rows of ``x``."""
+    z1 = x @ params.w1.T + params.b1
+    a1 = np.tanh(z1)
+    z2 = a1 @ params.w2.T + params.b2
+    a2 = np.tanh(z2)
+    z3 = a2 @ params.w3 + params.b3
+    e = np.exp(np.minimum(z3, -z3))
+    d = 1.0 + e
+    return np.where(z3 >= 0, 1.0 / d, e / d)
+
+
 def reference_train_gate(samples, config, hidden: int = 64):
     """Frozen copy of ``gating.train_gate`` as it was before its batches
     became slices of per-epoch shuffled buffers: fancy-indexed batches,

@@ -365,12 +365,6 @@ class TestGateCommands:
         assert "leaving none to train on" in capsys.readouterr().err
         assert not (out / "gate_training.csv").exists()
 
-    @pytest.mark.parametrize("hidden", ["0", "-2"])
-    def test_hidden_width_below_one_exits_2(self, tmp_path, gate_dataset, capsys, hidden):
-        out = tmp_path / "gate"
-        assert main(["train-gate", "--dataset", str(gate_dataset), "--hidden", hidden, "--out", str(out)]) == 2
-        assert f"hidden={hidden} must be >= 1" in capsys.readouterr().err
-
     def test_lipschitz_grid_mode(self, tmp_path):
         pages = simulate_dataset(SimConfig(pages=120, seed=9))
         path = tmp_path / "d.jsonl"
@@ -728,8 +722,10 @@ def test_theory_train_seed_exits_2_naming_it(tmp_path, request, capsys):
         (["calibrate", "--bins", "0"], "argument --bins: must be >= 1, got 0"),
         (["lipschitz", "--gate", "gate.json", "--grid", "1"], "argument --grid: must be >= 2, got 1"),
         (["lipschitz", "--gate", "gate.json", "--grid", "-1"], "argument --grid: must be >= 2, got -1"),
+        (["train-gate", "--hidden", "0"], "argument --hidden: must be >= 1, got 0"),
+        (["train-gate", "--hidden", "-2"], "argument --hidden: must be >= 1, got -2"),
     ],
-    ids=["bins-0", "grid-1", "grid-negative"],
+    ids=["bins-0", "grid-1", "grid-negative", "hidden-0", "hidden-neg"],
 )
 def test_count_flag_out_of_range_exits_2_naming_it_before_any_input_is_read(tmp_path, capsys, argv, named):
     # Neither the dataset nor the gate file exists: the flag is checked first.

@@ -1,6 +1,7 @@
-"""Property tests of ingest: ``page_from_dict`` against a frozen copy of
-the parser it replaced (``oracles.frozen_page_from_dict``), plus the
-load and round-trip invariants.
+"""Property tests of ingest: ``page_from_dict``, which reads every
+record of a kind with that kind's one parser, against a frozen copy of
+the parser as it was before (``oracles.frozen_page_from_dict``), plus
+the load and round-trip invariants.
 
 On any mutated record the two must return equal pages (saved to the
 same bytes) with equal ``IngestStats``, or raise the same
@@ -143,10 +144,10 @@ def test_every_single_substitution_matches_frozen_parser(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_checked_path_defaults_match_frozen_parser(field):
+def test_converted_box_and_field_defaults_match_frozen_parser(field):
     """Each key deleted from a record whose bbox holds a JSON integer, so
-    the record takes the checked path and that path's defaults and
-    missing-field errors are compared."""
+    ``_box`` takes its converting branch; the parser's defaults for the
+    missing field, or its missing-field error, are compared."""
     base = BASE_PAGES[0]
     for key in base[field][0]:
         obj = json.loads(json.dumps(base))

@@ -1,15 +1,16 @@
 """Property tests: the vectorised and plain-float paths against frozen
 copies of the code they replaced (``oracles``).
 
-sigmoid, 101-point AP, the simulator's box noise and gate training must
-match their old forms bit for bit, and so must the Lipschitz estimate
-match its old two-branch form. The gate runs once per page in
-``refine_pseudo_labels``; a many-row matmul may sum in another order
-than a one-row one, so its weights must stay within a few ulps of a
-one-row ``gate_forward_batch`` per pair.
+sigmoid, 101-point AP, the simulator's box noise, the gate's forward
+pass and gate training must match their old forms bit for bit, and so
+must the Lipschitz estimate match its old two-branch form. The gate
+runs once per page in ``refine_pseudo_labels``; a many-row matmul may
+sum in another order than a one-row one, so its weights must stay
+within a few ulps of a one-row ``gate_forward_batch`` per pair.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import warnings
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layoutfusion import gating
@@ -56,6 +57,7 @@ from oracles import (
     array_correlated_offsets,
     array_noisy_box,
     frozen_estimate_lipschitz,
+    frozen_gate_forward,
     loop_interpolated_ap,
     masked_sigmoid,
     reference_train_gate,
@@ -71,8 +73,14 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 @given(st.lists(any_float, max_size=40))
 def test_array_sigmoid_equals_masked_form_bit_for_bit(values):
+    """Also when it writes into caller buffers, as a gate training step does."""
     x = np.array(values, dtype=np.float64)
-    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    want = masked_sigmoid(x).tobytes()
+    assert sigmoid(x).tobytes() == want
+    out = np.full_like(x, 7.0)
+    work = (np.full_like(x, 7.0), np.ones(x.shape, dtype=bool))
+    assert sigmoid(x, out=out, work=work) is out
+    assert out.tobytes() == want
 
 
 @given(any_float)
@@ -258,6 +266,46 @@ def test_gate_training_matches_reference_loop_byte_for_byte(tmp_path):
     assert [v.hex() for v in result.train_losses] == [v.hex() for v in train_losses]
     assert [v.hex() for v in result.val_losses] == [v.hex() for v in val_losses]
     assert result.best_epoch == best_epoch
+
+
+@functools.cache
+def _corpus_samples():
+    # 323 samples, with both values of llm_correct.
+    return gate_samples_from_pages(simulate_dataset(SimConfig(pages=60, seed=3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(100, 323), st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**31 - 1))
+# At n = 100, 20 samples validate and 80 train.
+@example(n=100, batch_size=79, hidden=1, seed=0)  # a last batch of one row
+@example(n=100, batch_size=16, hidden=64, seed=1)  # five full batches, no short one
+@example(n=100, batch_size=80, hidden=64, seed=2)  # one batch of every training row
+@example(n=323, batch_size=300, hidden=1, seed=3)  # batch_size above the 258 training rows
+def test_gate_training_matches_reference_loop_bit_for_bit(n, batch_size, hidden, seed):
+    """Every batch shape a training can meet, at widths 1 to 64."""
+    corpus = _corpus_samples()
+    samples = dataclasses.replace(corpus, **{f.name: getattr(corpus, f.name)[:n] for f in dataclasses.fields(corpus)})
+    config = GateTrainConfig(epochs=2, batch_size=batch_size, seed=seed)
+    result = train_gate(samples, config, hidden=hidden)
+    params, train_losses, val_losses, best_epoch = reference_train_gate(samples, config, hidden=hidden)
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        got, want = (np.asarray(getattr(p, name), dtype=np.float64) for p in (result.params, params))
+        assert got.tobytes() == want.tobytes()
+    assert [v.hex() for v in result.train_losses] == [v.hex() for v in train_losses]
+    assert [v.hex() for v in result.val_losses] == [v.hex() for v in val_losses]
+    assert result.best_epoch == best_epoch
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 500), st.sampled_from([1, 4, 16, 64]), st.integers(0, 2**31 - 1), st.sampled_from([1.0, 4.0]))
+def test_gate_forward_equals_allocating_form_bit_for_bit(rows, hidden, seed, scale):
+    """``gate_forward_batch`` runs the training step's forward pass, in
+    buffers of its own; it must give the allocating pass's outputs. Weights scaled by 4
+    spread the output logits wider on both sides of 0."""
+    init = init_gate(hidden=hidden, seed=seed)
+    params = gating.GateParams(init.w1 * scale, init.b1, init.w2 * scale, init.b2, init.w3 * scale, 0.5 * scale)
+    features = np.random.default_rng(seed).uniform(0.0, 1.0, size=(rows, 3))
+    assert gate_forward_batch(params, features).tobytes() == frozen_gate_forward(params, features).tobytes()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.integers(1, 70))
