@@ -24,7 +24,7 @@ import numpy as np
 
 from . import manifest
 from .curriculum import CurriculumConfig, schedule_table, threshold_table
-from .dataset_io import load_dataset, region_record, save_dataset
+from .dataset_io import load_dataset, regions_line, save_dataset
 from .fusion import (
     FusionConfig,
     fit_temperature,
@@ -335,11 +335,10 @@ def cmd_heuristics(args):
     regions_path.parent.mkdir(parents=True, exist_ok=True)
     with open(regions_path, "w", encoding="utf-8") as fh:
         for page in pages:
-            regions = heuristic_regions(page, config, taxonomy)
-            total += len(regions)
-            records = [{**region_record(r), "source": "heuristic"} for r in regions]
-            fh.write(json.dumps({"page_id": page.page_id, "regions": records}, separators=(",", ":")) + "\n")
-            replaced.append(dataclasses.replace(page, llm=tuple(regions)))
+            page = dataclasses.replace(page, llm=tuple(heuristic_regions(page, config, taxonomy)))
+            total += len(page.llm)
+            fh.write(regions_line(page, "heuristic"))
+            replaced.append(page)
     save_dataset(replaced, dataset_path)
     print(f"emitted {total} heuristic regions over {len(pages)} pages")
     return [regions_path.name, dataset_path.name], [config]

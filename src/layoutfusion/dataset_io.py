@@ -6,6 +6,21 @@ entries carry ``confidence`` (and optional ``coord_var``) instead of
 ``provenance`` and ``smoothing``. Floats are serialized with full
 round-trip precision so save followed by load is the identity.
 
+A page's line is, by definition, ``json.dumps(page_to_dict(page),
+separators=(",", ":"))``. ``save_dataset`` writes it from one ``%``
+line template per record kind (OCR block, teacher with and without
+``coord_var``, text region, ground truth, refined label), each kept next
+to that kind's parser: numbers go through ``%r``, which writes a float or
+an int as ``json.dumps`` does (+inf, the one non-finite number a record
+admits, becomes ``Infinity``), and strings through
+``json.encoder.encode_basestring_ascii``, json's own escaper. Each page
+is checked once, in C calls, before it takes that path: every number a
+float or int, every ``is_bold`` a bool, every string a str. A page that
+fails the check (a numpy scalar, a bool where a number belongs, text that
+is not a str) is written through ``json.dumps`` itself, which stays the
+reference. ``regions_line`` writes a heuristics regions line the same
+way, from the text-region template plus ``"source"``.
+
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
@@ -21,6 +36,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -119,6 +137,10 @@ def _category(raw: dict, ingest: _Ingest):
 # (bbox, type, then the rest), so the first fault in that order is the
 # one reported. A value that already has its final type is used as it is;
 # any other is converted with float(), str() or bool().
+#
+# Next to each parser is the line template of its kind: the record's JSON
+# text with page_to_dict's keys in page_to_dict's order, numbers through
+# %r and strings (already escaped) through %s.
 
 
 def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
@@ -129,6 +151,9 @@ def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
         text if type(text) is str else str(text),
         is_bold if type(is_bold) is bool else bool(is_bold),
     )
+
+
+_OCR_BLOCK_LINE = '{"bbox":[%r,%r,%r,%r],"text":%s,"is_bold":%s}'
 
 
 def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
@@ -144,6 +169,10 @@ def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
     )
 
 
+_TEACHER_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r}'
+_TEACHER_VAR_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r,"coord_var":%r}'
+
+
 def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
     box = _box(raw, ingest)
     category = _category(raw, ingest)
@@ -155,8 +184,14 @@ def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
     return LlmRegion(box, category, score, q_text, q_spatial if type(q_spatial) is float else float(q_spatial))
 
 
+_TEXT_REGION_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"q_text":%r,"q_spatial":%r}'
+
+
 def _ground_truth(raw: dict, ingest: _Ingest) -> GroundTruthAnnotation:
     return GroundTruthAnnotation(_box(raw, ingest), _category(raw, ingest))
+
+
+_GROUND_TRUTH_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r]}'
 
 
 def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
@@ -168,6 +203,9 @@ def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
     provenance = provenance if type(provenance) is str else str(provenance)
     smoothing = raw.get("smoothing", 0.0)
     return FusedLabel(box, category, score, provenance, smoothing if type(smoothing) is float else float(smoothing))
+
+
+_REFINED_LABEL_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"provenance":%s,"smoothing":%r}'
 
 
 def _records(items, field: str, page_id: str, parse, ingest: _Ingest) -> tuple:
@@ -218,18 +256,8 @@ def _bbox(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def region_record(region: LlmRegion) -> dict:
-    """The JSON record of a text region."""
-    return {
-        "type": region.category.name,
-        "bbox": _bbox(region.box),
-        "score": region.score,
-        "q_text": region.q_text,
-        "q_spatial": region.q_spatial,
-    }
-
-
 def page_to_dict(page: Page) -> dict:
+    """The JSON object of ``page``'s dataset line, keys in line order."""
     obj: dict = {"page_id": page.page_id}
     obj["ocr_blocks"] = [
         {"bbox": _bbox(b.box), "text": b.text, "is_bold": b.is_bold} for b in page.ocr_blocks
@@ -243,7 +271,16 @@ def page_to_dict(page: Page) -> dict:
         }
         for t in page.teacher
     ]
-    obj["llm"] = [region_record(r) for r in page.llm]
+    obj["llm"] = [
+        {
+            "type": r.category.name,
+            "bbox": _bbox(r.box),
+            "score": r.score,
+            "q_text": r.q_text,
+            "q_spatial": r.q_spatial,
+        }
+        for r in page.llm
+    ]
     if page.ground_truth is not None:
         obj["ground_truth"] = [
             {"type": g.category.name, "bbox": _bbox(g.box)} for g in page.ground_truth
@@ -298,10 +335,96 @@ def load_dataset(
     return pages
 
 
+# Where the numbers sit in each kind's template arguments.
+_OCR_BLOCK_NUMBERS = itemgetter(0, 1, 2, 3)
+_TEACHER_NUMBERS = itemgetter(1, 2, 3, 4, 5)
+_TEXT_REGION_NUMBERS = itemgetter(1, 2, 3, 4, 5, 6, 7)
+_GROUND_TRUTH_NUMBERS = itemgetter(1, 2, 3, 4)
+_REFINED_LABEL_NUMBERS = itemgetter(1, 2, 3, 4, 5, 7)
+_NUMBER_TYPES = {float, int}
+_VARIANCE_TYPES = {float, int, type(None)}
+_JSON_BOOL = ("false", "true")
+_SOURCED_REGION_LINE = _TEXT_REGION_LINE[:-1] + ',"source":%s}'
+
+
+def _json_line(obj) -> str:
+    """The reference writer: ``obj`` as one compact JSON line."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _text_region_args(regions) -> list[tuple]:
+    return [
+        (_quote(r.category.name), (b := r.box).x1, b.y1, b.x2, b.y2, r.score, r.q_text, r.q_spatial)
+        for r in regions
+    ]
+
+
+def _page_line(page: Page) -> str:
+    """``page``'s dataset line, ``_json_line(page_to_dict(page))``: from
+    the record templates when the page passes the check, else from that
+    reference."""
+    try:
+        page_id = _quote(page.page_id)
+        ocr = [((b := o.box).x1, b.y1, b.x2, b.y2, _quote(o.text), o.is_bold) for o in page.ocr_blocks]
+        teacher = [
+            (_quote(t.category.name), (b := t.box).x1, b.y1, b.x2, b.y2, t.confidence, t.coordinate_variance)
+            for t in page.teacher
+        ]
+        llm = _text_region_args(page.llm)
+        ground_truth = [(_quote(g.category.name), (b := g.box).x1, b.y1, b.x2, b.y2) for g in page.ground_truth or ()]
+        refined = [
+            (_quote(f.category.name), (b := f.box).x1, b.y1, b.x2, b.y2, f.confidence, _quote(f.provenance), f.smoothing)
+            for f in page.refined or ()
+        ]
+    except TypeError:  # json's escaper takes only a str
+        return _json_line(page_to_dict(page))
+    numbers = chain(
+        chain.from_iterable(map(_OCR_BLOCK_NUMBERS, ocr)),
+        chain.from_iterable(map(_TEACHER_NUMBERS, teacher)),
+        chain.from_iterable(map(_TEXT_REGION_NUMBERS, llm)),
+        chain.from_iterable(map(_GROUND_TRUTH_NUMBERS, ground_truth)),
+        chain.from_iterable(map(_REFINED_LABEL_NUMBERS, refined)),
+    )
+    if not (
+        set(map(type, numbers)) <= _NUMBER_TYPES
+        and set(map(type, map(itemgetter(6), teacher))) <= _VARIANCE_TYPES
+        and set(map(type, map(itemgetter(5), ocr))) <= {bool}
+    ):
+        return _json_line(page_to_dict(page))
+    teacher_text = ",".join([_TEACHER_LINE % a[:6] if a[6] is None else _TEACHER_VAR_LINE % a for a in teacher])
+    parts = [
+        '{"page_id":', page_id,
+        ',"ocr_blocks":[', ",".join([_OCR_BLOCK_LINE % (*a[:5], _JSON_BOOL[a[5]]) for a in ocr]),
+        # %r writes +inf, the one non-finite number a record admits, as inf.
+        '],"teacher":[', teacher_text.replace('"coord_var":inf}', '"coord_var":Infinity}'),
+        '],"llm":[', ",".join(map(_TEXT_REGION_LINE.__mod__, llm)), "]",
+    ]
+    if page.ground_truth is not None:
+        parts += ',"ground_truth":[', ",".join(map(_GROUND_TRUTH_LINE.__mod__, ground_truth)), "]"
+    if page.refined is not None:
+        parts += ',"refined":[', ",".join(map(_REFINED_LABEL_LINE.__mod__, refined)), "]"
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def regions_line(page: Page, source: str) -> str:
+    """The JSON line ``{"page_id", "regions"}`` of ``page``'s text regions:
+    each region's dataset record, then ``"source": source``."""
+    try:
+        page_id, source_text = _quote(page.page_id), _quote(source)
+        llm = _text_region_args(page.llm)
+    except TypeError:  # json's escaper takes only a str
+        llm = None
+    if llm is None or not set(map(type, chain.from_iterable(map(_TEXT_REGION_NUMBERS, llm)))) <= _NUMBER_TYPES:
+        obj = page_to_dict(page)
+        return _json_line({"page_id": obj["page_id"], "regions": [{**r, "source": source} for r in obj["llm"]]})
+    regions = ",".join([_SOURCED_REGION_LINE % (*a, source_text) for a in llm])
+    return '{"page_id":%s,"regions":[%s]}\n' % (page_id, regions)
+
+
 def save_dataset(pages: Iterable[Page], path) -> None:
     """Write pages as JSON Lines with round-trip-exact floats."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for page in pages:
-            fh.write(json.dumps(page_to_dict(page), separators=(",", ":")) + "\n")
+        fh.writelines(map(_page_line, pages))

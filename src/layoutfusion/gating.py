@@ -13,8 +13,10 @@ samples).
 Training runs in buffers made once: a ``_Workspace`` per batch size
 holds everything a step writes, each buffer on a 64-byte boundary, and
 each step is forward pass, dLoss/dg and backward pass as ``out=`` calls
-into it, then one update of the flat weight buffer. ``_forward`` is the one forward pass: training
-steps, the validation pass and ``gate_forward_batch`` all run it.
+into it, then one update of the flat weight buffer. ``_forward`` is the
+one forward pass: training steps, the validation pass and
+``gate_forward_batch`` all run it. The validation pass then runs only
+``_fuse_pair``, the part of dLoss/dg that its loss reads.
 """
 
 from __future__ import annotations
@@ -253,16 +255,11 @@ def _pack(batch: GateBatch):
     return x, bt, bl, gt, bt - bl, y, z_t, z_l, z_t - z_l
 
 
-def _ggrad(ws: _Workspace, bt, bl, gt, dbt, y, z_t, z_l, dz, residual, u) -> None:
-    """dLoss/dg for one batch, from the gate outputs in ``ws.g``:
-    writes ``ws.h = 1 - g`` and the gradient to ``ws.t1``.
-
-    Loss per sample: mean squared coordinate error of the gate-fused box
-    against the truth box, plus ``_CONF_WEIGHT`` times binary
-    cross-entropy of the gate-fused confidence against fused-category
-    correctness. Each row's box residual and fused logit are written to
-    ``residual`` and ``u``, from which ``_row_losses`` gives the loss.
-    """
+def _fuse_pair(ws: _Workspace, bt, bl, gt, z_t, z_l, residual, u) -> None:
+    """The gate-fused pair of each row, from the gate outputs in
+    ``ws.g``: writes ``ws.h = 1 - g``, the fused box's residual against
+    the truth box to ``residual`` and the fused logit to ``u``, from
+    which ``_row_losses`` gives the row's loss."""
     g, h, box, t1, t2 = ws.g, ws.h, ws.box, ws.t1, ws.t2
     np.subtract(1.0, g, out=h)
     np.multiply(ws.g_col, bt, out=box)
@@ -272,6 +269,19 @@ def _ggrad(ws: _Workspace, bt, bl, gt, dbt, y, z_t, z_l, dz, residual, u) -> Non
     np.multiply(g, z_t, out=t1)
     np.multiply(h, z_l, out=t2)
     np.add(t1, t2, out=u)
+
+
+def _ggrad(ws: _Workspace, bt, bl, gt, dbt, y, z_t, z_l, dz, residual, u) -> None:
+    """dLoss/dg for one batch, from the gate outputs in ``ws.g``: runs
+    ``_fuse_pair`` and writes the gradient to ``ws.t1``.
+
+    Loss per sample: mean squared coordinate error of the gate-fused box
+    against the truth box, plus ``_CONF_WEIGHT`` times binary
+    cross-entropy of the gate-fused confidence against fused-category
+    correctness.
+    """
+    _fuse_pair(ws, bt, bl, gt, z_t, z_l, residual, u)
+    g, box, t1, t2 = ws.g, ws.box, ws.t1, ws.t2
     # dbox/dg = 2 * mean(residual * dbt) over the coordinates, by
     # np.add.reduce(...) / n, which is what np.mean computes, minus its dispatch.
     np.multiply(residual, dbt, out=box)
@@ -377,6 +387,7 @@ def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), 
     lr = config.learning_rate
 
     val = tuple(a[val_idx] for a in arrays)
+    x_val, bt_val, bl_val, gt_val, _, y_val, z_t_val, z_l_val, _ = val
     val_out = (np.empty((n_val, 4)), np.empty(n_val))
     val_ws = _Workspace(n_val, hidden)
     n_train = len(train_idx)
@@ -392,7 +403,7 @@ def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), 
     ]
     workspaces = {rows: _Workspace(rows, hidden) for rows in {len(xb) for xb, *_ in batches}}
     steps = [(workspaces[len(xb)], xb, batch) for xb, *batch in batches]
-    y_train, y_val = shuffled[5], val[5]  # y is the sixth of _pack's arrays
+    y_train = shuffled[5]  # y is the sixth of _pack's arrays
 
     best_val = np.inf
     best_params = copy.deepcopy(params)
@@ -416,10 +427,9 @@ def train_gate(samples: GateBatch, config: GateTrainConfig = GateTrainConfig(), 
         if not np.isfinite(losses).all():
             raise ValueError(f"non-finite training loss at epoch {epoch}")
         train_losses.append(float(np.mean(losses)))
-        # The validation pass writes its residuals and fused logits the
-        # same way; its gradient goes unused.
-        _forward(params, val[0], val_ws)
-        _ggrad(val_ws, *val[1:], *val_out)
+        # The validation pass needs only each row's residual and fused logit.
+        _forward(params, x_val, val_ws)
+        _fuse_pair(val_ws, bt_val, bl_val, gt_val, z_t_val, z_l_val, *val_out)
         val_loss = float(np.add.reduce(_row_losses(*val_out, y_val)) / n_val)
         if not math.isfinite(val_loss):
             raise ValueError(f"non-finite validation loss at epoch {epoch}")

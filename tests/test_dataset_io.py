@@ -1,15 +1,31 @@
-"""Dataset interchange: validation errors and bit-exact round-trips."""
+"""Dataset interchange: validation errors, bit-exact round-trips, and the
+template writer against its ``json.dumps`` reference."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
-from layoutfusion.dataset_io import DatasetError, IngestStats, load_dataset, save_dataset
+from layoutfusion import dataset_io
+from layoutfusion.cli import main
+from layoutfusion.dataset_io import DatasetError, IngestStats, load_dataset, page_to_dict, regions_line, save_dataset
 from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
-from layoutfusion.model import LlmRegion, Page, TeacherPrediction
+from layoutfusion.model import (
+    PROVENANCE_FUSED,
+    PROVENANCE_LLM_SOFT,
+    PROVENANCE_TEACHER,
+    FusedLabel,
+    GroundTruthAnnotation,
+    LlmRegion,
+    OcrBlock,
+    Page,
+    TeacherPrediction,
+)
 from layoutfusion.simulator import SimConfig, simulate_dataset
 from layoutfusion.taxonomy import DOCLAYNET
 
@@ -200,3 +216,184 @@ class TestRoundTrip:
         (loaded,) = load_dataset(path)
         assert loaded.teacher[0].box.x1 == x
         assert loaded.teacher[0].confidence == 0.123456789123456
+
+
+# --- The template writer -------------------------------------------------
+
+
+def reference_line(page):
+    return json.dumps(page_to_dict(page), separators=(",", ":")) + "\n"
+
+
+def reference_regions_line(page, source):
+    obj = page_to_dict(page)
+    regions = [{**record, "source": source} for record in obj["llm"]]
+    return json.dumps({"page_id": obj["page_id"], "regions": regions}, separators=(",", ":")) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters,
+# plus anything else hypothesis draws.
+TEXT = st.text(st.sampled_from('a Z"\\/\x00\x1f\x7f\n\té€\U0001f600') | st.characters(), max_size=10)
+PROBABILITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def pages(draw, exact_floats=False):
+    """A valid page. Unless ``exact_floats``, numbers may be ints (0 and 1
+    in boxes, 1 for a quality, 0 for a smoothing, any variance) and box
+    coordinates -0.0, which load turns into 0.0."""
+    floats = st.floats(0.0, 1.0, exclude_max=True)
+
+    def side():
+        lo = draw(st.just(0.0) | floats)
+        hi = draw(st.just(1.0) | st.floats(lo, 1.0, exclude_min=True))
+        if not exact_floats:
+            lo = draw(st.sampled_from([lo, 0, -0.0])) if lo == 0.0 else lo
+            hi = draw(st.sampled_from([hi, 1])) if hi == 1.0 else hi
+        return lo, hi
+
+    def box():
+        (x1, x2), (y1, y2) = side(), side()
+        try:
+            return BoundingBox(x1, y1, x2, y2)
+        except ValueError:  # an area that underflows to 0.0
+            reject()
+
+    def number(floats, ints):
+        return draw(floats if exact_floats else floats | ints)
+
+    category = st.sampled_from(DOCLAYNET.categories)
+    quality = st.floats(0.0, 1.0, exclude_min=True)
+    variance = st.none() | st.floats(0.0) | st.just(math.inf)
+    try:
+        ocr = [OcrBlock(box(), draw(TEXT), draw(st.booleans())) for _ in range(draw(st.integers(0, 3)))]
+        teacher = [
+            TeacherPrediction(box(), draw(category), draw(PROBABILITY), number(variance, st.integers(0, 10**20)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        llm = [
+            LlmRegion(box(), draw(category), draw(PROBABILITY), number(quality, st.just(1)), number(quality, st.just(1)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        ground_truth = None
+        if draw(st.booleans()):
+            ground_truth = [GroundTruthAnnotation(box(), draw(category)) for _ in range(draw(st.integers(0, 3)))]
+        refined = None
+        if draw(st.booleans()):
+            refined = []
+            for _ in range(draw(st.integers(0, 3))):
+                provenance = draw(st.sampled_from([PROVENANCE_FUSED, PROVENANCE_TEACHER, PROVENANCE_LLM_SOFT]))
+                smoothing = st.floats(0.0, 1.0, exclude_max=True) if provenance == PROVENANCE_LLM_SOFT else st.just(0.0)
+                refined.append(FusedLabel(box(), draw(category), draw(PROBABILITY), provenance, number(smoothing, st.just(0))))
+    except ValueError:  # a quality product too small for its variance
+        reject()
+    return Page(
+        draw(TEXT.filter(bool)),
+        tuple(ocr),
+        tuple(teacher),
+        tuple(llm),
+        None if ground_truth is None else tuple(ground_truth),
+        None if refined is None else tuple(refined),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(pages(), max_size=3), TEXT)
+def test_written_lines_are_json_dumps_of_page_to_dict(tmp_path, written, source):
+    path = tmp_path / "pages.jsonl"
+    save_dataset(written, path)
+    assert path.read_text(encoding="utf-8") == "".join(map(reference_line, written))
+    for page in written:
+        assert regions_line(page, source) == reference_regions_line(page, source)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(pages(exact_floats=True), max_size=3, unique_by=lambda page: page.page_id))
+def test_save_load_save_is_byte_stable(tmp_path, written):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_dataset(written, first)
+    save_dataset(load_dataset(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _text_page(**fields):
+    block = OcrBlock(BoundingBox(0.1, 0.1, 0.4, 0.2), **fields)
+    return Page("p", ocr_blocks=(block,))
+
+
+def _teacher_page(box=BoundingBox(0.1, 0.1, 0.4, 0.2), confidence=0.9, coordinate_variance=None):
+    return Page("p", teacher=(TeacherPrediction(box, DOCLAYNET.category("text"), confidence, coordinate_variance),))
+
+
+def _region_page(q_text=0.9):
+    return Page("p", llm=(LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.8, q_text),))
+
+
+OFF_TYPE_PAGES = {
+    "np.float64 coordinate": _teacher_page(box=BoundingBox(np.float64(0.1), 0.1, 0.4, 0.2)),
+    "np.float64 confidence": _teacher_page(confidence=np.float64(0.9)),
+    "np.float64 variance": _teacher_page(coordinate_variance=np.float64(1e-4)),
+    "np.float64 quality": _region_page(q_text=np.float64(0.9)),
+    "bool coordinates": _teacher_page(box=BoundingBox(False, 0.1, True, 0.2)),
+    "bool variance": _teacher_page(coordinate_variance=True),
+    "bool quality": _region_page(q_text=True),
+    "int text": _text_page(text=5),
+    "list text": _text_page(text=["x", 1.5]),
+    "object text": _text_page(text=object()),
+    "np.bool_ is_bold": _text_page(is_bold=np.True_),
+    "int is_bold": _text_page(is_bold=1),
+    "int page_id": replace(_teacher_page(), page_id=7),
+}
+
+
+@pytest.mark.parametrize("page", OFF_TYPE_PAGES.values(), ids=OFF_TYPE_PAGES.keys())
+def test_off_type_values_give_json_dumps_bytes_or_its_type_error(tmp_path, page):
+    path = tmp_path / "page.jsonl"
+    try:
+        want = reference_line(page)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            save_dataset([page], path)
+    else:
+        save_dataset([page], path)
+        assert path.read_text(encoding="utf-8") == want
+    assert regions_line(page, "heuristic") == reference_regions_line(page, "heuristic")
+
+
+PIPELINE_CORPORA = {
+    # The benchmark's two corpus shapes, small: OCR stubs with variances, and dense pages.
+    "sparse": {"pages": 40, "regions_min": 4, "regions_max": 8, "emit_coordinate_variance": True,
+               "emit_ocr_stubs": True, "seed": 2},
+    "dense": {"pages": 8, "regions_min": 36, "regions_max": 48, "sigma_t": 0.004, "sigma_l": 0.006, "seed": 2},
+}
+
+
+@pytest.mark.parametrize("sim", PIPELINE_CORPORA.values(), ids=PIPELINE_CORPORA.keys())
+def test_pipeline_pages_never_take_the_reference_writer(tmp_path, monkeypatch, sim):
+    """Every page the commands write passes the template writer's check, so
+    a numpy scalar that leaks into a record fails here."""
+    written = []
+    reference = dataset_io._json_line
+    monkeypatch.setattr(dataset_io, "_json_line", lambda obj: written.append(obj) or reference(obj))
+    (tmp_path / "sim.json").write_text(json.dumps(sim), encoding="utf-8")
+    (tmp_path / "gate.json").write_text(json.dumps({"epochs": 2}), encoding="utf-8")
+    dataset = str(tmp_path / "sim" / "dataset.jsonl")
+    for argv in (
+        ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")],
+        ["fuse", "--dataset", dataset, "--out", str(tmp_path / "fuse")],
+        ["train-gate", "--dataset", dataset, "--config", str(tmp_path / "gate.json"), "--hidden", "8",
+         "--out", str(tmp_path / "gate")],
+        ["fuse", "--dataset", dataset, "--gate", str(tmp_path / "gate" / "gate.json"), "--out", str(tmp_path / "gfuse")],
+        ["heuristics", "--dataset", dataset, "--out", str(tmp_path / "heur")],
+    ):
+        assert main(argv) == 0
+    assert written == []
+    lines = [
+        (tmp_path / name).read_text(encoding="utf-8").count("\n")
+        for name in ("sim/dataset.jsonl", "fuse/refined.jsonl", "gfuse/refined.jsonl",
+                     "heur/heuristic_dataset.jsonl", "heur/heuristic_regions.jsonl")
+    ]
+    assert lines == [sim["pages"]] * 5
+    # The count sees a page that does take it.
+    save_dataset([OFF_TYPE_PAGES["np.float64 confidence"]], tmp_path / "off.jsonl")
+    assert len(written) == 1
