@@ -423,7 +423,17 @@ def regions_line(page: Page, source: str) -> str:
 
 
 def save_dataset(pages: Iterable[Page], path) -> None:
-    """Write pages as JSON Lines with round-trip-exact floats."""
+    """Write pages as JSON Lines with round-trip-exact floats.
+
+    Raises ValueError, before the file is opened, naming the first
+    ``page_id`` that repeats: ``load_dataset`` would reject the file.
+    """
+    pages = list(pages)
+    seen: set[str] = set()
+    for page in pages:
+        if page.page_id in seen:
+            raise ValueError(f"duplicate page_id {page.page_id!r}")
+        seen.add(page.page_id)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

@@ -90,16 +90,36 @@ def clamp_coordinates(coords) -> tuple[list[float], int]:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union. Symmetric, in [0, 1], 1 iff identical."""
-    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
-    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    """Intersection over union. Symmetric, in [0, 1], 1 iff identical.
+
+    Returns 0.0 at the first separating edge: ``a.x2 <= b.x1``, then
+    ``b.x2 <= a.x1``, then the same two tests on y, each coordinate
+    read only when a test needs it. For valid boxes these four tests
+    are exactly ``ix <= 0 or iy <= 0``, so every result keeps its bits;
+    pairs that overlap on both axes compute the intersection and the
+    union as the tuple form does. Callers make one call per candidate
+    pair, with no pre-filter of their own: the benchmark's dense
+    workload counts these calls (its floor is IoU calls per page).
+    """
+    ax2 = a.x2
+    bx1 = b.x1
+    if ax2 <= bx1:
+        return 0.0
+    bx2 = b.x2
+    ax1 = a.x1
+    if bx2 <= ax1:
+        return 0.0
+    ay2 = a.y2
+    by1 = b.y1
+    if ay2 <= by1:
+        return 0.0
+    by2 = b.y2
+    ay1 = a.y1
+    if by2 <= ay1:
+        return 0.0
     # Conditional expressions pick what min()/max() would, minus the calls.
     ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-    if ix <= 0.0:
-        return 0.0
     iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-    if iy <= 0.0:
-        return 0.0
     intersection = ix * iy
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - intersection
     return intersection / union

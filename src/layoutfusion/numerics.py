@@ -2,12 +2,12 @@
 
 ``sigmoid`` and ``logit`` take a plain-``math`` path for exact Python
 floats, the per-label case in fusion, and the numpy path for everything
-else (numpy scalars and arrays), so array callers and the simulator's
-``np.float64`` draws see unchanged results. The two paths follow the
-same formulas and may differ only by the rounding of ``exp``/``log``.
-``sigmoid`` also has a scalar path for ``np.float64``, the simulator's
-per-confidence case: it calls numpy's ``exp`` like the array path, so
-it returns the array path's value bit for bit, as a Python float.
+else (numpy scalars and arrays), so array callers see unchanged
+results. The two paths follow the same formulas and may differ only by
+the rounding of ``exp``/``log``. A numpy scalar such as ``np.float64``
+takes the array path as a 0-d array and comes back as a Python float
+with that path's bits; the simulator passes its emitted confidences as
+one array per page and stream.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ def sigmoid(x, out=None, work=None):
             return 1.0 / (1.0 + math.exp(-x))
         ex = math.exp(x)
         return ex / (1.0 + ex)
-    if type(x) is np.float64:
-        if x >= 0.0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        ex = np.exp(x)
-        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     if out is None:
         out = np.empty(x.shape)

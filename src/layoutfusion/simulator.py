@@ -152,15 +152,17 @@ def _place_boxes(rng: np.random.Generator, count: int) -> list[BoundingBox]:
     boxes = []
     margin = 0.05 * cell
     avail = cell - 2.0 * margin
-    # lo + (hi - lo) * rng.random() is how numpy draws uniform(lo, hi):
-    # the same stream and the same floats, without its argument handling.
+    # lo + (hi - lo) * u is how numpy draws uniform(lo, hi), and one
+    # random(4 * count) takes the stream of 4 * count scalar draws: per
+    # box the x extent, the x offset, the y extent and the y offset.
+    uniforms = iter(rng.random(4 * count).tolist())
     for flat in cells.tolist():
         row, col = divmod(flat, grid)
         spans = []
         for base in (col, row):
             lo = base * cell + margin
-            extent = (0.5 + (0.95 - 0.5) * rng.random()) * avail
-            offset = (avail - extent) * rng.random()  # uniform(0.0, avail - extent)
+            extent = (0.5 + (0.95 - 0.5) * next(uniforms)) * avail
+            offset = (avail - extent) * next(uniforms)  # uniform(0.0, avail - extent)
             spans.append((lo + offset, lo + offset + extent))
         (x1, x2), (y1, y2) = spans
         boxes.append(BoundingBox(x1, y1, x2, y2))
@@ -173,13 +175,17 @@ def generate_pages(config: SimConfig) -> list[Page]:
     names = sorted(config.category_frequencies)
     freqs = np.array([config.category_frequencies[n] for n in names])
     freqs = freqs / freqs.sum()
+    # rng.choice(len(names), size=count, p=freqs) is this cdf searched
+    # with count uniforms: the same stream and the same indices, with
+    # the cdf built once.
+    cdf = freqs.cumsum()
+    cdf /= cdf[-1]
     pages = []
     for index in range(config.pages):
         rng = _page_rng(config.seed, 0, index)
         count = int(rng.integers(config.regions_min, config.regions_max + 1))
         boxes = _place_boxes(rng, count)
-        # Drawing indices takes the same stream as drawing from names.
-        categories = rng.choice(len(names), size=count, p=freqs).tolist()
+        categories = cdf.searchsorted(rng.random(count), side="right").tolist()
         annotations = tuple(
             GroundTruthAnnotation(box=b, category=taxonomy.category(names[c]))
             for b, c in zip(boxes, categories)
@@ -238,30 +244,38 @@ def _noisy_box(truth: BoundingBox, eps) -> BoundingBox | None:
     return None
 
 
-def _draw_confidence(rng: np.random.Generator, confusion: float, temperature: float):
-    """Calibrated latent confidence, its correctness draw, and the
-    (possibly miscalibrated) emitted value.
+def _draw_confidence(rng: np.random.Generator, confusion: float):
+    """Calibrated latent confidence and its correctness draw.
 
     The latent confidence has mean 1 - confusion and correctness is
-    Bernoulli in it, so emitted confidences are exactly calibrated
-    before the temperature distortion. A zero confusion rate means the
-    stream never errs: correctness is forced and the latent stays high.
+    Bernoulli in it, so emitted confidences (``_emit_confidences`` of
+    the latents, after the page's draws) are exactly calibrated before
+    the temperature distortion. A zero confusion rate means the stream
+    never errs: correctness is forced, not drawn, and the latent stays
+    high.
     """
     if confusion == 0.0:
-        latent = min(max(rng.beta(_BETA_CONCENTRATION, 0.05), 0.5), 1.0 - _CONF_CLIP)
-        correct = True
-    else:
-        draw = rng.beta(_BETA_CONCENTRATION * (1.0 - confusion), _BETA_CONCENTRATION * confusion)
-        latent = min(max(draw, _CONF_CLIP), 1.0 - _CONF_CLIP)
-        correct = bool(rng.random() < latent)
-    # numpy's log/log1p, not math's: the two libraries' kernels round
-    # differently on some inputs, and every emitted confidence is pinned
-    # by the simulated corpora's bytes. On an AVX512F Xeon (numpy 2.4.6)
-    # math.log differed on 0.35% of uniform draws, math.log1p(-x) on 4.6%
-    # of beta-drawn latents and math.exp on 4.5% of their logits.
+        return min(max(rng.beta(_BETA_CONCENTRATION, 0.05), 0.5), 1.0 - _CONF_CLIP), True
+    draw = rng.beta(_BETA_CONCENTRATION * (1.0 - confusion), _BETA_CONCENTRATION * confusion)
+    latent = min(max(draw, _CONF_CLIP), 1.0 - _CONF_CLIP)
+    return latent, bool(rng.random() < latent)
+
+
+def _emit_confidences(latents: list[float], temperature: float) -> list[float]:
+    """The emitted confidence of each latent: its logit scaled by
+    ``temperature``, mapped back and clipped, in one array pass that
+    draws nothing.
+
+    numpy's log/log1p, not math's: the two libraries' kernels round
+    differently on some inputs, and every emitted confidence is pinned
+    by the simulated corpora's bytes. On an AVX512F Xeon (numpy 2.4.6)
+    math.log differed on 0.35% of uniform draws, math.log1p(-x) on 4.6%
+    of beta-drawn latents and math.exp on 4.5% of their logits. numpy's
+    kernels give an array element the bits they give that scalar.
+    """
+    latent = np.array(latents, dtype=np.float64)
     z = np.log(latent) - np.log1p(-latent)
-    emitted = min(max(sigmoid(temperature * z), _CONF_CLIP), 1.0 - _CONF_CLIP)
-    return latent, correct, emitted
+    return np.clip(sigmoid(temperature * z), _CONF_CLIP, 1.0 - _CONF_CLIP).tolist()
 
 
 def _flip_category(rng: np.random.Generator, name: str, taxonomy: Taxonomy) -> str:
@@ -269,7 +283,8 @@ def _flip_category(rng: np.random.Generator, name: str, taxonomy: Taxonomy) -> s
     if partner is not None:
         return partner
     others = [c for c in taxonomy.names if c != name]
-    return others[rng.choice(len(others))]
+    # rng.choice(n) draws integers(0, n): the same stream and index.
+    return others[rng.integers(0, len(others))]
 
 
 def _quarter_points(start: float, stop: float) -> list[float]:
@@ -292,18 +307,25 @@ def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation
         blocks = []
         xs = _quarter_points(box.x1, box.x2)
         ys = _quarter_points(box.y1, box.y2)
+        # One draw of nine takes the stream of nine scalar draws.
+        texts = iter(rng.integers(0, 100, size=9).tolist())
         for r in range(3):
             for c in range(3):
                 cell = BoundingBox(
                     xs[c], ys[r], xs[c] + 0.8 * (xs[1] - xs[0]), ys[r] + 0.8 * (ys[1] - ys[0])
                 )
-                blocks.append(OcrBlock(box=cell, text=str(int(rng.integers(0, 100))), is_bold=False))
+                blocks.append(OcrBlock(box=cell, text=str(next(texts)), is_bold=False))
         return blocks
     return [OcrBlock(box=box, text="body text", is_bold=False)]
 
 
 def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
-    """Attach noisy teacher and text streams to ground-truth pages."""
+    """Attach noisy teacher and text streams to ground-truth pages.
+
+    Each page's draws come from its own stream, in ground-truth order;
+    the emitted confidences are computed after them, one array pass per
+    stream.
+    """
     taxonomy = TAXONOMIES[config.taxonomy]
     # (sigma_t, sigma_l) per category, resolved on first use: a
     # per-category mapping need only cover the categories that occur.
@@ -315,6 +337,8 @@ def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
         rng = _page_rng(config.seed, 1, index)
         teacher = []
         llm = []
+        latents_t = []
+        latents_l = []
         ocr: list[OcrBlock] = []
         for annotation in page.ground_truth:
             name = annotation.category.name
@@ -331,41 +355,35 @@ def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
             else:
                 raise ValueError("noise repeatedly collapsed a box; lower sigma")
 
-            _, correct_t, conf_t = _draw_confidence(
-                rng, config.teacher_confusion, config.teacher_temperature
-            )
+            latent_t, correct_t = _draw_confidence(rng, config.teacher_confusion)
             cat_t = name if correct_t else _flip_category(rng, name, taxonomy)
-            teacher.append(
-                TeacherPrediction(
-                    box=box_t,
-                    category=taxonomy.category(cat_t),
-                    confidence=conf_t,
-                    coordinate_variance=sigma_t**2 if config.emit_coordinate_variance else None,
-                )
-            )
+            latents_t.append(latent_t)
+            variance = sigma_t**2 if config.emit_coordinate_variance else None
+            teacher.append((box_t, taxonomy.category(cat_t), variance))
 
-            _, correct_l, score_l = _draw_confidence(
-                rng, config.llm_confusion, config.llm_temperature
-            )
+            latent_l, correct_l = _draw_confidence(rng, config.llm_confusion)
             cat_l = name if correct_l else _flip_category(rng, name, taxonomy)
+            latents_l.append(latent_l)
             u_text, u_spatial = rng.random(2).tolist()
-            llm.append(
-                LlmRegion(
-                    box=box_l,
-                    category=taxonomy.category(cat_l),
-                    score=score_l,
-                    q_text=0.6 + (0.95 - 0.6) * u_text,
-                    q_spatial=0.6 + (0.95 - 0.6) * u_spatial,
-                )
-            )
+            q_text = 0.6 + (0.95 - 0.6) * u_text
+            q_spatial = 0.6 + (0.95 - 0.6) * u_spatial
+            llm.append((box_l, taxonomy.category(cat_l), q_text, q_spatial))
             if config.emit_ocr_stubs:
                 ocr.extend(_ocr_stub_blocks(rng, annotation))
+        confs_t = _emit_confidences(latents_t, config.teacher_temperature)
+        scores_l = _emit_confidences(latents_l, config.llm_temperature)
         out.append(
             Page(
                 page_id=page.page_id,
                 ocr_blocks=tuple(ocr),
-                teacher=tuple(teacher),
-                llm=tuple(llm),
+                teacher=tuple(
+                    TeacherPrediction(box=box, category=category, confidence=conf, coordinate_variance=var)
+                    for (box, category, var), conf in zip(teacher, confs_t)
+                ),
+                llm=tuple(
+                    LlmRegion(box=box, category=category, score=score, q_text=q_text, q_spatial=q_spatial)
+                    for (box, category, q_text, q_spatial), score in zip(llm, scores_l)
+                ),
                 ground_truth=page.ground_truth,
             )
         )

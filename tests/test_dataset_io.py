@@ -298,7 +298,7 @@ def pages(draw, exact_floats=False):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(pages(), max_size=3), TEXT)
+@given(st.lists(pages(), max_size=3, unique_by=lambda page: page.page_id), TEXT)
 def test_written_lines_are_json_dumps_of_page_to_dict(tmp_path, written, source):
     path = tmp_path / "pages.jsonl"
     save_dataset(written, path)
@@ -316,8 +316,17 @@ def test_save_load_save_is_byte_stable(tmp_path, written):
     assert second.read_bytes() == first.read_bytes()
 
 
+def _forced(record, **fields):
+    """``record`` with ``fields`` stored past its constructor's checks, as
+    ``object.__setattr__`` can: the writer still owes such a page
+    json.dumps' bytes or its TypeError."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 def _text_page(**fields):
-    block = OcrBlock(BoundingBox(0.1, 0.1, 0.4, 0.2), **fields)
+    block = _forced(OcrBlock(BoundingBox(0.1, 0.1, 0.4, 0.2)), **fields)
     return Page("p", ocr_blocks=(block,))
 
 
@@ -342,7 +351,7 @@ OFF_TYPE_PAGES = {
     "object text": _text_page(text=object()),
     "np.bool_ is_bold": _text_page(is_bold=np.True_),
     "int is_bold": _text_page(is_bold=1),
-    "int page_id": replace(_teacher_page(), page_id=7),
+    "int page_id": _forced(_teacher_page(), page_id=7),
 }
 
 
@@ -358,6 +367,37 @@ def test_off_type_values_give_json_dumps_bytes_or_its_type_error(tmp_path, page)
         save_dataset([page], path)
         assert path.read_text(encoding="utf-8") == want
     assert regions_line(page, "heuristic") == reference_regions_line(page, "heuristic")
+
+
+# Records save_dataset would write and load_dataset reject are refused
+# where they are made: at the constructor, or at save for a repeated id.
+@pytest.mark.parametrize("page_id", ["", 7, None, b"p"], ids=["empty", "int", "None", "bytes"])
+def test_page_rejects_an_empty_or_non_str_page_id(page_id):
+    with pytest.raises((TypeError, ValueError), match="page_id must be"):
+        Page(page_id)
+
+
+OFF_TYPE_OCR_FIELDS = {
+    "tuple box": ("box", (0.1, 0.1, 0.2, 0.2)),
+    "int text": ("text", 5),
+    "None text": ("text", None),
+    "np.bool_ is_bold": ("is_bold", np.True_),
+    "int is_bold": ("is_bold", 1),
+}
+
+
+@pytest.mark.parametrize("field, value", OFF_TYPE_OCR_FIELDS.values(), ids=OFF_TYPE_OCR_FIELDS.keys())
+def test_ocr_block_rejects_off_type_fields(field, value):
+    fields = {"box": BoundingBox(0.1, 0.1, 0.2, 0.2), "text": "x", "is_bold": False, field: value}
+    with pytest.raises(TypeError, match=f"OcrBlock {field} must be"):
+        OcrBlock(**fields)
+
+
+def test_save_dataset_rejects_a_repeated_page_id_before_writing(tmp_path):
+    path = tmp_path / "pages.jsonl"
+    with pytest.raises(ValueError, match="duplicate page_id 'a'"):
+        save_dataset(iter([Page("a"), Page("b"), Page("a")]), path)
+    assert not path.exists()
 
 
 PIPELINE_CORPORA = {

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from layoutfusion.fusion import fuse_fixed_box, fuse_inverse_variance
@@ -33,17 +33,37 @@ def boxes(draw):
     return BoundingBox(x1, y1, x2, y2)
 
 
+def _spans(box, axis):
+    """``box``'s span on ``axis`` and on the other axis."""
+    x, y = (box.x1, box.x2), (box.y1, box.y2)
+    return (x, y) if axis == "x" else (y, x)
+
+
+def _box_from_spans(axis, span, other):
+    (x1, x2), (y1, y2) = (span, other) if axis == "x" else (other, span)
+    return BoundingBox(x1, y1, x2, y2)
+
+
 @st.composite
 def box_pairs(draw):
-    """Independent, touching (shared edge) or nested box pairs."""
+    """Independent or nested box pairs, and pairs that touch (share an
+    edge) or stand apart on one axis while they overlap on the other.
+    Taken in both orders, these reach each of ``iou``'s four separating
+    edges and its overlap path."""
     a = draw(boxes())
-    kind = draw(st.sampled_from(["independent", "touching", "nested"]))
+    kind = draw(st.sampled_from(["independent", "touching", "apart", "nested"]))
     if kind == "independent":
         return a, draw(boxes())
-    if kind == "touching" and a.x2 < 1.0:
-        right = draw(st.floats(min_value=a.x2, max_value=1.0, exclude_min=True))
-        assume((right - a.x2) * (a.y2 - a.y1) > 0.0)
-        return a, BoundingBox(a.x2, a.y1, right, a.y2)
+    axis = draw(st.sampled_from(["x", "y"]))
+    (lo, hi), (other_lo, other_hi) = _spans(a, axis)
+    if (kind == "touching" and hi < 1.0) or (kind == "apart" and hi <= 0.99):
+        start = hi if kind == "touching" else draw(st.floats(hi, 1.0, exclude_min=True, exclude_max=True))
+        end = draw(st.floats(start, 1.0, exclude_min=True))
+        # Any span that overlaps a's on the other axis.
+        near = draw(st.floats(other_lo, other_hi, exclude_max=True))
+        far = draw(st.floats(near, 1.0, exclude_min=True))
+        assume((end - start) * (far - near) > 0.0)
+        return a, _box_from_spans(axis, (start, end), (near, far))
     # Nested: corners at fractions of the outer box (degenerate draws fall back to a itself).
     fx = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
     fy = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
@@ -97,11 +117,51 @@ def test_box_validation_matches_per_coordinate_checks(x1, y1, x2, y2):
     assert message == _checked_loop(x1, y1, x2, y2)
 
 
+class _ReadLog:
+    """A box that logs each coordinate read from it into ``log``."""
+
+    def __init__(self, box, label, log):
+        self._box, self._label, self._log = box, label, log
+
+    def __getattr__(self, name):
+        self._log.append(f"{self._label}.{name}")
+        return getattr(self._box, name)
+
+
+# iou's edge tests in order, each with the two coordinates it reads.
+_EDGE_TESTS = (("a.x2", "b.x1"), ("b.x2", "a.x1"), ("a.y2", "b.y1"), ("b.y2", "a.y1"))
+
+
+def _expected_reads(a, b):
+    """The coordinates iou reads: each edge test's pair, up to and
+    including the first that separates the boxes; all eight on overlap."""
+    boxes = {"a": a, "b": b}
+    reads = []
+    for high, low in _EDGE_TESTS:
+        reads += [high, low]
+        value = {name: getattr(boxes[name[0]], name[2:]) for name in (high, low)}
+        if value[high] <= value[low]:
+            return reads
+    return reads
+
+
+TOUCHING_X = (BoundingBox(0.1, 0.2, 0.3, 0.6), BoundingBox(0.3, 0.4, 0.5, 0.8))
+TOUCHING_Y = (BoundingBox(0.2, 0.1, 0.6, 0.3), BoundingBox(0.4, 0.3, 0.8, 0.5))
+
+
+@example(TOUCHING_X)
+@example(TOUCHING_Y)
 @given(box_pairs())
 def test_iou_equals_tuple_oracle_bit_for_bit(pair):
+    """Also that it stops at the first separating edge: a touching pair
+    has IoU 0.0 whether or not its shared edge counts as separating,
+    so only the coordinates read tell an edge test's ``<=`` from ``<``."""
     a, b = pair
     for x, y in ((a, b), (b, a)):
         assert iou(x, y).hex() == _iou_tuple(_coords(x), _coords(y)).hex()
+        log = []
+        iou(_ReadLog(x, "a", log), _ReadLog(y, "b", log))
+        assert log == _expected_reads(x, y)
 
 
 @st.composite

@@ -85,9 +85,12 @@ def test_array_sigmoid_equals_masked_form_bit_for_bit(values):
 
 @given(any_float)
 def test_float64_sigmoid_equals_masked_form_bit_for_bit(value):
+    """An np.float64 takes the array path, as a 0-d array, and comes back
+    as a Python float with the bits of a one-element array's result."""
     got = sigmoid(np.float64(value))
     assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(masked_sigmoid(np.float64(value))).tobytes()
+    want = masked_sigmoid(np.array([value]))
+    assert np.array([got]).tobytes() == want.tobytes() == sigmoid(np.array([value])).tobytes()
 
 
 def test_array_sigmoid_keeps_nan_bits_and_shape_without_warnings():
@@ -164,21 +167,29 @@ def test_box_noise_equals_array_form_bit_for_bit(truth, seed, sigma_t, sigma_l, 
 
 
 # sha256 of save_dataset(simulate_dataset(config)), recorded from the
-# array-form simulator. They pin numpy's Generator streams and its exp/log
-# too, so a numpy release that changes either changes them.
-SPARSE = dict(pages=500, regions_min=4, regions_max=8, emit_coordinate_variance=True, emit_ocr_stubs=True)
-DENSE = dict(pages=50, regions_min=36, regions_max=48, sigma_t=0.004, sigma_l=0.006)
+# array-form simulator (the zero-confusion corpus from the per-region
+# draws, before the simulator drew a page at a time). They pin numpy's
+# Generator streams and its exp/log too, so a numpy release that changes
+# either changes them. The zero-confusion corpus takes the branch that
+# draws no correctness, with tables among its OCR stubs.
+CORPORA = {
+    "sparse": dict(pages=500, regions_min=4, regions_max=8, emit_coordinate_variance=True, emit_ocr_stubs=True),
+    "dense": dict(pages=50, regions_min=36, regions_max=48, sigma_t=0.004, sigma_l=0.006),
+    "zero_confusion": dict(pages=200, teacher_confusion=0.0, llm_confusion=0.0, emit_ocr_stubs=True),
+}
 SIMULATED_SHA256 = {
     ("sparse", 0): "1a81c694804b7c564315dad429ddf975b09c26addc095ad1bbae3f600d553a21",
     ("sparse", 5): "396dbce561c312692f3ff159021d33dfc46d0a7869d82b3da7499bd086246a83",
     ("dense", 0): "23d8a4af4e13d66b530f5b1f086482de300cca2393eff23e4a11ba04208be1e4",
     ("dense", 5): "fb3b5dc8fd3ab75892435fbf5c9a0cedf3ca745030ed9d6787096257377cd9d3",
+    ("zero_confusion", 0): "170429c388b9f580983fd511f43d6e27e7702bf062d2e16d6867c50fdf136bf6",
+    ("zero_confusion", 5): "96f2080caacbbca88b624e51be0cfbcde96a4f49cf15d28f4d95be5c06e7bbd8",
 }
 
 
 @pytest.mark.parametrize("corpus, seed", sorted(SIMULATED_SHA256))
 def test_simulated_corpus_bytes_unchanged(tmp_path, corpus, seed):
-    config = SimConfig(seed=seed, **(SPARSE if corpus == "sparse" else DENSE))
+    config = SimConfig(seed=seed, **CORPORA[corpus])
     path = tmp_path / "dataset.jsonl"
     save_dataset(simulate_dataset(config), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SIMULATED_SHA256[(corpus, seed)]
