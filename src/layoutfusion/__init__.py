@@ -52,14 +52,7 @@ from .gating import (
     save_gate,
     train_gate,
 )
-from .curriculum import (
-    CurriculumConfig,
-    SchedulePhase,
-    category_threshold,
-    schedule,
-    schedule_table,
-    threshold_table,
-)
+from .curriculum import category_threshold, threshold_table
 from .metrics import (
     ApResult,
     Detection,

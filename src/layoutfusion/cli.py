@@ -17,13 +17,14 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import manifest
-from .curriculum import CurriculumConfig, schedule_table, threshold_table
+from .curriculum import threshold_table
 from .dataset_io import load_dataset, regions_line, save_dataset
 from .fusion import (
     FusionConfig,
@@ -68,11 +69,12 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _load_json(path):
+def _load_json(path, name: str = "config file"):
+    """The JSON document in ``path``; a missing file exits 2 naming ``name``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise CliError(f"config file not found: {path}") from exc
+        raise CliError(f"{name} not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -164,7 +166,7 @@ def cmd_fuse(args):
             raise CliError(f"gate file not found: {args.gate}")
         gate = load_gate(args.gate)
     pages = _load_pages(args.dataset, taxonomy)
-    thresholds = threshold_table(taxonomy, CurriculumConfig())
+    thresholds = threshold_table(taxonomy)
     histogram: dict[str, int] = {}
     refined_pages = []
     for page in pages:
@@ -293,8 +295,8 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     # Per-seed metric values: finite JSON numbers, by the config type rule.
-    a = check(_tuples(_load_json(args.a)), tuple[float, ...], f"--a file {args.a}")
-    b = check(_tuples(_load_json(args.b)), tuple[float, ...], f"--b file {args.b}")
+    a = check(_tuples(_load_json(args.a, "--a file")), tuple[float, ...], f"--a file {args.a}")
+    b = check(_tuples(_load_json(args.b, "--b file")), tuple[float, ...], f"--b file {args.b}")
     if len(a) != len(b):
         raise CliError(f"unpaired metric lists: {len(a)} vs {len(b)} values")
     try:
@@ -400,38 +402,27 @@ def cmd_lipschitz(args):
     return ["lipschitz.json"], []
 
 
-def cmd_schedule(args):
-    taxonomy = TAXONOMIES[args.taxonomy]
-    raw = _load_config(args.config)
-    config = _build_config(CurriculumConfig, raw, "curriculum config")
-    if args.epochs < 1:
-        raise CliError(f"--epochs must be >= 1, got {args.epochs}")
-    rows = schedule_table(args.epochs, config, taxonomy)
-    _write_csv(
-        Path(args.out) / "schedule.csv",
-        ["epoch", "sources", "thresholds", "regenerate"],
-        [[r["epoch"], r["sources"], r["thresholds"], r["regenerate"]] for r in rows],
-    )
-    print(f"wrote schedule for {args.epochs} epochs")
-    return ["schedule.csv"], [config]
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer >= ``minimum``, checked before the command runs."""
+def _flag(kind, ok, rule: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds, checked
+    before the command runs; any other exits 2 naming the flag and ``rule``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+def _at_least(minimum: int):
+    return _flag(int, lambda value: value >= minimum, f">= {minimum}")
 
 
 _seed = _at_least(0)  # numpy seeds its generators only from integers >= 0
@@ -479,8 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config=False)
     p.add_argument("--a", required=True, help="JSON array of per-seed metrics (run A)")
     p.add_argument("--b", required=True, help="JSON array of per-seed metrics (run B)")
-    p.add_argument("--delta", type=float, default=0.5, help="equivalence margin")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument(
+        "--delta", type=_flag(float, lambda v: 0 < v < math.inf, "finite and > 0"), default=0.5, help="equivalence margin"
+    )
+    p.add_argument("--alpha", type=_flag(float, lambda v: 0 < v < 1, "in (0, 1)"), default=0.05)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("heuristics", help="run the rule-based text-prior baseline")
@@ -506,11 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="probe points from this dataset's matched pairs")
     p.add_argument("--grid", type=_at_least(2), default=21, help="per-axis grid resolution when no dataset given")
     p.set_defaults(func=cmd_lipschitz)
-
-    p = sub.add_parser("schedule", help="export the curriculum schedule table")
-    _add_common(p, taxonomy=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.set_defaults(func=cmd_schedule)
 
     return parser
 

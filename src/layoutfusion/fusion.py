@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curriculum import CurriculumConfig, threshold_table
+from .curriculum import threshold_table
 from .gating import GateBatch, GateParams, gate_forward_batch
 from .geometry import BoundingBox, best_overlap
 from .model import (
@@ -393,7 +393,7 @@ def refine_pseudo_labels(
     configured soft categories enter as smoothed soft labels.
     """
     if thresholds is None:
-        thresholds = threshold_table(taxonomy, CurriculumConfig())
+        thresholds = threshold_table(taxonomy)
     outcome = match_regions(page.teacher, page.llm, config, taxonomy)
     by_teacher = {m.teacher_index: m for m in outcome.matches}
     # The gate runs once per page, one feature row per matched pair.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from layoutfusion.cli import main
-from layoutfusion.curriculum import CurriculumConfig, threshold_table
+from layoutfusion.curriculum import threshold_table
 from layoutfusion.dataset_io import load_dataset, save_dataset
 from layoutfusion.fusion import (
     apply_temperature,
@@ -188,7 +188,7 @@ def test_06_refinement_oracle_equivalence():
     pages: list[Page] = [random_page(rng, f"adv{i}") for i in range(600)]
     pages += simulate_dataset(SimConfig(pages=200, seed=51))
     pages += simulate_dataset(SimConfig(pages=200, emit_coordinate_variance=True, seed=52))
-    thresholds = threshold_table(DOCLAYNET, CurriculumConfig())
+    thresholds = threshold_table(DOCLAYNET)
     compared = 0
     for page in pages:
         expected = naive_refine(page, thresholds=thresholds)
@@ -450,7 +450,6 @@ def test_12_cli_determinism(tmp_path):
                 str(base / "lip"),
             ]
         ) == 0
-        assert main(["schedule", "--epochs", "6", "--out", str(base / "sched")]) == 0
         assert main(
             ["fuse", "--dataset", str(dataset), "--gate", str(base / "gate" / "gate.json"), "--out", str(base / "gfuse")]
         ) == 0

@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import layoutfusion
 from layoutfusion import cli
 from layoutfusion.cli import main
-from layoutfusion.curriculum import CurriculumConfig
 from layoutfusion.dataset_io import load_dataset, save_dataset
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
 from layoutfusion.gating import GateTrainConfig, TrainResult, init_gate, save_gate
@@ -263,10 +262,6 @@ class TestCompare:
         "infinity": ("[1, Infinity, 3]", [], "--a file {a} must be JSON that fits tuple[float, ...]"),
         "booleans": ("[true, false, true]", [], "--a file {a} must be JSON that fits tuple[float, ...]"),
         "overflow": ("[1e308, -1e308, 1e308]", [], "{a} - {b}: the paired differences' mean or standard deviation"),
-        "delta-nan": ("[1, 2, 3]", ["--delta", "nan"], "delta=nan must be finite and > 0"),
-        "delta-inf": ("[1, 2, 3]", ["--delta", "inf"], "delta=inf must be finite and > 0"),
-        "alpha-2": ("[1, 2, 3]", ["--alpha", "2"], "alpha=2.0 must be in (0, 1)"),
-        "alpha-0": ("[1, 2, 3]", ["--alpha", "0"], "alpha=0.0 must be in (0, 1)"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -278,6 +273,16 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert main(["compare", "--a", str(pa), "--b", str(pb), *flags, "--out", str(out)]) == 2
         assert named.format(a=pa, b=pb) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_missing_input_file_exits_2_naming_its_flag(self, tmp_path, capsys, flag):
+        pa, pb = self.write_runs(tmp_path, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        missing = tmp_path / "nofile.json"
+        files = {"--a": pa, "--b": pb, flag: missing}
+        out = tmp_path / "cmp"
+        assert main(["compare", "--a", str(files["--a"]), "--b", str(files["--b"]), "--out", str(out)]) == 2
+        assert f"{flag} file not found: {missing}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -375,19 +380,13 @@ class TestGateCommands:
         assert main(["lipschitz", "--gate", str(train_out / "gate.json"), "--grid", "9", "--out", str(out)]) == 0
 
 
-class TestSchedule:
-    def test_schedule_csv(self, tmp_path):
-        out = tmp_path / "sched"
-        assert main(["schedule", "--epochs", "8", "--out", str(out)]) == 0
-        rows = (out / "schedule.csv").read_text().strip().splitlines()
-        assert len(rows) == 9  # header + 8 epochs
-
-    @pytest.mark.parametrize("epochs", ["0", "-3"])
-    def test_epochs_below_one_exit_2_naming_the_flag(self, tmp_path, capsys, epochs):
-        out = tmp_path / "sched"
-        assert main(["schedule", "--epochs", epochs, "--out", str(out)]) == 2
-        assert f"--epochs must be >= 1, got {epochs}" in capsys.readouterr().err
-        assert not out.exists()
+def test_removed_schedule_command_exits_2_as_unknown(tmp_path, capsys):
+    out = tmp_path / "sched"
+    with pytest.raises(SystemExit) as exited:
+        main(["schedule", "--epochs", "10", "--out", str(out)])
+    assert exited.value.code == 2
+    assert "argument command: invalid choice: 'schedule'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCollectorPause:
@@ -402,10 +401,10 @@ class TestCollectorPause:
 
     @staticmethod
     def _spy(monkeypatch, raised=None) -> list[bool]:
-        """Make ``schedule``'s table builder record whether the collector
-        is on, then raise ``raised`` if given."""
+        """Make ``theory``'s reference-point summary record whether the
+        collector is on, then raise ``raised`` if given."""
         seen = []
-        real = cli.schedule_table
+        real = cli.summarize_reference_point
 
         def spy(*args, **kwargs):
             seen.append(gc.isenabled())
@@ -413,17 +412,17 @@ class TestCollectorPause:
                 raise raised
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "schedule_table", spy)
+        monkeypatch.setattr(cli, "summarize_reference_point", spy)
         return seen
 
     @staticmethod
-    def _schedule(tmp_path) -> int:
-        return main(["schedule", "--epochs", "2", "--out", str(tmp_path / "sched")])
+    def _theory(tmp_path) -> int:
+        return main(["theory", "--out", str(tmp_path / "theory")])
 
     def test_collector_is_off_while_a_command_runs(self, tmp_path, monkeypatch):
         seen = self._spy(monkeypatch)
         gc.enable()
-        assert self._schedule(tmp_path) == 0
+        assert self._theory(tmp_path) == 0
         assert seen == [False]
         assert gc.isenabled()
 
@@ -434,7 +433,7 @@ class TestCollectorPause:
     def test_previous_state_restored_on_exit(self, tmp_path, monkeypatch, enabled, raised, code):
         seen = self._spy(monkeypatch, raised)
         (gc.enable if enabled else gc.disable)()
-        assert self._schedule(tmp_path) == code
+        assert self._theory(tmp_path) == code
         assert seen == [False]
         assert gc.isenabled() is enabled
 
@@ -443,7 +442,7 @@ class TestCollectorPause:
         seen = self._spy(monkeypatch, RuntimeError("boom"))
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(RuntimeError, match="boom"):
-            self._schedule(tmp_path)
+            self._theory(tmp_path)
         assert seen == [False]
         assert gc.isenabled() is enabled
 
@@ -476,7 +475,6 @@ CONFIG_SITES = {
     "theory-train": (False, lambda fields: {"experiment": {**SMALL_EXPERIMENT, "train": fields}}, GateTrainConfig),
     "heuristics": (True, lambda fields: fields, HeuristicConfig),
     "train-gate": (True, lambda fields: fields, GateTrainConfig),
-    "schedule": (False, lambda fields: fields, CurriculumConfig),
 }
 
 
@@ -516,8 +514,6 @@ WRONG_TYPES = [
     ("train-gate", {"batch_size": 4.5}, "gate training config: batch_size must be a JSON integer, got 4.5"),
     ("train-gate", {"seed": 1.5}, "gate training config: seed must be a JSON integer, got 1.5"),
     ("train-gate", {"epochs": True}, "gate training config: epochs must be a JSON integer, got true"),
-    ("schedule", {"warmup_epochs": 1.5}, "curriculum config: warmup_epochs must be a JSON integer, got 1.5"),
-    ("schedule", {"regeneration_period": 2.5}, "curriculum config: regeneration_period must be a JSON integer, got 2.5"),
     ("heuristics", {"min_shared_columns": 1.5}, "heuristic config: min_shared_columns must be a JSON integer, got 1.5"),
     ("heuristics", {"min_aligned_lines": 2.5}, "heuristic config: min_aligned_lines must be a JSON integer, got 2.5"),
     ("theory", {"dim_psi": 2.5}, "theory config: dim_psi must be a JSON integer, got 2.5"),
@@ -539,16 +535,7 @@ class TestConfigLoader:
         assert _run_with_config(tmp_path, request, site, config) == 2
         assert "no_such_knob" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "site, field",
-        [
-            ("schedule", "ema_momentum"),
-            ("schedule", "lambda_pseudo"),
-            ("schedule", "lambda_cons"),
-            ("schedule", "fusion_start_epoch"),
-            ("fuse", "llm_logit_weight"),
-        ],
-    )
+    @pytest.mark.parametrize("site, field", [("fuse", "llm_logit_weight")])
     def test_removed_field_exits_2_and_names_it(self, tmp_path, request, capsys, site, field):
         assert _run_with_config(tmp_path, request, site, {field: 0.3}) == 2
         assert f"field(s): {field}" in capsys.readouterr().err
@@ -737,6 +724,28 @@ def test_count_flag_out_of_range_exits_2_naming_it_before_any_input_is_read(tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--alpha", "0"], "argument --alpha: must be in (0, 1), got 0.0"),
+        (["--alpha", "1.5"], "argument --alpha: must be in (0, 1), got 1.5"),
+        (["--alpha", "2"], "argument --alpha: must be in (0, 1), got 2.0"),
+        (["--delta", "0"], "argument --delta: must be finite and > 0, got 0.0"),
+        (["--delta", "nan"], "argument --delta: must be finite and > 0, got nan"),
+        (["--delta", "inf"], "argument --delta: must be finite and > 0, got inf"),
+    ],
+    ids=["alpha-0", "alpha-1.5", "alpha-2", "delta-0", "delta-nan", "delta-inf"],
+)
+def test_compare_flag_out_of_range_exits_2_naming_it_before_any_input_is_read(tmp_path, capsys, flags, named):
+    # Neither run file exists: the flag is checked first.
+    argv = ["compare", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"), *flags, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_theory_on_deviations_below_1e_6_exits_0(tmp_path, request):
     # optimal_weights once rejected deviations this small as degenerate.
     config = {"experiment": {**SMALL_EXPERIMENT, "task": {"sigma_scale": 1e-7}}}
@@ -844,7 +853,6 @@ DIGEST_CASES = {
         ["--dataset", "{data}", "--hidden", "2", "--config", "{gate2}"],
     ),
     "lipschitz": (["--gate", "{gate}", "--grid", "3"], ["--gate", "{gate}", "--grid", "3", "--taxonomy", "publaynet"]),
-    "schedule": ([], ["--config", "{sched}"]),
 }
 
 
@@ -858,7 +866,6 @@ def test_manifest_digest_is_stable_and_sees_each_input(tmp_path, command):
         "heur": {"region_score": 0.7},
         "gate1": {"epochs": 1},
         "gate2": {"epochs": 2},
-        "sched": {"warmup_epochs": 1},
         "a": [0.5, 0.6, 0.7],
         "b": [0.5, 0.6, 0.8],
     }.items():

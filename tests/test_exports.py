@@ -1,14 +1,17 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
-``iou``, the per-record types are built by ``schema.record``, and every
-loaded config checks its field types and has each field read."""
+``iou``, the per-record types are built by ``schema.record``, every
+loaded config checks its field types and has each field read, and the
+CLI's docstring names each subcommand."""
 
+import argparse
 import ast
 import collections
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -150,8 +153,7 @@ def test_every_loaded_config_checks_each_field_type():
     ValueError that names it."""
     classes = _loaded_config_classes()
     assert {cls.__name__ for cls in classes} >= {
-        "CurriculumConfig", "Experiment", "FusionConfig", "GateTask", "GateTrainConfig",
-        "HeuristicConfig", "SimConfig", "TheoryConfig",
+        "Experiment", "FusionConfig", "GateTask", "GateTrainConfig", "HeuristicConfig", "SimConfig", "TheoryConfig",
     }
     for cls in classes:
         for field in dataclasses.fields(cls):
@@ -241,3 +243,13 @@ def test_every_public_member_is_used():
                 if used[key] - _references(member)[key] <= 0:
                     unused.append(f"{path.stem}.{cls.name}.{member.name}")
     assert unused == []
+
+
+def test_cli_docstring_lists_each_subcommand():
+    """``cli``'s docstring, which ``--help`` prints, names the subcommands
+    that ``build_parser`` registers, no more and no fewer."""
+    from layoutfusion import cli
+
+    listed = re.search(r"Subcommands:(.*?)\.\s", cli.__doc__, re.S).group(1)
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(subparsers.choices)

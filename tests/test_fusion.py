@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from layoutfusion.curriculum import category_threshold, threshold_table
 from layoutfusion.fusion import (
     FusionConfig,
     apply_temperature,
@@ -25,7 +26,7 @@ from layoutfusion.fusion import (
 from layoutfusion.geometry import BoundingBox, iou
 from layoutfusion.model import LlmRegion, Page, TeacherPrediction
 from layoutfusion.simulator import SimConfig, monte_carlo_fusion_variance, sample_calibration_data, simulate_dataset
-from layoutfusion.taxonomy import DOCLAYNET, LayoutCategory, Taxonomy
+from layoutfusion.taxonomy import DOCLAYNET, PUBLAYNET, RARE, LayoutCategory, Taxonomy
 
 from generators import random_page
 from oracles import best_assignment_by_enumeration, naive_refine
@@ -527,9 +528,7 @@ class TestRefinePseudoLabels:
 
     def test_matches_naive_reference_on_random_pages(self):
         rng = np.random.default_rng(31)
-        from layoutfusion.curriculum import CurriculumConfig, threshold_table
-
-        thresholds = threshold_table(TAX, CurriculumConfig())
+        thresholds = threshold_table(TAX)
         for i in range(150):
             page = random_page(rng, f"r{i}")
             expected = naive_refine(page, thresholds=thresholds)
@@ -541,6 +540,41 @@ class TestRefinePseudoLabels:
                 assert label.confidence == pytest.approx(ref[5], abs=1e-9)
                 assert label.provenance == ref[6]
                 assert label.smoothing == ref[7]
+
+
+class TestThresholds:
+    def test_frequent_category(self):
+        assert category_threshold(DOCLAYNET.category("paragraph")) == 0.7
+
+    def test_rare_category(self):
+        assert category_threshold(DOCLAYNET.category("caption")) == 0.5
+
+    def test_table_covers_taxonomy(self):
+        table = threshold_table(DOCLAYNET)
+        assert set(table) == set(DOCLAYNET.names)
+        assert table["header"] == 0.5
+        assert table["text"] == 0.7
+
+    def test_all_frequent_taxonomy_uniform(self):
+        tax = Taxonomy("flat", (LayoutCategory("a"), LayoutCategory("b")))
+        assert set(threshold_table(tax).values()) == {0.7}
+
+    @pytest.mark.parametrize("tax", [DOCLAYNET, PUBLAYNET], ids=lambda t: t.name)
+    def test_table_follows_the_rarity_rule(self, tax):
+        expected = {c.name: 0.5 if c.rarity == RARE else 0.7 for c in tax.categories}
+        assert threshold_table(tax) == expected
+
+    @pytest.mark.parametrize("tax", [DOCLAYNET, PUBLAYNET], ids=lambda t: t.name)
+    def test_refine_defaults_to_the_rarity_table(self, tax):
+        rng = np.random.default_rng(37)
+        table = threshold_table(tax)
+        kept = 0
+        for i in range(60):
+            page = random_page(rng, f"t{i}", taxonomy=tax)
+            labels = refine_pseudo_labels(page, taxonomy=tax)
+            assert labels == refine_pseudo_labels(page, taxonomy=tax, thresholds=table)
+            kept += sum(1 for label in labels if label.provenance == "teacher")
+        assert kept > 0
 
 
 class TestGateSamplesFromPages:
