@@ -144,10 +144,12 @@ def cmd_simulate(args):
         raw["seed"] = args.seed
     config = _build_config(SimConfig, raw, "simulator config")
     args.seed = config.seed
-    pages = simulate_dataset(config)
     dataset_path = Path(args.out) / "dataset.jsonl"
-    save_dataset(pages, dataset_path)
-    print(f"wrote {len(pages)} pages to {dataset_path}")
+    # Each process writing a part of the file simulates that part's pages;
+    # they hold a ground-truth box, a teacher box and a text region per region.
+    records = config.pages * 3 * (config.regions_min + config.regions_max) // 2
+    save_dataset(range(config.pages), dataset_path, make_pages=functools.partial(simulate_dataset, config), records=records)
+    print(f"wrote {config.pages} pages to {dataset_path}")
     return [dataset_path.name], [config]
 
 

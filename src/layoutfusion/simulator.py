@@ -169,8 +169,9 @@ def _place_boxes(rng: np.random.Generator, count: int) -> list[BoundingBox]:
     return boxes
 
 
-def generate_pages(config: SimConfig) -> list[Page]:
-    """Ground-truth pages: non-overlapping boxes on a jittered grid."""
+def generate_pages(config: SimConfig, indices: range | None = None) -> list[Page]:
+    """Ground-truth pages, non-overlapping boxes on a jittered grid: those
+    of ``indices`` (default all), each drawn from its own stream."""
     taxonomy = TAXONOMIES[config.taxonomy]
     names = sorted(config.category_frequencies)
     freqs = np.array([config.category_frequencies[n] for n in names])
@@ -181,7 +182,7 @@ def generate_pages(config: SimConfig) -> list[Page]:
     cdf = freqs.cumsum()
     cdf /= cdf[-1]
     pages = []
-    for index in range(config.pages):
+    for index in range(config.pages) if indices is None else indices:
         rng = _page_rng(config.seed, 0, index)
         count = int(rng.integers(config.regions_min, config.regions_max + 1))
         boxes = _place_boxes(rng, count)
@@ -319,19 +320,19 @@ def _ocr_stub_blocks(rng: np.random.Generator, annotation: GroundTruthAnnotation
     return [OcrBlock(box=box, text="body text", is_bold=False)]
 
 
-def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
+def simulate_predictions(pages: list[Page], config: SimConfig, indices: range | None = None) -> list[Page]:
     """Attach noisy teacher and text streams to ground-truth pages.
 
-    Each page's draws come from its own stream, in ground-truth order;
-    the emitted confidences are computed after them, one array pass per
-    stream.
+    Each page draws from the stream of its index in ``indices`` (default
+    its position), in ground-truth order; the emitted confidences are
+    computed after them, one array pass per stream.
     """
     taxonomy = TAXONOMIES[config.taxonomy]
     # (sigma_t, sigma_l) per category, resolved on first use: a
     # per-category mapping need only cover the categories that occur.
     sigmas: dict[str, tuple[float, float]] = {}
     out = []
-    for index, page in enumerate(pages):
+    for index, page in enumerate(pages) if indices is None else zip(indices, pages, strict=True):
         if page.ground_truth is None:
             raise ValueError(f"page {page.page_id!r} has no ground truth")
         rng = _page_rng(config.seed, 1, index)
@@ -390,8 +391,9 @@ def simulate_predictions(pages: list[Page], config: SimConfig) -> list[Page]:
     return out
 
 
-def simulate_dataset(config: SimConfig) -> list[Page]:
-    return simulate_predictions(generate_pages(config), config)
+def simulate_dataset(config: SimConfig, indices: range | None = None) -> list[Page]:
+    """The simulated corpus, or its pages ``indices``: the same pages either way."""
+    return simulate_predictions(generate_pages(config, indices), config, indices)
 
 
 def monte_carlo_fusion_variance(

@@ -45,7 +45,6 @@ __all__ = [
     "summarize_reference_point",
     "gammas_from_pages",
     "disagreement_indicator",
-    "local_error_correlation",
 ]
 
 # Learnable headroom (constant-gate risk minus oracle risk), relative
@@ -219,46 +218,13 @@ class TheoryReport:
 
 
 def disagreement_indicator(instances: GateInstances) -> np.ndarray:
-    """Default correlation proxy: 1 when exactly one source got the
+    """The correlation proxy: 1 when exactly one source got the
     category right, else 0.
 
     Instances from ``simulator.sample_gate_instances`` mark both sources
     correct, so on them the indicator is 0 throughout.
     """
     return (instances.teacher_correct != instances.llm_correct).astype(np.float64)
-
-
-def local_error_correlation(features, err_t, err_l, neighbors: int = 50) -> np.ndarray:
-    """Continuous correlation proxy: per-instance Pearson correlation of
-    the paired scalar errors over the nearest feature-space neighbors.
-
-    Heavier than the indicator and only meaningful when per-instance
-    scalar errors are observable, so it sits behind an explicit call
-    rather than being the default.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    err_t = np.asarray(err_t, dtype=np.float64)
-    err_l = np.asarray(err_l, dtype=np.float64)
-    n = x.shape[0]
-    if not (err_t.shape == err_l.shape == (n,)):
-        raise ValueError("need one scalar error per instance and source")
-    if neighbors < 3:
-        raise ValueError("need at least 3 neighbors for a correlation")
-    k = min(neighbors, n - 1)
-    out = np.empty(n)
-    for i in range(n):
-        d = np.linalg.norm(x - x[i], axis=1)
-        d[i] = np.inf
-        idx = np.argpartition(d, k)[:k]
-        a = err_t[idx]
-        b = err_l[idx]
-        sa = a.std()
-        sb = b.std()
-        if sa == 0.0 or sb == 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-    return np.clip(out, 0.0, 1.0)
 
 
 def summarize_reference_point(n: int, config: TheoryConfig = TheoryConfig()) -> TheoryReport:
@@ -396,23 +362,20 @@ def regime_residual_analysis(
     instances: GateInstances,
     params: GateParams,
     config: TheoryConfig = TheoryConfig(),
-    rho_hat: np.ndarray | None = None,
 ) -> RegimeResiduals:
     """Excess fusion risk of a trained gate, split by regime.
 
     The residual per instance is the gate's expected risk minus the
     per-instance oracle's, both in closed form. The boundary band should
     carry strictly more residual: the optimal weight is ambiguous there.
-    Pass ``rho_hat`` (e.g. from ``local_error_correlation``) to override
-    the default disagreement-indicator correlation proxy.
+    The correlation proxy is ``disagreement_indicator``.
     """
     g = gate_forward_batch(params, instances.features)
     alpha_star = optimal_weights(instances.sigma_t, instances.sigma_l, instances.rho)
     residual = expected_weight_risk(
         g, instances.sigma_t, instances.sigma_l, instances.rho
     ) - expected_weight_risk(alpha_star, instances.sigma_t, instances.sigma_l, instances.rho)
-    if rho_hat is None:
-        rho_hat = disagreement_indicator(instances)
+    rho_hat = disagreement_indicator(instances)
     in_band = _in_band(complementarity_factor(instances.sigma_t, instances.sigma_l, rho_hat), config)
     if not np.any(in_band) or np.all(in_band):
         raise ValueError("need instances in both regimes to compare residuals")

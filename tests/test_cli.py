@@ -816,7 +816,8 @@ def test_any_json_value_in_any_field_exits_0_or_2(tmp_path, request, monkeypatch
     in exit 2 naming the field."""
     report = summarize_reference_point(100)
     for name, stub in {
-        "simulate_dataset": lambda config: [],
+        # simulate's pages are made inside save_dataset, so stubbing it cuts out their simulation too
+        "save_dataset": lambda pages, path, **kwargs: None,
         "_load_pages": lambda path, taxonomy: [],
         "train_gate": lambda samples, config, hidden: TrainResult(init_gate(hidden=2), [1.0], [1.0], 1),
         "summarize_reference_point": lambda n, config: report,

@@ -273,40 +273,3 @@ class TestCorrelationProxies:
         instances = sample_gate_instances(task, 500, seed=32)
         assert instances.teacher_correct.all() and instances.llm_correct.all()
         assert not disagreement_indicator(instances).any()
-
-    def test_local_correlation_recovers_signal(self):
-        from layoutfusion.theory import local_error_correlation
-
-        rng = np.random.default_rng(31)
-        n = 600
-        features = rng.uniform(0, 1, size=(n, 3))
-        # correlation rises with the first feature coordinate
-        rho_true = 0.8 * features[:, 0]
-        z = rng.standard_normal(n)
-        err_t = np.sqrt(rho_true) * z + np.sqrt(1 - rho_true) * rng.standard_normal(n)
-        err_l = np.sqrt(rho_true) * z + np.sqrt(1 - rho_true) * rng.standard_normal(n)
-        estimate = local_error_correlation(features, err_t, err_l, neighbors=120)
-        low = estimate[features[:, 0] < 0.25].mean()
-        high = estimate[features[:, 0] > 0.75].mean()
-        assert high > low + 0.2
-
-    def test_local_correlation_validation(self):
-        from layoutfusion.theory import local_error_correlation
-
-        with pytest.raises(ValueError):
-            local_error_correlation(np.zeros((5, 3)), np.zeros(4), np.zeros(5))
-        with pytest.raises(ValueError):
-            local_error_correlation(np.zeros((5, 3)), np.zeros(5), np.zeros(5), neighbors=2)
-
-    def test_regime_analysis_accepts_override(self):
-        task = GateTask(
-            mixture=((0.7, 0.03, 0.03), (0.3, 0.039, 0.03)),
-            synthetic_iou=(0.6, 0.95),
-        )
-        instances = sample_gate_instances(task, 800, seed=32)
-        trained = train_gate(
-            instances, GateTrainConfig(epochs=2, seed=1), hidden=8
-        )
-        override = np.zeros(len(instances))
-        result = regime_residual_analysis(instances, trained.params, rho_hat=override)
-        assert result.boundary_count + result.interior_count == 800
