@@ -126,9 +126,12 @@ def _write_report(args, stem: str, doc, csv_table) -> list[str]:
     return [f"{stem}.json", f"{stem}.csv"]
 
 
-def _load_pages(path, taxonomy):
+def _load_pages(path, taxonomy, sources: list | None = None):
+    """The pages of the dataset ``path``; with ``sources``, also what a command
+    that rewrites them passes to ``save_dataset`` (``load_dataset``)."""
+    digests = manifest.listed_digests(path) if sources is not None else ()
     try:
-        return load_dataset(path, taxonomy=taxonomy)
+        return load_dataset(path, taxonomy=taxonomy, digests=digests, sources=sources)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {path}") from exc
 
@@ -167,7 +170,8 @@ def cmd_fuse(args):
         if not Path(args.gate).exists():
             raise CliError(f"gate file not found: {args.gate}")
         gate = load_gate(args.gate)
-    pages = _load_pages(args.dataset, taxonomy)
+    sources: list = []
+    pages = _load_pages(args.dataset, taxonomy, sources)
     thresholds = threshold_table(taxonomy)
     histogram: dict[str, int] = {}
     refined_pages = []
@@ -177,7 +181,7 @@ def cmd_fuse(args):
             histogram[label.provenance] = histogram.get(label.provenance, 0) + 1
         refined_pages.append(dataclasses.replace(page, refined=tuple(labels)))
     refined_path = Path(args.out) / "refined.jsonl"
-    save_dataset(refined_pages, refined_path)
+    save_dataset(refined_pages, refined_path, sources=sources)
     for provenance in sorted(histogram):
         print(f"{provenance}: {histogram[provenance]}")
     print(f"wrote {len(refined_pages)} pages to {refined_path}")
@@ -330,7 +334,8 @@ def cmd_heuristics(args):
     taxonomy = TAXONOMIES[args.taxonomy]
     raw = _load_config(args.config)
     config = _build_config(HeuristicConfig, raw, "heuristic config")
-    pages = _load_pages(args.dataset, taxonomy)
+    sources: list = []
+    pages = _load_pages(args.dataset, taxonomy, sources)
     out = Path(args.out)
     regions_path = out / "heuristic_regions.jsonl"
     dataset_path = out / "heuristic_dataset.jsonl"
@@ -343,7 +348,7 @@ def cmd_heuristics(args):
             total += len(page.llm)
             fh.write(regions_line(page, "heuristic"))
             replaced.append(page)
-    save_dataset(replaced, dataset_path)
+    save_dataset(replaced, dataset_path, sources=sources)
     print(f"emitted {total} heuristic regions over {len(pages)} pages")
     return [regions_path.name, dataset_path.name], [config]
 

@@ -8,12 +8,12 @@ round-trip precision so save followed by load is the identity.
 
 A page's line is, by definition, ``json.dumps(page_to_dict(page),
 separators=(",", ":"))``. ``save_dataset`` writes it from one ``%``
-line template per record kind (OCR block, teacher with and without
-``coord_var``, text region, ground truth, refined label), each kept next
-to that kind's parser: numbers go through ``%r``, which writes a float or
-an int as ``json.dumps`` does (+inf, the one non-finite number a record
-admits, becomes ``Infinity``), and strings through
-``json.encoder.encode_basestring_ascii``, json's own escaper. Each page's
+line template per record kind (OCR block, teacher, text region, ground
+truth, refined label), each kept next to that kind's parser: numbers go
+through ``%r``, which writes a float or an int as ``json.dumps`` does
+(+inf, the one non-finite number a record admits, becomes ``Infinity``,
+and an absent ``coord_var`` is cut), and strings through
+``json.encoder.encode_basestring_ascii``, json's own escaper. Each kind's
 numbers are checked once, in C calls: every one a float or int (strings
 and flags were checked when the records were built). A page that fails
 (a numpy scalar, a bool where a number belongs) is written through
@@ -21,23 +21,32 @@ and flags were checked when the records were built). A page that fails
 a heuristics regions line the same way, from the text-region template
 plus ``"source"``.
 
+``fuse`` and ``heuristics`` copy each record kind of a loaded page they
+left unchanged from its input line, and template the rest, when that text
+is the template writer's: the sha256 of the text parsed and ``LINE_FORMAT``
+(the tag of the templates and line skeleton) match a sibling
+``*_manifest.json``, and ingest converted and clamped nothing on the page.
+A hand-formatted, edited or unlisted file, or a repaired page, is templated.
+
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
 the page and field. Every record of a kind goes through the one parser
 of that kind. A value that already has its final type is used as it is;
-any other is converted with ``float()``, ``str()`` or ``bool()``. The
+any other is converted with ``float()``, ``str()`` or ``bool()`` (and
+the page is no longer copied). The
 first fault in field order (bbox, type, then the rest) is the one named.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
@@ -52,7 +61,6 @@ from .model import (
     Page,
     TeacherPrediction,
 )
-from .schema import record
 from .taxonomy import DOCLAYNET, Taxonomy
 
 __all__ = ["DatasetError", "IngestStats", "load_dataset", "save_dataset", "page_to_dict", "page_from_dict"]
@@ -77,12 +85,19 @@ class _Fault(Exception):
     """A record fault: the message ending after ``page 'p': field[i]``."""
 
 
-@record
 class _Ingest:
-    """What the record parsers of one page read besides the record."""
+    """What the record parsers of one page read besides the record, and
+    whether they used each value as read (``exact``: nothing converted)."""
 
-    stats: IngestStats
-    taxonomy: Taxonomy
+    __slots__ = ("stats", "taxonomy", "exact")
+
+    def __init__(self, stats: IngestStats, taxonomy: Taxonomy) -> None:
+        self.stats, self.taxonomy, self.exact = stats, taxonomy, True
+
+    def convert(self, kind: type, value):
+        """``kind(value)``, for a value not already of type ``kind``."""
+        self.exact = False
+        return kind(value)
 
 
 def _box(raw: dict, ingest: _Ingest) -> BoundingBox:
@@ -117,9 +132,12 @@ def _box(raw: dict, ingest: _Ingest) -> BoundingBox:
                 raise _Fault(f" bbox coordinate {name}={value!r} is not finite")
     ingest.stats.clamped_coordinates += moved
     try:
-        return BoundingBox.from_array(coords)
+        box = BoundingBox.from_array(coords)
     except ValueError as exc:
         raise _Fault(f" bbox invalid: {exc}") from exc
+    if list(map(repr, coords)) != list(map(repr, bbox)):  # -0.0, an int or a clamped value: not as read
+        ingest.exact = False
+    return box
 
 
 def _category(raw: dict, ingest: _Ingest):
@@ -137,7 +155,7 @@ def _category(raw: dict, ingest: _Ingest):
 # One parser per record kind. Each reads its fields in constructor order
 # (bbox, type, then the rest), so the first fault in that order is the
 # one reported. A value that already has its final type is used as it is;
-# any other is converted with float(), str() or bool().
+# any other is converted with float(), str() or bool() (``_Ingest.convert``).
 #
 # Next to each parser is the line template of its kind: the record's JSON
 # text with page_to_dict's keys in page_to_dict's order, numbers through
@@ -149,8 +167,8 @@ def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
     is_bold = raw.get("is_bold", False)
     return OcrBlock(
         _box(raw, ingest),
-        text if type(text) is str else str(text),
-        is_bold if type(is_bold) is bool else bool(is_bold),
+        text if type(text) is str else ingest.convert(str, text),
+        is_bold if type(is_bold) is bool else ingest.convert(bool, is_bold),
     )
 
 
@@ -165,24 +183,26 @@ def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
     return TeacherPrediction(
         box,
         category,
-        confidence if type(confidence) is float else float(confidence),
-        coord_var if coord_var is None or type(coord_var) is float else float(coord_var),
+        confidence if type(confidence) is float else ingest.convert(float, confidence),
+        coord_var if coord_var is None or type(coord_var) is float else ingest.convert(float, coord_var),
     )
 
 
-_TEACHER_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r}'
-_TEACHER_VAR_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r,"coord_var":%r}'
+# An absent coord_var, written as None, is cut from the page's line.
+_TEACHER_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r,"coord_var":%r}'
 
 
 def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
     box = _box(raw, ingest)
     category = _category(raw, ingest)
     score = raw["score"]
-    score = score if type(score) is float else float(score)
+    score = score if type(score) is float else ingest.convert(float, score)
     q_text = raw.get("q_text", 1.0)
-    q_text = q_text if type(q_text) is float else float(q_text)
+    q_text = q_text if type(q_text) is float else ingest.convert(float, q_text)
     q_spatial = raw.get("q_spatial", 1.0)
-    return LlmRegion(box, category, score, q_text, q_spatial if type(q_spatial) is float else float(q_spatial))
+    return LlmRegion(
+        box, category, score, q_text, q_spatial if type(q_spatial) is float else ingest.convert(float, q_spatial)
+    )
 
 
 _TEXT_REGION_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"q_text":%r,"q_spatial":%r}'
@@ -199,11 +219,13 @@ def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
     box = _box(raw, ingest)
     category = _category(raw, ingest)
     score = raw["score"]
-    score = score if type(score) is float else float(score)
+    score = score if type(score) is float else ingest.convert(float, score)
     provenance = raw["provenance"]
-    provenance = provenance if type(provenance) is str else str(provenance)
+    provenance = provenance if type(provenance) is str else ingest.convert(str, provenance)
     smoothing = raw.get("smoothing", 0.0)
-    return FusedLabel(box, category, score, provenance, smoothing if type(smoothing) is float else float(smoothing))
+    return FusedLabel(
+        box, category, score, provenance, smoothing if type(smoothing) is float else ingest.convert(float, smoothing)
+    )
 
 
 _REFINED_LABEL_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"provenance":%s,"smoothing":%r}'
@@ -233,13 +255,15 @@ def _records(items, field: str, page_id: str, parse, ingest: _Ingest) -> tuple:
 def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None) -> Page:
     """Validate one page object against all type invariants: each record
     goes once through the parser of its kind, or names its first fault."""
-    stats = stats if stats is not None else IngestStats()
+    return _page(obj, _Ingest(stats if stats is not None else IngestStats(), taxonomy))
+
+
+def _page(obj: dict, ingest: _Ingest) -> Page:
     if not isinstance(obj, dict):
         raise DatasetError("page record must be a JSON object")
     page_id = obj.get("page_id")
     if not isinstance(page_id, str) or not page_id:
         raise DatasetError("page record missing non-empty 'page_id'")
-    ingest = _Ingest(stats, taxonomy)
     ocr_blocks = _records(obj.get("ocr_blocks", []), "ocr_blocks", page_id, _ocr_block, ingest)
     teacher = _records(obj.get("teacher", []), "teacher", page_id, _teacher, ingest)
     llm = _records(obj.get("llm", []), "llm", page_id, _text_region, ingest)
@@ -249,7 +273,7 @@ def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats
     refined = obj.get("refined")
     if refined is not None:
         refined = _records(refined, "refined", page_id, _refined_label, ingest)
-    stats.pages += 1
+    ingest.stats.pages += 1
     return Page(page_id, ocr_blocks, teacher, llm, ground_truth, refined)
 
 
@@ -301,19 +325,27 @@ def page_to_dict(page: Page) -> dict:
 
 
 def load_dataset(
-    path, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None
+    path, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None, *, digests=(), sources: list | None = None
 ) -> list[Page]:
     """Load and validate a JSON-Lines dataset.
 
     Raises DatasetError naming the line for parse failures, or the page
     and field for invariant violations. Pass an IngestStats to observe
     the clamped-coordinate counter; it is also logged as a warning.
+
+    With ``sources``, each page is also appended to it as ``(page, line)``
+    for ``save_dataset``: ``line`` is the page's text if the sha256 of the
+    text parsed is one of ``digests`` (``manifest.listed_digests(path)``)
+    and ingest used each of the page's values as read, else None.
     """
     stats = stats if stats is not None else IngestStats()
     pages: list[Page] = []
     seen: set[str] = set()
+    digest = hashlib.sha256() if sources is not None and digests else None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(line.encode("utf-8"))
             line = line.strip()
             if not line:
                 continue
@@ -321,14 +353,19 @@ def load_dataset(
                 obj = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, or an integer beyond the digit limit
                 raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            ingest = _Ingest(stats, taxonomy)
             try:
-                page = page_from_dict(obj, taxonomy=taxonomy, stats=stats)
+                page = _page(obj, ingest)
             except DatasetError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
             if page.page_id in seen:
                 raise DatasetError(f"{path}: line {lineno}: duplicate page_id {page.page_id!r}")
             seen.add(page.page_id)
             pages.append(page)
+            if sources is not None:
+                sources.append((page, line if digest is not None and ingest.exact else None))
+    if digest is not None and digest.hexdigest() not in digests:
+        sources[len(sources) - len(pages) :] = [(page, None) for page in pages]
     if stats.clamped_coordinates:
         logger.warning(
             "clamped %d out-of-range coordinates while loading %s", stats.clamped_coordinates, path
@@ -336,16 +373,14 @@ def load_dataset(
     return pages
 
 
-# Where the numbers sit in each kind's template arguments.
-_OCR_BLOCK_NUMBERS = itemgetter(0, 1, 2, 3)
-_TEACHER_NUMBERS = itemgetter(1, 2, 3, 4, 5)
-_TEXT_REGION_NUMBERS = itemgetter(1, 2, 3, 4, 5, 6, 7)
-_GROUND_TRUTH_NUMBERS = itemgetter(1, 2, 3, 4)
-_REFINED_LABEL_NUMBERS = itemgetter(1, 2, 3, 4, 5, 7)
-_NUMBER_TYPES = {float, int}
-_VARIANCE_TYPES = {float, int, type(None)}
+_TEXT_REGION_NUMBERS = itemgetter(1, 2, 3, 4, 5, 6, 7)  # where a text region's template arguments hold numbers
+# None is the one non-number a record holds where a number goes: an absent coord_var.
+_NUMBER_TYPES = {float, int, type(None)}
 _JSON_BOOL = ("false", "true")
 _SOURCED_REGION_LINE = _TEXT_REGION_LINE[:-1] + ',"source":%s}'
+# A page's line: its quoted id, then for each record kind present _ARRAY_KEY, the records and "]".
+_PAGE_LINE = '{"page_id":%s%s}\n'
+_ARRAY_KEY = ',"%s":['
 
 
 def _json_line(obj) -> str:
@@ -360,47 +395,58 @@ def _text_region_args(regions) -> list[tuple]:
     ]
 
 
-def _page_line(page: Page) -> str:
-    """``page``'s dataset line, ``_json_line(page_to_dict(page))``: from
-    the record templates when every number passes the check, else from
-    that reference."""
-    ocr = [((b := o.box).x1, b.y1, b.x2, b.y2, _quote(o.text), o.is_bold) for o in page.ocr_blocks]
-    teacher = [
+# The record kinds in line order, each with its record template, where the
+# numbers sit in a record's template arguments, and its records' arguments.
+_KINDS = (
+    ("ocr_blocks", _OCR_BLOCK_LINE, itemgetter(0, 1, 2, 3), lambda blocks: [
+        ((b := o.box).x1, b.y1, b.x2, b.y2, _quote(o.text), _JSON_BOOL[o.is_bold]) for o in blocks
+    ]),
+    ("teacher", _TEACHER_LINE, itemgetter(1, 2, 3, 4, 5, 6), lambda teacher: [
         (_quote(t.category.name), (b := t.box).x1, b.y1, b.x2, b.y2, t.confidence, t.coordinate_variance)
-        for t in page.teacher
-    ]
-    llm = _text_region_args(page.llm)
-    ground_truth = [(_quote(g.category.name), (b := g.box).x1, b.y1, b.x2, b.y2) for g in page.ground_truth or ()]
-    refined = [
+        for t in teacher
+    ]),
+    ("llm", _TEXT_REGION_LINE, _TEXT_REGION_NUMBERS, _text_region_args),
+    ("ground_truth", _GROUND_TRUTH_LINE, itemgetter(1, 2, 3, 4), lambda truth: [
+        (_quote(g.category.name), (b := g.box).x1, b.y1, b.x2, b.y2) for g in truth
+    ]),
+    ("refined", _REFINED_LABEL_LINE, itemgetter(1, 2, 3, 4, 5, 7), lambda labels: [
         (_quote(f.category.name), (b := f.box).x1, b.y1, b.x2, b.y2, f.confidence, _quote(f.provenance), f.smoothing)
-        for f in page.refined or ()
-    ]
-    numbers = chain(
-        chain.from_iterable(map(_OCR_BLOCK_NUMBERS, ocr)),
-        chain.from_iterable(map(_TEACHER_NUMBERS, teacher)),
-        chain.from_iterable(map(_TEXT_REGION_NUMBERS, llm)),
-        chain.from_iterable(map(_GROUND_TRUTH_NUMBERS, ground_truth)),
-        chain.from_iterable(map(_REFINED_LABEL_NUMBERS, refined)),
-    )
-    if not (
-        set(map(type, numbers)) <= _NUMBER_TYPES
-        and set(map(type, map(itemgetter(6), teacher))) <= _VARIANCE_TYPES
-    ):
-        return _json_line(page_to_dict(page))
-    teacher_text = ",".join([_TEACHER_LINE % a[:6] if a[6] is None else _TEACHER_VAR_LINE % a for a in teacher])
-    parts = [
-        '{"page_id":', _quote(page.page_id),
-        ',"ocr_blocks":[', ",".join([_OCR_BLOCK_LINE % (*a[:5], _JSON_BOOL[a[5]]) for a in ocr]),
-        # %r writes +inf, the one non-finite number a record admits, as inf.
-        '],"teacher":[', teacher_text.replace('"coord_var":inf}', '"coord_var":Infinity}'),
-        '],"llm":[', ",".join(map(_TEXT_REGION_LINE.__mod__, llm)), "]",
-    ]
-    if page.ground_truth is not None:
-        parts += ',"ground_truth":[', ",".join(map(_GROUND_TRUTH_LINE.__mod__, ground_truth)), "]"
-    if page.refined is not None:
-        parts += ',"refined":[', ",".join(map(_REFINED_LABEL_LINE.__mod__, refined)), "]"
-    parts.append("}\n")
-    return "".join(parts)
+        for f in labels
+    ]),
+)
+# The writer's format tag, which manifests record: a digest of the line
+# skeleton and of each kind's name and template, in line order.
+LINE_FORMAT = hashlib.sha256(
+    repr((_PAGE_LINE, _ARRAY_KEY, [(kind, template) for kind, template, *_ in _KINDS])).encode("utf-8")
+).hexdigest()[:16]
+
+
+def _page_line(page: Page, loaded: Page | None = None, line: str | None = None) -> str:
+    """``page``'s dataset line, ``_json_line(page_to_dict(page))``. Each
+    record kind that ``page`` holds as the very same tuple as ``loaded`` is
+    cut from ``line``, ``loaded``'s proven line; any other is written from
+    its template, or the page, if a number fails the check (a numpy scalar,
+    a bool where a number belongs), from that reference."""
+    kept = {}
+    if line is not None:
+        kinds = [kind for kind, *_ in _KINDS if getattr(loaded, kind) is not None]
+        at = [line.find(_ARRAY_KEY % kind) for kind in kinds] + [len(line) - 1]
+        if -1 not in at:  # else a proven file of another writer, such as heuristic_regions.jsonl
+            kept = {k: line[a:b] for k, a, b in zip(kinds, at, at[1:]) if getattr(page, k) is getattr(loaded, k)}
+    arrays = []
+    for kind, template, numbers, args_of in _KINDS:
+        records = getattr(page, kind)
+        if records is None or kind in kept:
+            arrays.append(kept.get(kind, ""))
+            continue
+        args = args_of(records)
+        if not set(map(type, chain.from_iterable(map(numbers, args)))) <= _NUMBER_TYPES:
+            return _json_line(page_to_dict(page))
+        text = ",".join(map(template.__mod__, args))
+        if template is _TEACHER_LINE:  # %r writes +inf, the one non-finite number a record admits, as inf
+            text = text.replace('"coord_var":inf}', '"coord_var":Infinity}').replace(',"coord_var":None}', "}")
+        arrays += _ARRAY_KEY % kind, text, "]"
+    return _PAGE_LINE % (_quote(page.page_id), "".join(arrays))
 
 
 def regions_line(page: Page, source: str) -> str:
@@ -418,11 +464,17 @@ def regions_line(page: Page, source: str) -> str:
     return '{"page_id":%s,"regions":[%s]}\n' % (page_id, regions)
 
 
-def save_dataset(pages: Iterable[Page], path, *, make_pages: Callable | None = None, records: int = 0) -> None:
+def save_dataset(
+    pages: Iterable[Page], path, *, make_pages: Callable | None = None, records: int = 0, sources=()
+) -> None:
     """Write pages as JSON Lines with round-trip-exact floats.
 
     Raises ValueError, before the file is opened, naming the first
     ``page_id`` that repeats: ``load_dataset`` would reject the file.
+
+    With ``sources`` from ``load_dataset``, one per page, each page copies
+    from its source's line the record kinds it holds as the very same
+    tuples as the source's page (``dataclasses.replace`` keeps them).
 
     With ``make_pages``, ``pages`` holds work items (``simulate`` passes
     page indices) and each process writing a part of them writes the pages
@@ -436,19 +488,30 @@ def save_dataset(pages: Iterable[Page], path, *, make_pages: Callable | None = N
             if page.page_id in seen:
                 raise ValueError(f"duplicate page_id {page.page_id!r}")
             seen.add(page.page_id)
+        pages = list(zip(pages, sources, strict=True) if sources else zip(pages, repeat((None, None))))
+        # Only the records written from the templates count toward a split.
         records = sum(
-            len(p.ocr_blocks) + len(p.teacher) + len(p.llm) + len(p.ground_truth or ()) + len(p.refined or ())
-            for p in pages
+            len(getattr(page, kind) or ())
+            for page, (loaded, line) in pages
+            for kind, *_ in _KINDS
+            if line is None or getattr(page, kind) is not getattr(loaded, kind)
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_split(path, pages, lambda part: map(_page_line, part if make_pages is None else make_pages(part)), records)
+
+    def lines(part):
+        if make_pages is not None:
+            return map(_page_line, make_pages(part))
+        return (_page_line(page) if line is None else _page_line(page, loaded, line) for page, (loaded, line) in part)
+
+    _write_split(path, pages, lines, records)
 
 
 # The fewest records (OCR blocks, teacher boxes, text regions, ground truth,
-# refined labels) worth a process. In two in-process sweeps a two-way split
-# beat the sequential save_dataset from 2 000-5 000 records, and with the
-# pages simulated in the part from 750-2 000 (BENCH_21.json "break_even").
+# refined labels) written from the templates, not copied, worth a process.
+# In two in-process sweeps a two-way split beat the sequential save_dataset
+# from 2 000-5 000 records, and with the pages simulated in the part from
+# 750-2 000 (BENCH_21.json "break_even").
 _PART_MIN_RECORDS = 2500
 
 

@@ -5,6 +5,10 @@ outputs. The digest is a sha256 over the canonical JSON encoding of the
 effective configuration, so reruns are auditable across platforms.
 Manifests carry timestamps and are therefore the one output excluded
 from byte-identity checks.
+
+The sha256 of each output and the dataset writer's format tag prove that a
+dataset file still holds the bytes this writer wrote, so a later command
+may copy its lines (``listed_digests``, ``dataset_io.load_dataset``).
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .dataset_io import LINE_FORMAT
 
-__all__ = ["ARTIFACT_VERSION", "config_digest", "write_manifest"]
+__all__ = ["ARTIFACT_VERSION", "config_digest", "listed_digests", "write_manifest"]
 
 ARTIFACT_VERSION = __version__
 
@@ -37,10 +42,34 @@ def write_manifest(out_dir, command: str, config, seed: int, outputs: list[str],
         "started_at": started,
         "finished_at": now_utc(),
         "outputs": sorted(outputs),
+        "output_sha256": {name: _sha256(out_dir / name) for name in outputs},
+        "dataset_format": LINE_FORMAT,
     }
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def listed_digests(path) -> set[str]:
+    """The sha256 that each manifest of this dataset writer's format next to
+    the file ``path`` records for it; an unreadable manifest records none."""
+    path, digests = Path(path), set()
+    for sibling in path.parent.glob("*_manifest.json"):
+        try:
+            doc = json.loads(sibling.read_text(encoding="utf-8"))
+            if doc["dataset_format"] == LINE_FORMAT:
+                digests.add(doc["output_sha256"][path.name])
+        except (OSError, ValueError, LookupError, TypeError):
+            continue
+    return digests
 
 
 def now_utc() -> str:

@@ -23,6 +23,7 @@ generation order does not matter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -98,8 +99,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.pages < 0:
-            raise ValueError("pages must be >= 0")
+        if not 0 <= self.pages <= sys.maxsize:  # range and len index at most sys.maxsize items
+            raise ValueError(f"pages={self.pages} must be in [0, {sys.maxsize}]")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
         if not 1 <= self.regions_min <= self.regions_max:

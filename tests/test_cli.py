@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import layoutfusion
 from layoutfusion import cli
 from layoutfusion.cli import main
-from layoutfusion.dataset_io import load_dataset, save_dataset
+from layoutfusion.dataset_io import LINE_FORMAT, load_dataset, save_dataset
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
 from layoutfusion.gating import GateTrainConfig, TrainResult, init_gate, save_gate
 from layoutfusion.heuristics import HeuristicConfig
@@ -49,6 +49,8 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 3
         assert "dataset.jsonl" in manifest["outputs"]
+        assert manifest["output_sha256"] == {"dataset.jsonl": hashlib.sha256(dataset_path.read_bytes()).hexdigest()}
+        assert manifest["dataset_format"] == LINE_FORMAT
 
     def test_manifest_artifact_version_is_package_version(self, dataset_path):
         manifest = json.loads((dataset_path.parent / "simulate_manifest.json").read_text())
@@ -647,6 +649,9 @@ OUT_OF_RANGE = [
     ("heuristics", {"region_quality": 2.5}, "heuristic config: region_quality=2.5 must be in (0, 1]"),
     ("heuristics", {"region_quality": 1e-200}, "heuristic config: region_quality=1e-200 must be in (0, 1]"),
     ("simulate", {"seed": -1}, "simulator config: seed=-1 must be >= 0"),
+    ("simulate", {"pages": -1}, f"simulator config: pages=-1 must be in [0, {sys.maxsize}]"),
+    # range() and len() index at most sys.maxsize items; 2**70 pages once ended in an OverflowError traceback.
+    ("simulate", {"pages": 2**70}, f"simulator config: pages={2**70} must be in [0, {sys.maxsize}]"),
     ("train-gate", {"seed": -1}, "gate training config: seed=-1 must be >= 0"),
     ("theory-experiment", {"heldout": 0}, "heldout=0 must be >= 1"),
     ("theory-experiment", {"heldout": -1}, "heldout=-1 must be >= 1"),
@@ -807,6 +812,11 @@ def _site_fields(site) -> dict:
     return {**fields, "n": "int"} if site == "theory" else fields
 
 
+def _empty_file(path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(b"")
+
+
 @pytest.mark.parametrize("site", sorted(CONFIG_SITES))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -816,9 +826,10 @@ def test_any_json_value_in_any_field_exits_0_or_2(tmp_path, request, monkeypatch
     in exit 2 naming the field."""
     report = summarize_reference_point(100)
     for name, stub in {
-        # simulate's pages are made inside save_dataset, so stubbing it cuts out their simulation too
-        "save_dataset": lambda pages, path, **kwargs: None,
-        "_load_pages": lambda path, taxonomy: [],
+        # simulate's pages are made inside save_dataset, so stubbing it cuts out their simulation too;
+        # it leaves an empty file for the manifest to hash
+        "save_dataset": lambda pages, path, **kwargs: _empty_file(path),
+        "_load_pages": lambda path, taxonomy, sources=None: [],
         "train_gate": lambda samples, config, hidden: TrainResult(init_gate(hidden=2), [1.0], [1.0], 1),
         "summarize_reference_point": lambda n, config: report,
         "run_sample_complexity_experiment": lambda **kwargs: report,

@@ -10,6 +10,7 @@ import ast
 import collections
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -253,3 +254,15 @@ def test_cli_docstring_lists_each_subcommand():
     listed = re.search(r"Subcommands:(.*?)\.\s", cli.__doc__, re.S).group(1)
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(name.strip() for name in listed.split(",")) == sorted(subparsers.choices)
+
+
+def test_readme_lists_each_manifest_key(tmp_path):
+    """The README's CLI section names the keys ``write_manifest`` writes,
+    no more and no fewer."""
+    from layoutfusion import manifest
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Its keys are(.*?)\.\s", readme, re.S).group(1)
+    (tmp_path / "out.csv").write_text("x\n", encoding="utf-8")
+    path = manifest.write_manifest(tmp_path, "cmd", {}, 0, ["out.csv"], manifest.now_utc())
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(json.loads(path.read_text(encoding="utf-8")))

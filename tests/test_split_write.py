@@ -13,13 +13,15 @@ import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import test_cli
-from layoutfusion import dataset_io
-from layoutfusion.dataset_io import save_dataset
+from layoutfusion import dataset_io, manifest
+from layoutfusion.dataset_io import load_dataset, save_dataset
+from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.model import GroundTruthAnnotation, Page
 from layoutfusion.simulator import SimConfig, generate_pages, simulate_dataset, simulate_predictions
@@ -75,7 +77,30 @@ def test_gate_pipeline_bytes_at_one_and_two_cpus(tmp_path, monkeypatch, forks, c
     _cpus(monkeypatch, cpus)
     monkeypatch.setattr(dataset_io, "_PART_MIN_RECORDS", 100)  # the corpus has 30 pages of 8-12 regions
     test_cli.test_gate_pipeline_bytes_unchanged(tmp_path)
-    assert len(forks) == 2 * (cpus - 1)  # the dataset.jsonl and refined.jsonl writes
+    # The dataset.jsonl write, and the refined.jsonl write, which copies every
+    # record but the refined labels and splits on those alone.
+    assert len(forks) == 2 * (cpus - 1)
+
+
+def test_a_save_that_copies_splits_by_the_records_it_templates(tmp_path, monkeypatch, forks):
+    """A ``fuse``-like save of a proven corpus templates only the refined
+    labels: with that many records per part it writes in this process,
+    and the same pages without sources, all templated, split."""
+    _cpus(monkeypatch, 2)
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(simulate_dataset(SimConfig(pages=30, regions_min=8, regions_max=12, seed=2)), path)
+    manifest.write_manifest(tmp_path, "simulate", {}, 0, [path.name], manifest.now_utc())
+    sources: list = []
+    loaded = load_dataset(path, digests=manifest.listed_digests(path), sources=sources)
+    refined = [replace(page, refined=tuple(refine_pseudo_labels(page))) for page in loaded]
+    monkeypatch.setattr(dataset_io, "_PART_MIN_RECORDS", sum(len(page.refined) for page in refined))
+    forks.clear()
+    save_dataset(refined, tmp_path / "copied.jsonl", sources=sources)
+    assert forks == []
+    save_dataset(refined, tmp_path / "templated.jsonl")
+    assert len(forks) == 1
+    assert (tmp_path / "copied.jsonl").read_bytes() == (tmp_path / "templated.jsonl").read_bytes()
+    assert _no_child_left()
 
 
 def _pages(count: int) -> list[Page]:
