@@ -126,12 +126,12 @@ def _write_report(args, stem: str, doc, csv_table) -> list[str]:
     return [f"{stem}.json", f"{stem}.csv"]
 
 
-def _load_pages(path, taxonomy, sources: list | None = None):
-    """The pages of the dataset ``path``; with ``sources``, also what a command
-    that rewrites them passes to ``save_dataset`` (``load_dataset``)."""
+def _load_pages(path, taxonomy, kinds, sources: list | None = None):
+    """The pages of the dataset ``path``, built for the record kinds ``kinds``; with
+    ``sources``, also what a command that rewrites them passes to ``save_dataset``."""
     digests = manifest.listed_digests(path) if sources is not None else ()
     try:
-        return load_dataset(path, taxonomy=taxonomy, digests=digests, sources=sources)
+        return load_dataset(path, taxonomy=taxonomy, digests=digests, sources=sources, kinds=kinds)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {path}") from exc
 
@@ -171,7 +171,7 @@ def cmd_fuse(args):
             raise CliError(f"gate file not found: {args.gate}")
         gate = load_gate(args.gate)
     sources: list = []
-    pages = _load_pages(args.dataset, taxonomy, sources)
+    pages = _load_pages(args.dataset, taxonomy, ("teacher", "llm"), sources)
     thresholds = threshold_table(taxonomy)
     histogram: dict[str, int] = {}
     refined_pages = []
@@ -231,7 +231,7 @@ def cmd_theory(args):
         report = summarize_reference_point(args.n, config)
         if args.dataset:
             taxonomy = TAXONOMIES[args.taxonomy]
-            pages = _load_pages(args.dataset, taxonomy)
+            pages = _load_pages(args.dataset, taxonomy, ("teacher", "llm"))
             gammas = gammas_from_pages(pages, taxonomy=taxonomy)
             report.boundary_fraction = boundary_measure(gammas, config)
 
@@ -277,7 +277,7 @@ def _metrics_csv_rows(result) -> tuple[list[str], list[list]]:
 
 def cmd_evaluate(args):
     taxonomy = TAXONOMIES[args.taxonomy]
-    pages = _load_pages(args.dataset, taxonomy)
+    pages = _load_pages(args.dataset, taxonomy, (args.source, "ground_truth"))
     result = evaluate_pages(pages, source=args.source)
     doc = {
         "source": args.source,
@@ -335,7 +335,7 @@ def cmd_heuristics(args):
     raw = _load_config(args.config)
     config = _build_config(HeuristicConfig, raw, "heuristic config")
     sources: list = []
-    pages = _load_pages(args.dataset, taxonomy, sources)
+    pages = _load_pages(args.dataset, taxonomy, ("ocr_blocks",), sources)
     out = Path(args.out)
     regions_path = out / "heuristic_regions.jsonl"
     dataset_path = out / "heuristic_dataset.jsonl"
@@ -355,7 +355,7 @@ def cmd_heuristics(args):
 
 def cmd_calibrate(args):
     taxonomy = TAXONOMIES[args.taxonomy]
-    pages = _load_pages(args.dataset, taxonomy)
+    pages = _load_pages(args.dataset, taxonomy, ("teacher", "llm", "ground_truth"))
     doc: dict = {}
     for source in ("teacher", "llm"):
         cal, samples = _calibration(pages, source, args.bins)
@@ -371,7 +371,7 @@ def cmd_train_gate(args):
     raw.setdefault("seed", args.seed)
     config = _build_config(GateTrainConfig, raw, "gate training config")
     args.seed = config.seed
-    pages = _load_pages(args.dataset, taxonomy)
+    pages = _load_pages(args.dataset, taxonomy, ("teacher", "llm", "ground_truth"))
     samples = gate_samples_from_pages(pages, taxonomy=taxonomy)
     result = train_gate(samples, config, hidden=args.hidden)
     out = Path(args.out)
@@ -395,7 +395,7 @@ def cmd_lipschitz(args):
     gate = load_gate(args.gate)
     if args.dataset:
         taxonomy = TAXONOMIES[args.taxonomy]
-        pages = _load_pages(args.dataset, taxonomy)
+        pages = _load_pages(args.dataset, taxonomy, ("teacher", "llm"))
         rows = [pair_features(page, match_regions(page.teacher, page.llm, taxonomy=taxonomy).matches) for page in pages]
         points = np.concatenate(rows) if rows else np.empty((0, 3))
         if points.size == 0:

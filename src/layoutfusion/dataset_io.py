@@ -23,19 +23,20 @@ plus ``"source"``.
 
 ``fuse`` and ``heuristics`` copy each record kind of a loaded page they
 left unchanged from its input line, and template the rest, when that text
-is the template writer's: the sha256 of the text parsed and ``LINE_FORMAT``
-(the tag of the templates and line skeleton) match a sibling
-``*_manifest.json``, and ingest converted and clamped nothing on the page.
-A hand-formatted, edited or unlisted file, or a repaired page, is templated.
+is the template writer's: the file's sha256, taken before parsing, and
+``LINE_FORMAT`` (the tag of the templates and line skeleton) match a sibling
+``*_manifest.json``, ingest converted and clamped nothing on the page, and
+the line holds each kind's key once, in line order. Else it is templated.
 
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
-the page and field. Every record of a kind goes through the one parser
-of that kind. A value that already has its final type is used as it is;
-any other is converted with ``float()``, ``str()`` or ``bool()`` (and
-the page is no longer copied). The
-first fault in field order (bbox, type, then the rest) is the one named.
+the page and field: the first fault in field order (bbox, type, then the
+rest). Every record of every kind is checked. A kind the caller does not
+read, whose records its parser would take as read, may be left ``Unbuilt``
+(``load_dataset``); any other record goes through its kind's one parser,
+which converts a value not of its final type with ``float()``, ``str()``
+or ``bool()`` (and the page is no longer copied).
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from typing import Callable, Iterable, Sequence
 
 from .geometry import BoundingBox, clamp_coordinates
 from .model import (
+    _PROVENANCES,
+    PROVENANCE_LLM_SOFT,
     FusedLabel,
     GroundTruthAnnotation,
     LlmRegion,
@@ -63,7 +66,7 @@ from .model import (
 )
 from .taxonomy import DOCLAYNET, Taxonomy
 
-__all__ = ["DatasetError", "IngestStats", "load_dataset", "save_dataset", "page_to_dict", "page_from_dict"]
+__all__ = ["DatasetError", "IngestStats", "Unbuilt", "load_dataset", "save_dataset", "page_to_dict", "page_from_dict"]
 
 logger = logging.getLogger(__name__)
 
@@ -85,19 +88,43 @@ class _Fault(Exception):
     """A record fault: the message ending after ``page 'p': field[i]``."""
 
 
-class _Ingest:
-    """What the record parsers of one page read besides the record, and
-    whether they used each value as read (``exact``: nothing converted)."""
+@dataclass(frozen=True)
+class Unbuilt:
+    """A record kind checked and not built: reading it raises TypeError, and ``save_dataset`` can only copy it."""
 
-    __slots__ = ("stats", "taxonomy", "exact")
+    kind: str
+
+    def _read(self, *_):
+        raise TypeError(f"the {self.kind!r} records were checked but not built: load them with {self.kind!r} in kinds")
+
+    __iter__ = __len__ = __getitem__ = _read
+
+
+class _Ingest:
+    """What the record parsers and checks read besides the record, and whether
+    the parsers used each value of a page as read (``exact``: nothing converted)."""
+
+    __slots__ = ("stats", "taxonomy", "names", "exact")
 
     def __init__(self, stats: IngestStats, taxonomy: Taxonomy) -> None:
-        self.stats, self.taxonomy, self.exact = stats, taxonomy, True
+        self.stats, self.taxonomy, self.names, self.exact = stats, taxonomy, frozenset(taxonomy.names), True
 
     def convert(self, kind: type, value):
         """``kind(value)``, for a value not already of type ``kind``."""
         self.exact = False
         return kind(value)
+
+
+def _exact_region(raw, names: frozenset | None) -> bool:
+    """Whether ``_box`` takes the bbox of the object ``raw`` as read and its type is in ``names`` (unless None)."""
+    if type(raw) is not dict or type(bbox := raw.get("bbox")) is not list or len(bbox) != 4:
+        return False
+    x1, y1, x2, y2 = bbox
+    return (
+        type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float
+        and 0.0 < x1 < x2 <= 1.0 and 0.0 < y1 < y2 <= 1.0 and (x2 - x1) * (y2 - y1) > 0.0
+        and (names is None or type(name := raw.get("type")) is str and name in names)
+    )
 
 
 def _box(raw: dict, ingest: _Ingest) -> BoundingBox:
@@ -157,9 +184,10 @@ def _category(raw: dict, ingest: _Ingest):
 # one reported. A value that already has its final type is used as it is;
 # any other is converted with float(), str() or bool() (``_Ingest.convert``).
 #
-# Next to each parser is the line template of its kind: the record's JSON
-# text with page_to_dict's keys in page_to_dict's order, numbers through
-# %r and strings (already escaped) through %s.
+# Next to each parser is its check, true only of a record the parser takes as
+# read (nothing converted, clamped or rejected), and the line template of its
+# kind: the record's JSON text with page_to_dict's keys in page_to_dict's
+# order, numbers through %r and strings (already escaped) through %s.
 
 
 def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
@@ -170,6 +198,10 @@ def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
         text if type(text) is str else ingest.convert(str, text),
         is_bold if type(is_bold) is bool else ingest.convert(bool, is_bold),
     )
+
+
+def _exact_ocr_block(raw, _names: frozenset) -> bool:  # an OCR block names no category
+    return _exact_region(raw, None) and type(raw.get("text", "")) is str and type(raw.get("is_bold", False)) is bool
 
 
 _OCR_BLOCK_LINE = '{"bbox":[%r,%r,%r,%r],"text":%s,"is_bold":%s}'
@@ -188,6 +220,13 @@ def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
     )
 
 
+def _exact_teacher(raw, names: frozenset) -> bool:
+    return (
+        _exact_region(raw, names) and type(confidence := raw.get("confidence")) is float and 0.0 < confidence < 1.0
+        and ((var := raw.get("coord_var")) is None or type(var) is float and var >= 0.0)
+    )
+
+
 # An absent coord_var, written as None, is cut from the page's line.
 _TEACHER_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r,"coord_var":%r}'
 
@@ -202,6 +241,15 @@ def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
     q_spatial = raw.get("q_spatial", 1.0)
     return LlmRegion(
         box, category, score, q_text, q_spatial if type(q_spatial) is float else ingest.convert(float, q_spatial)
+    )
+
+
+def _exact_text_region(raw, names: frozenset) -> bool:
+    return (
+        _exact_region(raw, names) and type(score := raw.get("score")) is float and 0.0 < score < 1.0
+        and type(q_text := raw.get("q_text", 1.0)) is float and 0.0 < q_text <= 1.0
+        and type(q_spatial := raw.get("q_spatial", 1.0)) is float and 0.0 < q_spatial <= 1.0
+        and 0.0 < q_text * q_spatial and 1.0 / (q_text * q_spatial) < math.inf
     )
 
 
@@ -225,6 +273,15 @@ def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
     smoothing = raw.get("smoothing", 0.0)
     return FusedLabel(
         box, category, score, provenance, smoothing if type(smoothing) is float else ingest.convert(float, smoothing)
+    )
+
+
+def _exact_refined_label(raw, names: frozenset) -> bool:
+    return (
+        _exact_region(raw, names) and type(score := raw.get("score")) is float and 0.0 < score < 1.0
+        and type(provenance := raw.get("provenance")) is str and provenance in _PROVENANCES
+        and type(smoothing := raw.get("smoothing", 0.0)) is float and 0.0 <= smoothing < 1.0
+        and (smoothing == 0.0 or provenance == PROVENANCE_LLM_SOFT)
     )
 
 
@@ -252,29 +309,42 @@ def _records(items, field: str, page_id: str, parse, ingest: _Ingest) -> tuple:
     return tuple(parsed)
 
 
+# The record kinds in line order, each with its parser and its check. The first
+# three load as () when absent, the last two as None when absent or null.
+_PARSERS = (
+    ("ocr_blocks", _ocr_block, _exact_ocr_block),
+    ("teacher", _teacher, _exact_teacher),
+    ("llm", _text_region, _exact_text_region),
+    ("ground_truth", _ground_truth, _exact_region),
+    ("refined", _refined_label, _exact_refined_label),
+)
+KINDS = tuple(kind for kind, *_ in _PARSERS)
+_OPTIONAL = KINDS[3:]
+
+
 def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None) -> Page:
     """Validate one page object against all type invariants: each record
     goes once through the parser of its kind, or names its first fault."""
     return _page(obj, _Ingest(stats if stats is not None else IngestStats(), taxonomy))
 
 
-def _page(obj: dict, ingest: _Ingest) -> Page:
+def _page(obj: dict, ingest: _Ingest, unread: frozenset = frozenset()) -> Page:
     if not isinstance(obj, dict):
         raise DatasetError("page record must be a JSON object")
     page_id = obj.get("page_id")
     if not isinstance(page_id, str) or not page_id:
         raise DatasetError("page record missing non-empty 'page_id'")
-    ocr_blocks = _records(obj.get("ocr_blocks", []), "ocr_blocks", page_id, _ocr_block, ingest)
-    teacher = _records(obj.get("teacher", []), "teacher", page_id, _teacher, ingest)
-    llm = _records(obj.get("llm", []), "llm", page_id, _text_region, ingest)
-    ground_truth = obj.get("ground_truth")
-    if ground_truth is not None:
-        ground_truth = _records(ground_truth, "ground_truth", page_id, _ground_truth, ingest)
-    refined = obj.get("refined")
-    if refined is not None:
-        refined = _records(refined, "refined", page_id, _refined_label, ingest)
+    fields = []
+    for kind, parse, exact in _PARSERS:
+        items = obj.get(kind, None if kind in _OPTIONAL else [])
+        if items is None and kind in _OPTIONAL:
+            fields.append(None)
+        elif kind in unread and type(items) is list and all(map(exact, items, repeat(ingest.names))):
+            fields.append(Unbuilt(kind))
+        else:
+            fields.append(_records(items, kind, page_id, parse, ingest))
     ingest.stats.pages += 1
-    return Page(page_id, ocr_blocks, teacher, llm, ground_truth, refined)
+    return Page(page_id, *fields)
 
 
 def _bbox(box: BoundingBox) -> list[float]:
@@ -325,7 +395,8 @@ def page_to_dict(page: Page) -> dict:
 
 
 def load_dataset(
-    path, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None, *, digests=(), sources: list | None = None
+    path, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None, *, digests=(), sources: list | None = None,
+    kinds: Iterable[str] = KINDS,
 ) -> list[Page]:
     """Load and validate a JSON-Lines dataset.
 
@@ -334,18 +405,24 @@ def load_dataset(
     the clamped-coordinate counter; it is also logged as a warning.
 
     With ``sources``, each page is also appended to it as ``(page, line)``
-    for ``save_dataset``: ``line`` is the page's text if the sha256 of the
-    text parsed is one of ``digests`` (``manifest.listed_digests(path)``)
-    and ingest used each of the page's values as read, else None.
+    for ``save_dataset``: ``line`` is the page's text if the file's sha256 is
+    in ``digests`` (``manifest.listed_digests(path)``), ingest used each value
+    as read and the line holds each kind's key once, in line order, else None.
+
+    ``kinds`` names the record kinds the caller reads; every record of every
+    kind is checked, and another kind whose records its parser takes as read
+    is left ``Unbuilt`` without ``sources`` or on a page whose line is kept.
     """
     stats = stats if stats is not None else IngestStats()
     pages: list[Page] = []
     seen: set[str] = set()
-    digest = hashlib.sha256() if sources is not None and digests else None
+    proven = sources is not None and bool(digests) and file_sha256(path) in digests
+    if not (kinds := frozenset(kinds)) <= set(KINDS):
+        raise ValueError(f"unknown record kinds {sorted(kinds - set(KINDS))}; the kinds are {', '.join(KINDS)}")
+    unread = frozenset(KINDS) - kinds if sources is None or proven else frozenset()
+    ingest = _Ingest(stats, taxonomy)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if digest is not None:
-                digest.update(line.encode("utf-8"))
             line = line.strip()
             if not line:
                 continue
@@ -353,19 +430,22 @@ def load_dataset(
                 obj = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, or an integer beyond the digit limit
                 raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            ingest = _Ingest(stats, taxonomy)
+            ingest.exact = True
             try:
-                page = _page(obj, ingest)
+                page = _page(obj, ingest, unread)
             except DatasetError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
             if page.page_id in seen:
                 raise DatasetError(f"{path}: line {lineno}: duplicate page_id {page.page_id!r}")
             seen.add(page.page_id)
-            pages.append(page)
             if sources is not None:
-                sources.append((page, line if digest is not None and ingest.exact else None))
-    if digest is not None and digest.hexdigest() not in digests:
-        sources[len(sources) - len(pages) :] = [(page, None) for page in pages]
+                cuts = _cuts(line, page) if proven and ingest.exact else {}
+                # Each "[" opens a kind's array or a record's bbox: a repeated key, unchecked, adds one.
+                kept = bool(cuts) and line.count("[") == len(cuts) + sum(len(obj[kind]) for kind in cuts)
+                if unread and not kept:  # the page is written from its objects: build every kind
+                    page = _page(obj, _Ingest(IngestStats(), taxonomy))
+                sources.append((page, line if kept else None))
+            pages.append(page)
     if stats.clamped_coordinates:
         logger.warning(
             "clamped %d out-of-range coordinates while loading %s", stats.clamped_coordinates, path
@@ -421,18 +501,35 @@ LINE_FORMAT = hashlib.sha256(
 ).hexdigest()[:16]
 
 
+def file_sha256(path) -> str:
+    """The sha256 of the bytes of the file ``path``, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _cuts(line: str, page: Page) -> dict[str, slice]:
+    """Where each kind ``page`` holds starts in ``line``, at ``,"<kind>":[``. Empty unless the line is
+    ``{"page_id":``, the quoted id, then those keys in line order, as a dataset line (not a regions line)."""
+    kinds = [kind for kind in KINDS if getattr(page, kind) is not None]
+    at = [len(head := '{"page_id":' + _quote(page.page_id))]
+    for kind in kinds[1:]:
+        at.append(line.find(_ARRAY_KEY % kind, at[-1] + 1))
+    laid_out = -1 not in at and line.startswith(head) and line.startswith(_ARRAY_KEY % kinds[0], at[0])
+    return dict(zip(kinds, map(slice, at, at[1:] + [len(line) - 1]))) if laid_out else {}
+
+
 def _page_line(page: Page, loaded: Page | None = None, line: str | None = None) -> str:
     """``page``'s dataset line, ``_json_line(page_to_dict(page))``. Each
-    record kind that ``page`` holds as the very same tuple as ``loaded`` is
-    cut from ``line``, ``loaded``'s proven line; any other is written from
-    its template, or the page, if a number fails the check (a numpy scalar,
-    a bool where a number belongs), from that reference."""
+    record kind that ``page`` holds as the very same tuple (or ``Unbuilt``)
+    as ``loaded`` is cut from ``line``, ``loaded``'s proven line; any other
+    is written from its template, or the page, if a number fails the check
+    (a numpy scalar, a bool where a number belongs), from that reference."""
     kept = {}
     if line is not None:
-        kinds = [kind for kind, *_ in _KINDS if getattr(loaded, kind) is not None]
-        at = [line.find(_ARRAY_KEY % kind) for kind in kinds] + [len(line) - 1]
-        if -1 not in at:  # else a proven file of another writer, such as heuristic_regions.jsonl
-            kept = {k: line[a:b] for k, a, b in zip(kinds, at, at[1:]) if getattr(page, k) is getattr(loaded, k)}
+        kept = {k: line[at] for k, at in _cuts(line, loaded).items() if getattr(page, k) is getattr(loaded, k)}
     arrays = []
     for kind, template, numbers, args_of in _KINDS:
         records = getattr(page, kind)
@@ -474,7 +571,8 @@ def save_dataset(
 
     With ``sources`` from ``load_dataset``, one per page, each page copies
     from its source's line the record kinds it holds as the very same
-    tuples as the source's page (``dataclasses.replace`` keeps them).
+    tuples (or ``Unbuilt``) as the source's page (``dataclasses.replace``
+    keeps them); an ``Unbuilt`` kind it cannot so copy raises TypeError.
 
     With ``make_pages``, ``pages`` holds work items (``simulate`` passes
     page indices) and each process writing a part of them writes the pages

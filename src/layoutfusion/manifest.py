@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dataset_io import LINE_FORMAT
+from .dataset_io import LINE_FORMAT, file_sha256
 
 __all__ = ["ARTIFACT_VERSION", "config_digest", "listed_digests", "write_manifest"]
 
@@ -42,20 +42,12 @@ def write_manifest(out_dir, command: str, config, seed: int, outputs: list[str],
         "started_at": started,
         "finished_at": now_utc(),
         "outputs": sorted(outputs),
-        "output_sha256": {name: _sha256(out_dir / name) for name in outputs},
+        "output_sha256": {name: file_sha256(out_dir / name) for name in outputs},
         "dataset_format": LINE_FORMAT,
     }
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def listed_digests(path) -> set[str]:

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import layoutfusion
-from layoutfusion import cli
+from layoutfusion import cli, dataset_io
 from layoutfusion.cli import main
-from layoutfusion.dataset_io import LINE_FORMAT, load_dataset, save_dataset
+from layoutfusion.dataset_io import LINE_FORMAT, IngestStats, load_dataset, save_dataset
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
 from layoutfusion.gating import GateTrainConfig, TrainResult, init_gate, save_gate
-from layoutfusion.heuristics import HeuristicConfig
+from layoutfusion.heuristics import HeuristicConfig, heuristic_regions
+from layoutfusion.manifest import now_utc, write_manifest
 from layoutfusion.simulator import GateTask, SimConfig, simulate_dataset
 from layoutfusion.theory import Experiment, TheoryConfig, summarize_reference_point
 
@@ -389,6 +390,81 @@ def test_removed_schedule_command_exits_2_as_unknown(tmp_path, capsys):
     assert exited.value.code == 2
     assert "argument command: invalid choice: 'schedule'" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestKindsACommandDoesNotRead:
+    """``fuse`` builds only the teacher and text streams, ``heuristics`` only
+    the OCR blocks and ``evaluate`` only its source and the ground truth, but
+    each checks every record of every kind: a malformed record in a kind it
+    does not read exits 2 with the message a full load gives, naming the page
+    and the field, and a record that ingest clamps is clamped and counted.
+    Each input is listed in a manifest, as the files a command writes are,
+    or not, so that ``fuse`` and ``heuristics`` may copy its lines."""
+
+    @pytest.fixture()
+    def refined_path(self, tmp_path, dataset_path):
+        assert main(["fuse", "--dataset", str(dataset_path), "--out", str(tmp_path / "fused")]) == 0
+        return tmp_path / "fused" / "refined.jsonl"
+
+    @staticmethod
+    def _edit(path, field, listed, edit):
+        """Apply ``edit`` to the first ``field`` record in ``path`` and list the
+        file in a manifest if ``listed``; return the page id and line number."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines) if json.loads(line)[field])
+        obj = json.loads(lines[lineno])
+        edit(obj[field][0])
+        lines[lineno] = json.dumps(obj, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        for stale in path.parent.glob("*_manifest.json"):
+            stale.unlink()
+        if listed:
+            write_manifest(path.parent, "simulate", {}, 0, [path.name], now_utc())
+        return obj["page_id"], lineno + 1
+
+    FAULTS = {
+        "fuse": ("ocr_blocks", lambda r: r.update(bbox=[0.5, 0.1, 0.4, 0.2]),
+                 "ocr_blocks[0] bbox invalid: degenerate box: x1=0.5 >= x2=0.4"),
+        "heuristics": ("ground_truth", lambda r: r.update(type="mystery"), "ground_truth[0] has unknown category 'mystery'"),
+        "evaluate": ("teacher", lambda r: r.update(confidence=1.5), "teacher[0]: confidence=1.5 must be strictly inside (0, 1)"),
+    }
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["unlisted", "listed"])
+    @pytest.mark.parametrize("command", sorted(FAULTS))
+    def test_a_malformed_record_exits_2_naming_page_and_field(self, tmp_path, request, capsys, command, listed):
+        path = request.getfixturevalue("refined_path" if command == "evaluate" else "dataset_path")
+        field, edit, fault = self.FAULTS[command]
+        page_id, lineno = self._edit(path, field, listed, edit)
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {lineno}: page {page_id!r}: {fault}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["unlisted", "listed"])
+    @pytest.mark.parametrize("command", ["fuse", "heuristics", "evaluate"])
+    def test_a_clamped_record_gives_the_full_load_bytes_and_count(self, tmp_path, request, caplog, command, listed):
+        path = request.getfixturevalue("refined_path" if command == "evaluate" else "dataset_path")
+        field = {"fuse": "ocr_blocks", "heuristics": "ground_truth", "evaluate": "teacher"}[command]
+        if command == "evaluate":  # the teacher stream does not change the metrics
+            assert main(["evaluate", "--dataset", str(path), "--out", str(tmp_path / "before")]) == 0
+            expected = (tmp_path / "before" / "metrics.json").read_bytes()
+        self._edit(path, field, listed, lambda r: r["bbox"].__setitem__(2, 1.25))
+        stats = IngestStats()
+        pages = load_dataset(path, stats=stats)
+        assert stats.clamped_coordinates == 1
+        if command == "fuse":
+            expected = "".join(dataset_io._page_line(dataclasses.replace(p, refined=tuple(refine_pseudo_labels(p))))
+                               for p in pages).encode("utf-8")
+        elif command == "heuristics":
+            expected = "".join(dataset_io._page_line(dataclasses.replace(p, llm=tuple(heuristic_regions(p))))
+                               for p in pages).encode("utf-8")
+        caplog.clear()
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(path), "--out", str(out)]) == 0
+        written = {"fuse": "refined.jsonl", "heuristics": "heuristic_dataset.jsonl", "evaluate": "metrics.json"}[command]
+        assert (out / written).read_bytes() == expected
+        warnings = [r.getMessage() for r in caplog.records if r.name == "layoutfusion.dataset_io"]
+        assert warnings == [f"clamped 1 out-of-range coordinates while loading {path}"]
 
 
 class TestCollectorPause:
@@ -829,7 +905,7 @@ def test_any_json_value_in_any_field_exits_0_or_2(tmp_path, request, monkeypatch
         # simulate's pages are made inside save_dataset, so stubbing it cuts out their simulation too;
         # it leaves an empty file for the manifest to hash
         "save_dataset": lambda pages, path, **kwargs: _empty_file(path),
-        "_load_pages": lambda path, taxonomy, sources=None: [],
+        "_load_pages": lambda path, taxonomy, kinds, sources=None: [],
         "train_gate": lambda samples, config, hidden: TrainResult(init_gate(hidden=2), [1.0], [1.0], 1),
         "summarize_reference_point": lambda n, config: report,
         "run_sample_complexity_experiment": lambda **kwargs: report,

@@ -5,12 +5,16 @@ the load and round-trip invariants.
 
 On any mutated record the two must return equal pages (saved to the
 same bytes) with equal ``IngestStats``, or raise the same
-``DatasetError``. Two faults of the frozen parser are fixed and checked
+``DatasetError``. So must ``load_dataset`` for every subset of the record
+kinds it is asked to build: a kind it leaves ``Unbuilt`` must be one
+whose every record holds the values the frozen parser built from it,
+type and all. Two faults of the frozen parser are fixed and checked
 as such: it let ``TypeError``/``OverflowError`` escape from ``float()``
 on a null, array, object or huge-integer value, and it repeated the
 page/record prefix when a required number was missing.
 """
 
+import itertools
 import json
 import math
 import re
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from layoutfusion.dataset_io import (
     DatasetError,
     IngestStats,
+    Unbuilt,
     load_dataset,
     page_from_dict,
     page_to_dict,
@@ -157,10 +162,95 @@ def test_converted_box_and_field_defaults_match_frozen_parser(field):
         _assert_same_outcome(obj, DOCLAYNET)
 
 
-@settings(max_examples=400)
+KINDS_SUBSETS = [frozenset(c) for r in range(len(FIELDS) + 1) for c in itertools.combinations(FIELDS, r)]
+# What the parsers read for a field a record leaves out.
+DEFAULTS = {"text": "", "is_bold": False, "q_text": 1.0, "q_spatial": 1.0, "smoothing": 0.0}
+
+
+def _taken_as_read(raws, built) -> bool:
+    """Whether each record of ``raws`` holds, type and all, the values the
+    frozen parser built from it (``built``, as ``page_to_dict`` writes them)."""
+    return all(
+        json.dumps({key: raw.get(key, DEFAULTS.get(key)) for key in record}) == json.dumps(record)
+        for raw, record in zip(raws, built, strict=True)
+    )
+
+
+def _assert_every_kinds_subset_matches(path, obj, taxonomy, subsets=KINDS_SUBSETS):
+    """``obj``, written to ``path`` and loaded for each of ``subsets`` of the
+    record kinds, gives the frozen parser's outcome: its error, or its stats
+    and its page, with each kind equal or, only where every record is taken
+    as read, ``Unbuilt``."""
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    try:
+        want = _outcome(frozen_page_from_dict, obj, taxonomy)
+        want = want[0], _undoubled(want[1]) if want[0] == "error" else want[1], want[2]
+    except (TypeError, OverflowError):  # the frozen parser's fault: compare with the full parse
+        want = _outcome(page_from_dict, obj, taxonomy)
+    for kinds in subsets:
+        stats = IngestStats()
+        try:
+            (page,) = load_dataset(path, taxonomy, stats, kinds=kinds)
+        except DatasetError as exc:
+            assert ("error", str(exc).removeprefix(f"{path}: line 1: "), stats) == want
+            continue
+        assert want[0] == "page" and stats == want[2]
+        built = page_to_dict(want[1])
+        for field in FIELDS:
+            value = getattr(page, field)
+            if isinstance(value, Unbuilt):
+                assert field not in kinds and _taken_as_read(obj.get(field, []), built[field])
+            else:
+                assert value == getattr(want[1], field)
+
+
+@settings(max_examples=400, deadline=None)
 @given(mutated_pages(), st.sampled_from([DOCLAYNET, PUBLAYNET]))
-def test_ingest_matches_frozen_parser(obj, taxonomy):
+def test_ingest_matches_frozen_parser(tmp_path_factory, obj, taxonomy):
     _assert_same_outcome(obj, taxonomy)
+    _assert_every_kinds_subset_matches(tmp_path_factory.mktemp("kinds") / "one.jsonl", obj, taxonomy)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_kind_not_built_is_checked_for_every_single_substitution(tmp_path, field):
+    """The edits of ``test_every_single_substitution_matches_frozen_parser``
+    (integer, zero, signed-zero, non-finite and out-of-range numbers, types
+    that are unknown, not strings or unhashable, ...) and a null kind, with
+    the edited kind read, not read, and no kind read."""
+    subsets = [frozenset(FIELDS), frozenset(FIELDS) - {field}, frozenset()]
+    record = BASE_PAGES[0][field][0]
+    edits = [(key, value) for key in sorted(set(record) | set(EXTRA_KEYS)) for value in AWKWARD]
+    edits += [(key, DELETE) for key in record] + [(("bbox", i), value) for i in range(4) for value in AWKWARD]
+    for key, value in edits:
+        obj = json.loads(json.dumps(BASE_PAGES[0]))
+        target = obj[field][0]
+        if isinstance(key, tuple):
+            target["bbox"][key[1]] = value
+        elif value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        _assert_every_kinds_subset_matches(tmp_path / "one.jsonl", obj, DOCLAYNET, subsets)
+    _assert_every_kinds_subset_matches(tmp_path / "one.jsonl", {**BASE_PAGES[0], field: None}, DOCLAYNET)
+
+
+def test_a_kind_not_read_is_left_unbuilt(tmp_path):
+    """Every kind is left ``Unbuilt`` on some base page when nothing reads it."""
+    path = tmp_path / "base.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in BASE_PAGES), encoding="utf-8")
+    loaded = load_dataset(path, kinds=())
+    assert {field for page in loaded for field in FIELDS if isinstance(getattr(page, field), Unbuilt)} == set(FIELDS)
+    assert load_dataset(path) == [page_from_dict(obj) for obj in BASE_PAGES]
+
+
+@pytest.mark.parametrize("q_text, q_spatial", [(1e-200, 1e-200), (5e-324, 0.5), (1e-160, 1e-160), (1e-160, 0.5)])
+def test_every_kinds_subset_checks_the_text_quality_product(tmp_path, q_text, q_spatial):
+    """A quality product that underflows to 0.0, or whose inverse overflows,
+    is rejected whether or not the text regions are built; 1e-160 * 0.5 is
+    accepted."""
+    obj = json.loads(json.dumps(BASE_PAGES[0]))
+    obj["llm"][0].update(q_text=q_text, q_spatial=q_spatial)
+    _assert_every_kinds_subset_matches(tmp_path / "one.jsonl", obj, DOCLAYNET)
 
 
 json_values = st.recursive(

@@ -171,6 +171,31 @@ def test_an_unparsable_manifest_proves_nothing(tmp_path):
     assert manifest.listed_digests(dataset) == set()
 
 
+# Listed lines that the writer does not lay out so: a repeated "ground_truth"
+# key, whose first array (x1 > x2) json.loads drops unchecked, and the keys
+# of a line out of line order.
+MISLAID = [
+    '{"page_id":"a","ocr_blocks":[],"teacher":[{"type":"text","bbox":[0.1,0.1,0.4,0.2],"confidence":0.9}],"llm":[],'
+    '"ground_truth":[{"type":"text","bbox":[0.9,0.1,0.5,0.5]}],"ground_truth":[{"type":"text","bbox":[0.1,0.1,0.4,0.2]}]}',
+    '{"page_id":"b","teacher":[{"type":"text","bbox":[0.1,0.1,0.4,0.2],"confidence":0.9}],"ocr_blocks":[],"llm":[],'
+    '"ground_truth":[{"type":"text","bbox":[0.1,0.1,0.4,0.2]}]}',
+]
+
+
+def test_a_listed_line_with_a_repeated_or_misordered_key_is_templated(tmp_path):
+    """A line is copied only when each kind's key appears once and in line
+    order: else the copy could hold text that ingest never checked."""
+    dataset = tmp_path / "hand" / "dataset.jsonl"
+    dataset.parent.mkdir()
+    dataset.write_text("".join(line + "\n" for line in MISLAID), encoding="utf-8")
+    manifest.write_manifest(dataset.parent, "simulate", {}, 0, [dataset.name], manifest.now_utc())
+    assert manifest.listed_digests(dataset)
+    assert [line for _, line in _sources(dataset)] == [None, None]
+    for output in _rewrite(tmp_path, dataset):
+        _assert_template_bytes(output)
+        assert "[0.9,0.1,0.5,0.5]" not in output.read_text(encoding="utf-8")
+
+
 def _box(**coords) -> BoundingBox:
     """A box with ``coords`` stored past the constructor's checks."""
     box = BoundingBox(0.1, 0.1, 0.4, 0.2)
