@@ -70,13 +70,18 @@ def _object(value, where: str) -> dict:
 
 
 def _load_json(path, name: str = "config file"):
-    """The JSON document in ``path``; a missing file exits 2 naming ``name``."""
+    """The JSON document in ``path``; a missing file exits 2 naming ``name``,
+    and a document json cannot read exits 2 naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CliError(f"{name} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond the digit limit
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _load_config(path) -> dict:
@@ -104,6 +109,8 @@ def _build_config(cls, obj: dict, name: str):
         return cls(**_tuples(obj))
     except ValueError as exc:
         raise CliError(f"{name}: {exc}") from exc
+    except RecursionError:  # _tuples recurses once per level of an array json decoded
+        raise CliError(f"{name}: a field is nested too deeply") from None
 
 
 def _write_json(path: Path, obj) -> None:

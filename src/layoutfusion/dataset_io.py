@@ -28,6 +28,14 @@ is the template writer's: the file's sha256, taken before parsing, and
 ``*_manifest.json``, ingest converted and clamped nothing on the page, and
 the line holds each kind's key once, in line order. Else it is templated.
 
+``load_dataset`` decodes each line with orjson, and with ``json.loads``
+each line on which the two could differ (``_decode``): a line orjson
+refuses, one with a run of 19 or more digits not after a decimal point
+(orjson 3.8 reads an integer outside [-2**63, 2**64) as a float) and one of
+more than ``_MAX_OPENERS`` ``[`` and ``{``. So every value, error and kept
+line is json's. A line with a byte that is not UTF-8, or nested too deeply
+for json, raises DatasetError naming the file and the line.
+
 Finite coordinates are clamped into [0, 1] at ingest with a warning
 counter; non-finite ones (NaN, Infinity) and boxes that remain invalid
 after clamping (x1 >= x2, y1 >= y2) are rejected with an error naming
@@ -394,6 +402,53 @@ def page_to_dict(page: Page) -> dict:
     return obj
 
 
+# Which bytes of a line _decode reads: a digit as "0", an opener ("[" or "{") as "[".
+_SHAPE = bytes.maketrans(b"123456789{", b"000000000[")
+_LONG_RUN = b"0" * 19  # 19 digits: an integer of 19 or more may lie outside [-2**63, 2**64)
+# json.loads refuses a depth near sys.getrecursionlimit() (1 000 by default)
+# less its caller's stack depth; orjson 3.8.3 takes any depth, and overflows
+# the C stack near a million. A line with more openers than this goes to json.
+_MAX_OPENERS = 512
+
+
+def _decode(line: str, loads: Callable[[str], object]):
+    """``json.loads(line)``: the same object, or the same exception, for any line.
+
+    ``loads`` (``orjson.loads``) decodes the line, unless the two could read
+    it differently, when json does: a line ``loads`` refuses (``NaN``,
+    ``Infinity``, ``1e400``, a lone-surrogate escape or malformed text), a
+    line holding a run of 19 or more digits not after a decimal point (orjson
+    reads an integer outside [-2**63, 2**64) as a float), and a line of more
+    than ``_MAX_OPENERS`` openers. A fraction's digits may run on: both
+    decoders round a decimal literal to the same float. A line holding a
+    lone surrogate, as ``errors="surrogateescape"`` reads a byte that is not
+    UTF-8, raises the UnicodeDecodeError of that byte.
+    """
+    try:
+        shape = line.encode("utf-8").translate(_SHAPE)
+    except UnicodeEncodeError:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")  # raises the error of the first bad byte
+        raise
+    at = shape.find(_LONG_RUN)
+    while at > 0 and shape[at - 1] in b".0":  # a fraction's run, or inside a run already seen
+        at = shape.find(_LONG_RUN, at + 1)
+    if at == -1 and shape.count(b"[") <= _MAX_OPENERS:
+        try:
+            return loads(line)
+        except ValueError:  # orjson.JSONDecodeError
+            pass
+    return json.loads(line)
+
+
+class _ProvenLine(str):
+    """A kept line, with ``cuts``: where each kind's array starts in it (``_cuts``)."""
+
+    def __new__(cls, line: str, cuts: dict[str, slice]):
+        self = super().__new__(cls, line)
+        self.cuts = cuts
+        return self
+
+
 def load_dataset(
     path, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None, *, digests=(), sources: list | None = None,
     kinds: Iterable[str] = KINDS,
@@ -421,15 +476,22 @@ def load_dataset(
         raise ValueError(f"unknown record kinds {sorted(kinds - set(KINDS))}; the kinds are {', '.join(KINDS)}")
     unread = frozenset(KINDS) - kinds if sources is None or proven else frozenset()
     ingest = _Ingest(stats, taxonomy)
-    with open(path, "r", encoding="utf-8") as fh:
+    import orjson  # here, not at module level: importing it costs every ``import layoutfusion`` about 5 ms
+
+    # A byte that is not UTF-8 reads as a lone surrogate, which _decode reports with its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line, orjson.loads)
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}: line {lineno}: not UTF-8: {exc}") from exc
             except ValueError as exc:  # JSONDecodeError, or an integer beyond the digit limit
                 raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            except RecursionError:
+                raise DatasetError(f"{path}: line {lineno}: JSON nested too deeply to decode") from None
             ingest.exact = True
             try:
                 page = _page(obj, ingest, unread)
@@ -444,7 +506,7 @@ def load_dataset(
                 kept = bool(cuts) and line.count("[") == len(cuts) + sum(len(obj[kind]) for kind in cuts)
                 if unread and not kept:  # the page is written from its objects: build every kind
                     page = _page(obj, _Ingest(IngestStats(), taxonomy))
-                sources.append((page, line if kept else None))
+                sources.append((page, _ProvenLine(line, cuts) if kept else None))
             pages.append(page)
     if stats.clamped_coordinates:
         logger.warning(
@@ -529,7 +591,8 @@ def _page_line(page: Page, loaded: Page | None = None, line: str | None = None) 
     (a numpy scalar, a bool where a number belongs), from that reference."""
     kept = {}
     if line is not None:
-        kept = {k: line[at] for k, at in _cuts(line, loaded).items() if getattr(page, k) is getattr(loaded, k)}
+        cuts = line.cuts if type(line) is _ProvenLine else _cuts(line, loaded)
+        kept = {k: line[at] for k, at in cuts.items() if getattr(page, k) is getattr(loaded, k)}
     arrays = []
     for kind, template, numbers, args_of in _KINDS:
         records = getattr(page, kind)

@@ -519,6 +519,8 @@ def load_gate(path) -> GateParams:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ValueError(f"{path}: missing format_version")
     if doc["format_version"] != GATE_FORMAT_VERSION:

@@ -52,14 +52,15 @@ def write_manifest(out_dir, command: str, config, seed: int, outputs: list[str],
 
 def listed_digests(path) -> set[str]:
     """The sha256 that each manifest of this dataset writer's format next to
-    the file ``path`` records for it; an unreadable manifest records none."""
+    the file ``path`` records for it; an unreadable manifest (one json cannot
+    decode, nested too deeply included) records none."""
     path, digests = Path(path), set()
     for sibling in path.parent.glob("*_manifest.json"):
         try:
             doc = json.loads(sibling.read_text(encoding="utf-8"))
             if doc["dataset_format"] == LINE_FORMAT:
                 digests.add(doc["output_sha256"][path.name])
-        except (OSError, ValueError, LookupError, TypeError):
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
             continue
     return digests
 

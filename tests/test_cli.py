@@ -22,7 +22,7 @@ from layoutfusion.dataset_io import LINE_FORMAT, IngestStats, load_dataset, save
 from layoutfusion.fusion import FusionConfig, refine_pseudo_labels
 from layoutfusion.gating import GateTrainConfig, TrainResult, init_gate, save_gate
 from layoutfusion.heuristics import HeuristicConfig, heuristic_regions
-from layoutfusion.manifest import now_utc, write_manifest
+from layoutfusion.manifest import listed_digests, now_utc, write_manifest
 from layoutfusion.simulator import GateTask, SimConfig, simulate_dataset
 from layoutfusion.theory import Experiment, TheoryConfig, summarize_reference_point
 
@@ -465,6 +465,85 @@ class TestKindsACommandDoesNotRead:
         assert (out / written).read_bytes() == expected
         warnings = [r.getMessage() for r in caplog.records if r.name == "layoutfusion.dataset_io"]
         assert warnings == [f"clamped 1 out-of-range coordinates while loading {path}"]
+
+
+DEEP = "[" * 3000 + "]" * 3000  # deeper than json.loads decodes at the default recursion limit
+
+
+class TestUndecodableInputs:
+    """A file json cannot decode exits 2 naming it, and for a dataset the
+    line: nested too deeply, bytes that are not UTF-8, or an integer beyond
+    the digit limit. So does a config field too deep to load, and a sibling
+    manifest json cannot decode proves nothing."""
+
+    @staticmethod
+    def _with_line(path, lineno: int, line: bytes):
+        """``path`` with its line ``lineno`` replaced by ``line``."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = line + b"\n"
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_a_deeply_nested_dataset_line_exits_2_naming_the_line(self, tmp_path, dataset_path, capsys):
+        self._with_line(dataset_path, 3, b'{"page_id":"deep","teacher":' + DEEP.encode() + b"}")
+        assert main(["evaluate", "--dataset", str(dataset_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {dataset_path}: line 3: JSON nested too deeply to decode\n"
+
+    def test_a_dataset_line_nested_a_million_deep_exits_2(self, tmp_path):
+        """orjson would overflow the C stack on this line; json refuses it."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"page_id":"a"}\n{"page_id":"deep","llm":' + "[" * 10**6 + "]" * 10**6 + "}\n")
+        src = Path(layoutfusion.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "layoutfusion.cli", "evaluate", "--dataset", str(path), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, f"error: {path}: line 2: JSON nested too deeply to decode\n")
+
+    @pytest.mark.parametrize("flag", ["--config", "--gate"])
+    def test_a_deeply_nested_fuse_input_exits_2_naming_the_file(self, tmp_path, dataset_path, capsys, flag):
+        path = tmp_path / "deep.json"
+        path.write_text('{"teacher_box_weight":' + DEEP + "}", encoding="utf-8")
+        argv = ["fuse", "--dataset", str(dataset_path), flag, str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to decode\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_field_json_decodes_but_too_deep_to_load_exits_2(self, tmp_path, dataset_path, capsys):
+        path = tmp_path / "fuse.json"
+        path.write_text('{"soft_categories":' + "[" * 600 + "]" * 600 + "}", encoding="utf-8")
+        assert main(["fuse", "--dataset", str(dataset_path), "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: fusion config: a field is nested too deeply\n"
+
+    def test_a_deeply_nested_sibling_manifest_is_skipped(self, tmp_path, dataset_path):
+        (dataset_path.parent / "deep_manifest.json").write_text(DEEP, encoding="utf-8")
+        assert listed_digests(dataset_path) == {dataset_io.file_sha256(dataset_path)}
+        assert main(["fuse", "--dataset", str(dataset_path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_dataset_byte_that_is_not_utf8_exits_2_naming_the_line(self, tmp_path, dataset_path, capsys):
+        self._with_line(dataset_path, 5, b'{"page_id":"p\xff"}')
+        assert main(["evaluate", "--dataset", str(dataset_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset_path}: line 5: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 13: "
+            "invalid start byte\n"
+        )
+
+    CONFIGS = {
+        "not-utf8": (b'{"teacher_box_weight": \xff}', "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 23: "
+                     "invalid start byte"),
+        "5000-digit-integer": (b'{"teacher_box_weight": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit (4300 "
+                               "digits) for integer string conversion: value has 5000 digits; use "
+                               "sys.set_int_max_str_digits() to increase the limit"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_an_undecodable_config_exits_2_naming_the_file(self, tmp_path, dataset_path, capsys, case):
+        text, message = self.CONFIGS[case]
+        path = tmp_path / "fuse.json"
+        path.write_bytes(text)
+        assert main(["fuse", "--dataset", str(dataset_path), "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestCollectorPause:

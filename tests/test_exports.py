@@ -13,6 +13,7 @@ import importlib
 import json
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,3 +267,27 @@ def test_readme_lists_each_manifest_key(tmp_path):
     (tmp_path / "out.csv").write_text("x\n", encoding="utf-8")
     path = manifest.write_manifest(tmp_path, "cmd", {}, 0, ["out.csv"], manifest.now_utc())
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _imported_packages():
+    """The top-level package of each absolute import in the library, at any depth."""
+    for path in Path(layoutfusion.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.partition(".")[0]
+
+
+def test_every_import_is_the_standard_library_or_a_declared_dependency():
+    """Each package the library imports is in the standard library or in
+    ``[project].dependencies``, and each declared dependency is imported."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower().replace("-", "_")
+        for requirement in tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    }
+    imported = set(_imported_packages()) - {"__future__"}
+    assert sorted(imported - set(sys.stdlib_module_names) - declared) == []
+    assert sorted(declared - imported) == []

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from layoutfusion import dataset_io
 from layoutfusion.dataset_io import Unbuilt, load_dataset, page_to_dict, save_dataset
 from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
@@ -112,3 +113,21 @@ def test_unknown_kinds_are_rejected(tmp_path):
         with pytest.raises(ValueError, match="unknown record kinds"):
             load_dataset(path, kinds=kinds)
     assert load_dataset(path, kinds=iter(["teacher"])) == load_dataset(path, kinds=("teacher",))
+
+
+def test_a_kept_line_is_cut_once_from_load_to_save(tmp_path, monkeypatch):
+    """``load_dataset`` finds where each kind's array starts in a kept line,
+    and ``save_dataset`` copies from those cuts without finding them again."""
+    pages = simulate_dataset(SimConfig(pages=6, regions_min=2, regions_max=4, emit_ocr_stubs=True, seed=4))
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(pages, path)
+    cuts = _count_calls(monkeypatch, dataset_io, "_cuts")
+    sources: list = []
+    loaded = load_dataset(path, digests={dataset_io.file_sha256(path)}, sources=sources, kinds=("teacher", "llm"))
+    assert all(line is not None for _, line in sources) and len(cuts) == len(pages)
+    refined = [replace(page, refined=tuple(refine_pseudo_labels(page))) for page in loaded]
+    save_dataset(refined, tmp_path / "refined.jsonl", sources=sources)
+    assert len(cuts) == len(pages)
+    assert (tmp_path / "refined.jsonl").read_text(encoding="utf-8") == "".join(
+        map(dataset_io._page_line, [replace(p, refined=tuple(refine_pseudo_labels(p))) for p in load_dataset(path)])
+    )
