@@ -6,20 +6,18 @@ entries carry ``confidence`` (and optional ``coord_var``) instead of
 ``provenance`` and ``smoothing``. Floats are serialized with full
 round-trip precision so save followed by load is the identity.
 
-A page's line is, by definition, ``json.dumps(page_to_dict(page),
-separators=(",", ":"))``. ``save_dataset`` writes it from one ``%``
-line template per record kind (OCR block, teacher, text region, ground
-truth, refined label), each kept next to that kind's parser: numbers go
-through ``%r``, which writes a float or an int as ``json.dumps`` does
-(+inf, the one non-finite number a record admits, becomes ``Infinity``,
-and an absent ``coord_var`` is cut), and strings through
-``json.encoder.encode_basestring_ascii``, json's own escaper. Each kind's
-numbers are checked once, in C calls: every one a float or int (strings
-and flags were checked when the records were built). A page that fails
-(a numpy scalar, a bool where a number belongs) is written through
-``json.dumps`` itself, which stays the reference. ``regions_line`` writes
-a heuristics regions line the same way, from the text-region template
-plus ``"source"``.
+A page's line is what ``save_dataset`` writes from one ``%`` line
+template per record kind (OCR block, teacher, text region, ground truth,
+refined label), each kept next to that kind's parser: compact JSON, keys
+in line order. Every number a record holds is a float (``schema.record``
+converts or refuses any other), which ``%r`` writes as json's encoder
+does (+inf, the one non-finite number a record admits, becomes
+``Infinity``, and an absent ``coord_var`` is cut); strings go through
+``json.encoder.encode_basestring_ascii``, json's own escaper. The tests
+compare these bytes with json's encoding of the page object that
+``tests/oracles.py`` builds, the reference. ``regions_line`` writes a
+heuristics regions line the same way, from the text-region template plus
+``"source"``.
 
 ``fuse`` and ``heuristics`` copy each record kind of a loaded page they
 left unchanged from its input line, and template the rest, when that text
@@ -55,9 +53,8 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -74,7 +71,7 @@ from .model import (
 )
 from .taxonomy import DOCLAYNET, Taxonomy
 
-__all__ = ["DatasetError", "IngestStats", "Unbuilt", "load_dataset", "save_dataset", "page_to_dict", "page_from_dict"]
+__all__ = ["DatasetError", "IngestStats", "Unbuilt", "load_dataset", "save_dataset"]
 
 logger = logging.getLogger(__name__)
 
@@ -194,8 +191,8 @@ def _category(raw: dict, ingest: _Ingest):
 #
 # Next to each parser is its check, true only of a record the parser takes as
 # read (nothing converted, clamped or rejected), and the line template of its
-# kind: the record's JSON text with page_to_dict's keys in page_to_dict's
-# order, numbers through %r and strings (already escaped) through %s.
+# kind: the record's compact JSON text, numbers through %r and strings
+# (already escaped) through %s.
 
 
 def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
@@ -330,12 +327,6 @@ KINDS = tuple(kind for kind, *_ in _PARSERS)
 _OPTIONAL = KINDS[3:]
 
 
-def page_from_dict(obj: dict, taxonomy: Taxonomy = DOCLAYNET, stats: IngestStats | None = None) -> Page:
-    """Validate one page object against all type invariants: each record
-    goes once through the parser of its kind, or names its first fault."""
-    return _page(obj, _Ingest(stats if stats is not None else IngestStats(), taxonomy))
-
-
 def _page(obj: dict, ingest: _Ingest, unread: frozenset = frozenset()) -> Page:
     if not isinstance(obj, dict):
         raise DatasetError("page record must be a JSON object")
@@ -353,53 +344,6 @@ def _page(obj: dict, ingest: _Ingest, unread: frozenset = frozenset()) -> Page:
             fields.append(_records(items, kind, page_id, parse, ingest))
     ingest.stats.pages += 1
     return Page(page_id, *fields)
-
-
-def _bbox(box: BoundingBox) -> list[float]:
-    return [box.x1, box.y1, box.x2, box.y2]
-
-
-def page_to_dict(page: Page) -> dict:
-    """The JSON object of ``page``'s dataset line, keys in line order."""
-    obj: dict = {"page_id": page.page_id}
-    obj["ocr_blocks"] = [
-        {"bbox": _bbox(b.box), "text": b.text, "is_bold": b.is_bold} for b in page.ocr_blocks
-    ]
-    obj["teacher"] = [
-        {
-            "type": t.category.name,
-            "bbox": _bbox(t.box),
-            "confidence": t.confidence,
-            **({"coord_var": t.coordinate_variance} if t.coordinate_variance is not None else {}),
-        }
-        for t in page.teacher
-    ]
-    obj["llm"] = [
-        {
-            "type": r.category.name,
-            "bbox": _bbox(r.box),
-            "score": r.score,
-            "q_text": r.q_text,
-            "q_spatial": r.q_spatial,
-        }
-        for r in page.llm
-    ]
-    if page.ground_truth is not None:
-        obj["ground_truth"] = [
-            {"type": g.category.name, "bbox": _bbox(g.box)} for g in page.ground_truth
-        ]
-    if page.refined is not None:
-        obj["refined"] = [
-            {
-                "type": f.category.name,
-                "bbox": _bbox(f.box),
-                "score": f.confidence,
-                "provenance": f.provenance,
-                "smoothing": f.smoothing,
-            }
-            for f in page.refined
-        ]
-    return obj
 
 
 # Which bytes of a line _decode reads: a digit as "0", an opener ("[" or "{") as "[".
@@ -479,7 +423,8 @@ def load_dataset(
     import orjson  # here, not at module level: importing it costs every ``import layoutfusion`` about 5 ms
 
     # A byte that is not UTF-8 reads as a lone surrogate, which _decode reports with its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # A line ends only at "\n": JSON takes a "\r" between tokens as whitespace.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -502,8 +447,11 @@ def load_dataset(
             seen.add(page.page_id)
             if sources is not None:
                 cuts = _cuts(line, page) if proven and ingest.exact else {}
-                # Each "[" opens a kind's array or a record's bbox: a repeated key, unchecked, adds one.
-                kept = bool(cuts) and line.count("[") == len(cuts) + sum(len(obj[kind]) for kind in cuts)
+                # Each "[" outside the page id and OCR texts opens a kind's array or a
+                # record's bbox: a repeated key, unchecked, adds one.
+                kept = bool(cuts) and line.count("[") - _text_brackets(obj) == len(cuts) + sum(
+                    len(obj[kind]) for kind in cuts
+                )
                 if unread and not kept:  # the page is written from its objects: build every kind
                     page = _page(obj, _Ingest(IngestStats(), taxonomy))
                 sources.append((page, _ProvenLine(line, cuts) if kept else None))
@@ -515,19 +463,11 @@ def load_dataset(
     return pages
 
 
-_TEXT_REGION_NUMBERS = itemgetter(1, 2, 3, 4, 5, 6, 7)  # where a text region's template arguments hold numbers
-# None is the one non-number a record holds where a number goes: an absent coord_var.
-_NUMBER_TYPES = {float, int, type(None)}
 _JSON_BOOL = ("false", "true")
 _SOURCED_REGION_LINE = _TEXT_REGION_LINE[:-1] + ',"source":%s}'
 # A page's line: its quoted id, then for each record kind present _ARRAY_KEY, the records and "]".
 _PAGE_LINE = '{"page_id":%s%s}\n'
 _ARRAY_KEY = ',"%s":['
-
-
-def _json_line(obj) -> str:
-    """The reference writer: ``obj`` as one compact JSON line."""
-    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def _text_region_args(regions) -> list[tuple]:
@@ -537,21 +477,20 @@ def _text_region_args(regions) -> list[tuple]:
     ]
 
 
-# The record kinds in line order, each with its record template, where the
-# numbers sit in a record's template arguments, and its records' arguments.
+# The record kinds in line order, each with its record template and its records' arguments.
 _KINDS = (
-    ("ocr_blocks", _OCR_BLOCK_LINE, itemgetter(0, 1, 2, 3), lambda blocks: [
+    ("ocr_blocks", _OCR_BLOCK_LINE, lambda blocks: [
         ((b := o.box).x1, b.y1, b.x2, b.y2, _quote(o.text), _JSON_BOOL[o.is_bold]) for o in blocks
     ]),
-    ("teacher", _TEACHER_LINE, itemgetter(1, 2, 3, 4, 5, 6), lambda teacher: [
+    ("teacher", _TEACHER_LINE, lambda teacher: [
         (_quote(t.category.name), (b := t.box).x1, b.y1, b.x2, b.y2, t.confidence, t.coordinate_variance)
         for t in teacher
     ]),
-    ("llm", _TEXT_REGION_LINE, _TEXT_REGION_NUMBERS, _text_region_args),
-    ("ground_truth", _GROUND_TRUTH_LINE, itemgetter(1, 2, 3, 4), lambda truth: [
+    ("llm", _TEXT_REGION_LINE, _text_region_args),
+    ("ground_truth", _GROUND_TRUTH_LINE, lambda truth: [
         (_quote(g.category.name), (b := g.box).x1, b.y1, b.x2, b.y2) for g in truth
     ]),
-    ("refined", _REFINED_LABEL_LINE, itemgetter(1, 2, 3, 4, 5, 7), lambda labels: [
+    ("refined", _REFINED_LABEL_LINE, lambda labels: [
         (_quote(f.category.name), (b := f.box).x1, b.y1, b.x2, b.y2, f.confidence, _quote(f.provenance), f.smoothing)
         for f in labels
     ]),
@@ -572,6 +511,11 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _text_brackets(obj: dict) -> int:
+    """How many "[" the page object ``obj`` holds inside strings: in its page id and its OCR texts."""
+    return obj["page_id"].count("[") + sum(raw.get("text", "").count("[") for raw in obj.get("ocr_blocks", ()))
+
+
 def _cuts(line: str, page: Page) -> dict[str, slice]:
     """Where each kind ``page`` holds starts in ``line``, at ``,"<kind>":[``. Empty unless the line is
     ``{"page_id":``, the quoted id, then those keys in line order, as a dataset line (not a regions line)."""
@@ -583,26 +527,20 @@ def _cuts(line: str, page: Page) -> dict[str, slice]:
     return dict(zip(kinds, map(slice, at, at[1:] + [len(line) - 1]))) if laid_out else {}
 
 
-def _page_line(page: Page, loaded: Page | None = None, line: str | None = None) -> str:
-    """``page``'s dataset line, ``_json_line(page_to_dict(page))``. Each
-    record kind that ``page`` holds as the very same tuple (or ``Unbuilt``)
-    as ``loaded`` is cut from ``line``, ``loaded``'s proven line; any other
-    is written from its template, or the page, if a number fails the check
-    (a numpy scalar, a bool where a number belongs), from that reference."""
+def _page_line(page: Page, loaded: Page | None = None, line: _ProvenLine | None = None) -> str:
+    """``page``'s dataset line. Each record kind that ``page`` holds as the
+    very same tuple (or ``Unbuilt``) as ``loaded`` is cut from ``line``,
+    ``loaded``'s proven line; any other is written from its template."""
     kept = {}
     if line is not None:
-        cuts = line.cuts if type(line) is _ProvenLine else _cuts(line, loaded)
-        kept = {k: line[at] for k, at in cuts.items() if getattr(page, k) is getattr(loaded, k)}
+        kept = {k: line[at] for k, at in line.cuts.items() if getattr(page, k) is getattr(loaded, k)}
     arrays = []
-    for kind, template, numbers, args_of in _KINDS:
+    for kind, template, args_of in _KINDS:
         records = getattr(page, kind)
         if records is None or kind in kept:
             arrays.append(kept.get(kind, ""))
             continue
-        args = args_of(records)
-        if not set(map(type, chain.from_iterable(map(numbers, args)))) <= _NUMBER_TYPES:
-            return _json_line(page_to_dict(page))
-        text = ",".join(map(template.__mod__, args))
+        text = ",".join(map(template.__mod__, args_of(records)))
         if template is _TEACHER_LINE:  # %r writes +inf, the one non-finite number a record admits, as inf
             text = text.replace('"coord_var":inf}', '"coord_var":Infinity}').replace(',"coord_var":None}', "}")
         arrays += _ARRAY_KEY % kind, text, "]"
@@ -612,16 +550,9 @@ def _page_line(page: Page, loaded: Page | None = None, line: str | None = None) 
 def regions_line(page: Page, source: str) -> str:
     """The JSON line ``{"page_id", "regions"}`` of ``page``'s text regions:
     each region's dataset record, then ``"source": source``."""
-    try:
-        page_id, source_text = _quote(page.page_id), _quote(source)
-        llm = _text_region_args(page.llm)
-    except TypeError:  # json's escaper takes only a str
-        llm = None
-    if llm is None or not set(map(type, chain.from_iterable(map(_TEXT_REGION_NUMBERS, llm)))) <= _NUMBER_TYPES:
-        obj = page_to_dict(page)
-        return _json_line({"page_id": obj["page_id"], "regions": [{**r, "source": source} for r in obj["llm"]]})
-    regions = ",".join([_SOURCED_REGION_LINE % (*a, source_text) for a in llm])
-    return '{"page_id":%s,"regions":[%s]}\n' % (page_id, regions)
+    source_text = _quote(source)
+    regions = ",".join([_SOURCED_REGION_LINE % (*a, source_text) for a in _text_region_args(page.llm)])
+    return '{"page_id":%s,"regions":[%s]}\n' % (_quote(page.page_id), regions)
 
 
 def save_dataset(

@@ -97,13 +97,8 @@ class OcrBlock:
     is_bold: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.box, BoundingBox) and isinstance(self.text, str) and type(self.is_bold) is bool:
-            return
         if not isinstance(self.box, BoundingBox):
             raise TypeError(f"OcrBlock box must be a BoundingBox, got {type(self.box).__name__}")
-        if not isinstance(self.text, str):
-            raise TypeError(f"OcrBlock text must be a str, got {type(self.text).__name__}")
-        raise TypeError(f"OcrBlock is_bold must be a bool, got {type(self.is_bold).__name__}")
 
 
 @record
@@ -155,7 +150,5 @@ class Page:
 
     def __post_init__(self) -> None:
         # A page id names the page in every dataset line and error.
-        if not isinstance(self.page_id, str):
-            raise TypeError(f"page_id must be a str, got {type(self.page_id).__name__}")
         if not self.page_id:
             raise ValueError("page_id must be non-empty")

@@ -1,7 +1,7 @@
 """Dataclass machinery. One type rule for every config: each field against
 its annotation, as JSON loads it, arrays as tuples; the README tabulates
 what each accepts. One decorator, ``record``, for the types built once per
-record."""
+record, with one type rule for their ``float``, ``str`` and ``bool`` fields."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import sys
 import types
 import typing
 from collections.abc import Mapping
+
+import numpy as np
 
 __all__ = ["check", "check_fields", "record"]
 
@@ -55,6 +57,24 @@ def check_fields(config) -> None:
         check(getattr(config, field.name), hints[field.name], field.name, field.type)
 
 
+# What a record's float field converts with float(); a bool, though an int, is refused.
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _coerce(value, tp: type, where: str):
+    """``value`` under the record type rule for a ``tp`` field, or its error naming ``where``."""
+    if tp is not float and isinstance(value, tp):
+        return value
+    if tp is float and isinstance(value, _REALS) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where} must be a float, got an int beyond the float range") from None
+    kind = type(value)
+    got = kind.__name__ if kind.__module__ == "builtins" else f"{kind.__module__}.{kind.__qualname__}"
+    raise TypeError(f"{where} must be a {tp.__name__}, got {got}")
+
+
 def record(cls):
     """``dataclass(frozen=True, slots=True)`` with a faster ``__init__``.
 
@@ -64,11 +84,21 @@ def record(cls):
     skips the attribute lookup. Signature, defaults, equality, hashing
     and ``dataclasses.replace`` are the dataclass's. ``__post_init__``
     is looked up on each call, so a hook rebound on the class sees every
-    instance. A field with a ``default_factory``, ``init=False`` or
-    ``kw_only``, or an ``InitVar``, is a TypeError.
+    instance.
+
+    Before it, each field meets the record type rule of its annotation.
+    A ``float`` or ``float | None`` field keeps a float, stores an int or
+    a numpy real scalar as ``float(value)``, and refuses anything else (a
+    bool, a str) with TypeError, or an int beyond the float range with
+    ValueError. A ``str`` or ``bool`` field must hold one (TypeError).
+    Each error names the class and the field.
+
+    A field with a ``default_factory``, ``init=False`` or ``kw_only``, or
+    an ``InitVar``, is a TypeError.
     """
     cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
-    env, params, body = {}, ["self"], []
+    env, params, body = {"_coerce": _coerce}, ["self"], []
+    hints = _hints(cls)
     for f in dataclasses.fields(cls):
         env[f"_type_{f.name}"] = f.type
         env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
@@ -77,6 +107,11 @@ def record(cls):
             env[f"_dflt_{f.name}"] = f.default
             param += f"=_dflt_{f.name}"
         params.append(param)
+        optional = hints[f.name] == float | None
+        if optional or hints[f.name] in (float, str, bool):
+            tp = "float" if optional else hints[f.name].__name__
+            test = f"{f.name} is not None and " * optional + f"type({f.name}) is not {tp}"
+            body.append(f"  if {test}: {f.name}=_coerce({f.name},{tp},{cls.__qualname__ + ' ' + f.name!r})")
         body.append(f"  _set_{f.name}(self,{f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()")

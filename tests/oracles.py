@@ -490,6 +490,66 @@ def array_noisy_box(truth, eps):
     return None
 
 
+def _bbox(box) -> list[float]:
+    return [box.x1, box.y1, box.x2, box.y2]
+
+
+def page_to_dict(page) -> dict:
+    """The JSON object of ``page``'s dataset line, keys in line order: the
+    reference the template writer's bytes are compared with, as
+    ``json.dumps(page_to_dict(page), separators=(",", ":"))``."""
+    obj: dict = {"page_id": page.page_id}
+    obj["ocr_blocks"] = [
+        {"bbox": _bbox(b.box), "text": b.text, "is_bold": b.is_bold} for b in page.ocr_blocks
+    ]
+    obj["teacher"] = [
+        {
+            "type": t.category.name,
+            "bbox": _bbox(t.box),
+            "confidence": t.confidence,
+            **({"coord_var": t.coordinate_variance} if t.coordinate_variance is not None else {}),
+        }
+        for t in page.teacher
+    ]
+    obj["llm"] = [
+        {
+            "type": r.category.name,
+            "bbox": _bbox(r.box),
+            "score": r.score,
+            "q_text": r.q_text,
+            "q_spatial": r.q_spatial,
+        }
+        for r in page.llm
+    ]
+    if page.ground_truth is not None:
+        obj["ground_truth"] = [
+            {"type": g.category.name, "bbox": _bbox(g.box)} for g in page.ground_truth
+        ]
+    if page.refined is not None:
+        obj["refined"] = [
+            {
+                "type": f.category.name,
+                "bbox": _bbox(f.box),
+                "score": f.confidence,
+                "provenance": f.provenance,
+                "smoothing": f.smoothing,
+            }
+            for f in page.refined
+        ]
+    return obj
+
+
+def page_from_dict(obj, taxonomy=None, stats=None):
+    """One page object through ``load_dataset``'s page parser (every kind
+    built): each record goes once through the parser of its kind, or
+    names its first fault."""
+    from layoutfusion import dataset_io
+    from layoutfusion.taxonomy import DOCLAYNET
+
+    ingest = dataset_io._Ingest(stats if stats is not None else dataset_io.IngestStats(), taxonomy or DOCLAYNET)
+    return dataset_io._page(obj, ingest)
+
+
 def frozen_page_from_dict(obj, taxonomy, stats):
     """``dataset_io.page_from_dict`` as it was before its fast path:
     a generator over records, an f-string context and ``_require`` per

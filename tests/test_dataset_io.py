@@ -1,5 +1,5 @@
 """Dataset interchange: validation errors, bit-exact round-trips, and the
-template writer against its ``json.dumps`` reference."""
+template writer against its ``json.dumps`` reference (``oracles.page_to_dict``)."""
 
 import json
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from layoutfusion import dataset_io
 from layoutfusion.cli import main
-from layoutfusion.dataset_io import DatasetError, IngestStats, load_dataset, page_to_dict, regions_line, save_dataset
+from layoutfusion.dataset_io import DatasetError, IngestStats, load_dataset, regions_line, save_dataset
 from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.model import (
@@ -28,6 +28,8 @@ from layoutfusion.model import (
 )
 from layoutfusion.simulator import SimConfig, simulate_dataset
 from layoutfusion.taxonomy import DOCLAYNET
+
+from oracles import page_to_dict
 
 
 def write_lines(path, lines):
@@ -62,6 +64,16 @@ class TestLoadErrors:
         assert page.llm[0].q_text == 0.9
         assert page.ocr_blocks[0].text == "Figure 1: x"
         assert page.ground_truth[0].category.name == "text"
+
+    def test_a_line_ends_only_at_a_line_feed(self, tmp_path):
+        # JSON reads a carriage return between tokens as whitespace.
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes(b'{"page_id":"a",\r"teacher":[]}\n')
+        assert load_dataset(path) == [Page("a")]
+        path.write_bytes(b"".join(line.encode("utf-8") + b"\r\n" for line in (page_line("p1"), page_line("p2"))))
+        crlf = load_dataset(path)
+        write_lines(path, [page_line("p1"), page_line("p2")])
+        assert crlf == load_dataset(path) and len(crlf) == 2
 
     def test_parse_failure_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -239,9 +251,10 @@ PROBABILITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 @st.composite
 def pages(draw, exact_floats=False):
-    """A valid page. Unless ``exact_floats``, numbers may be ints (0 and 1
-    in boxes, 1 for a quality, 0 for a smoothing, any variance) and box
-    coordinates -0.0, which load turns into 0.0."""
+    """A valid page. Unless ``exact_floats``, numbers may be given as ints
+    (0 and 1 in boxes, 1 for a quality, 0 for a smoothing, any variance),
+    which the records store as floats, and box coordinates may be -0.0,
+    which load turns into 0.0."""
     floats = st.floats(0.0, 1.0, exclude_max=True)
 
     def side():
@@ -318,8 +331,8 @@ def test_save_load_save_is_byte_stable(tmp_path, written):
 
 def _forced(record, **fields):
     """``record`` with ``fields`` stored past its constructor's checks, as
-    ``object.__setattr__`` can. The writer checks only numbers, so such a
-    page meets the writer's own first use of the value (FORCED_WRITES)."""
+    ``object.__setattr__`` can. The writer does not check a record's types
+    again, so such a page meets the writer's own first use of the value."""
     for name, value in fields.items():
         object.__setattr__(record, name, value)
     return record
@@ -338,57 +351,60 @@ def _region_page(q_text=0.9):
     return Page("p", llm=(LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.8, q_text),))
 
 
+# Each case builds a page, and either writes the bytes of the page given
+# (json.dumps of its page_to_dict) or raises the TypeError given. A numpy
+# number is stored as its float, so the page is the float-built one; a bool
+# where a number belongs is refused where the record is built. Of the values
+# forced past the constructor, json's escaper raises on a string field that
+# is not a str, the is_bold lookup raises on an np.bool_ and writes an int
+# flag as the bool it stands for, which is what load_dataset reads back
+# from json.dumps' 1 too.
 OFF_TYPE_PAGES = {
-    "np.float64 coordinate": _teacher_page(box=BoundingBox(np.float64(0.1), 0.1, 0.4, 0.2)),
-    "np.float64 confidence": _teacher_page(confidence=np.float64(0.9)),
-    "np.float64 variance": _teacher_page(coordinate_variance=np.float64(1e-4)),
-    "np.float64 quality": _region_page(q_text=np.float64(0.9)),
-    "bool coordinates": _teacher_page(box=BoundingBox(False, 0.1, True, 0.2)),
-    "bool variance": _teacher_page(coordinate_variance=True),
-    "bool quality": _region_page(q_text=True),
-    "int text": _text_page(text=5),
-    "list text": _text_page(text=["x", 1.5]),
-    "object text": _text_page(text=object()),
-    "np.bool_ is_bold": _text_page(is_bold=np.True_),
-    "int is_bold": _text_page(is_bold=1),
-    "int page_id": _forced(_teacher_page(), page_id=7),
-}
-
-# What the writer does with the forced pages: json's escaper raises on a
-# string field that is not a str, the is_bold lookup raises on an np.bool_
-# and writes an int flag as the bool it stands for, which is what
-# load_dataset reads back from json.dumps' 1 too.
-FORCED_WRITES = {
-    "int text": TypeError("first argument must be a string, not int"),
-    "list text": TypeError("first argument must be a string, not list"),
-    "object text": TypeError("first argument must be a string, not object"),
-    "np.bool_ is_bold": TypeError(r"tuple indices must be integers or slices, not numpy\.bool"),
-    "int is_bold": reference_line(_text_page(is_bold=True)),
-    "int page_id": TypeError("first argument must be a string, not int"),
+    "np.float64 coordinate": (lambda: _teacher_page(box=BoundingBox(np.float64(0.1), 0.1, 0.4, 0.2)), _teacher_page()),
+    "np.float64 confidence": (lambda: _teacher_page(confidence=np.float64(0.9)), _teacher_page()),
+    "np.float64 variance": (
+        lambda: _teacher_page(coordinate_variance=np.float64(1e-4)), _teacher_page(coordinate_variance=1e-4)
+    ),
+    "np.float64 quality": (lambda: _region_page(q_text=np.float64(0.9)), _region_page()),
+    "bool coordinates": (
+        lambda: _teacher_page(box=BoundingBox(False, 0.1, True, 0.2)),
+        TypeError("BoundingBox x1 must be a float, got bool"),
+    ),
+    "bool variance": (
+        lambda: _teacher_page(coordinate_variance=True),
+        TypeError("TeacherPrediction coordinate_variance must be a float, got bool"),
+    ),
+    "bool quality": (lambda: _region_page(q_text=True), TypeError("LlmRegion q_text must be a float, got bool")),
+    "int text": (lambda: _text_page(text=5), TypeError("first argument must be a string, not int")),
+    "list text": (lambda: _text_page(text=["x", 1.5]), TypeError("first argument must be a string, not list")),
+    "object text": (lambda: _text_page(text=object()), TypeError("first argument must be a string, not object")),
+    "np.bool_ is_bold": (
+        lambda: _text_page(is_bold=np.True_), TypeError(r"tuple indices must be integers or slices, not numpy\.bool")
+    ),
+    "int is_bold": (lambda: _text_page(is_bold=1), _text_page(is_bold=True)),
+    "int page_id": (lambda: _forced(_teacher_page(), page_id=7), TypeError("first argument must be a string, not int")),
 }
 
 
-@pytest.mark.parametrize(
-    "page, forced", [pytest.param(page, FORCED_WRITES.get(key), id=key) for key, page in OFF_TYPE_PAGES.items()]
-)
-def test_off_type_values_give_json_dumps_bytes_or_its_type_error(tmp_path, page, forced):
+@pytest.mark.parametrize("build, want", [pytest.param(*case, id=key) for key, case in OFF_TYPE_PAGES.items()])
+def test_off_type_values_give_json_dumps_bytes_or_its_type_error(tmp_path, build, want):
     path = tmp_path / "page.jsonl"
-    if isinstance(forced, TypeError):
-        with pytest.raises(TypeError, match=str(forced)):
-            save_dataset([page], path)
-    elif forced is not None:
-        save_dataset([page], path)
-        assert path.read_text(encoding="utf-8") == forced
+    if isinstance(want, TypeError):
+        with pytest.raises(TypeError, match=str(want)):
+            save_dataset([build()], path)
     else:
-        try:
-            want = reference_line(page)
-        except TypeError as exc:
-            with pytest.raises(TypeError, match=str(exc)):
-                save_dataset([page], path)
-        else:
-            save_dataset([page], path)
-            assert path.read_text(encoding="utf-8") == want
-    assert regions_line(page, "heuristic") == reference_regions_line(page, "heuristic")
+        assert build() == want
+        save_dataset([build()], path)
+        assert path.read_text(encoding="utf-8") == reference_line(want)
+    try:
+        page = build()
+    except TypeError:  # refused where it is built
+        return
+    if isinstance(page.page_id, str):
+        assert regions_line(page, "heuristic") == reference_regions_line(page, "heuristic")
+    else:
+        with pytest.raises(TypeError, match=str(want)):
+            regions_line(page, "heuristic")
 
 
 # Records save_dataset would write and load_dataset reject are refused
@@ -431,12 +447,9 @@ PIPELINE_CORPORA = {
 
 
 @pytest.mark.parametrize("sim", PIPELINE_CORPORA.values(), ids=PIPELINE_CORPORA.keys())
-def test_pipeline_pages_never_take_the_reference_writer(tmp_path, monkeypatch, sim):
-    """Every page the commands write passes the template writer's check, so
-    a numpy scalar that leaks into a record fails here."""
-    written = []
-    reference = dataset_io._json_line
-    monkeypatch.setattr(dataset_io, "_json_line", lambda obj: written.append(obj) or reference(obj))
+def test_pipeline_pages_never_take_the_reference_writer(tmp_path, sim):
+    """Every file the commands write holds the template writer's bytes of
+    the pages it loads to, which are also json.dumps' bytes of them."""
     (tmp_path / "sim.json").write_text(json.dumps(sim), encoding="utf-8")
     (tmp_path / "gate.json").write_text(json.dumps({"epochs": 2}), encoding="utf-8")
     dataset = str(tmp_path / "sim" / "dataset.jsonl")
@@ -449,13 +462,12 @@ def test_pipeline_pages_never_take_the_reference_writer(tmp_path, monkeypatch, s
         ["heuristics", "--dataset", dataset, "--out", str(tmp_path / "heur")],
     ):
         assert main(argv) == 0
-    assert written == []
-    lines = [
-        (tmp_path / name).read_text(encoding="utf-8").count("\n")
-        for name in ("sim/dataset.jsonl", "fuse/refined.jsonl", "gfuse/refined.jsonl",
-                     "heur/heuristic_dataset.jsonl", "heur/heuristic_regions.jsonl")
-    ]
-    assert lines == [sim["pages"]] * 5
-    # The count sees a page that does take it.
-    save_dataset([OFF_TYPE_PAGES["np.float64 confidence"]], tmp_path / "off.jsonl")
-    assert len(written) == 1
+    datasets = ("sim/dataset.jsonl", "fuse/refined.jsonl", "gfuse/refined.jsonl", "heur/heuristic_dataset.jsonl")
+    texts = [(tmp_path / name).read_text(encoding="utf-8") for name in (*datasets, "heur/heuristic_regions.jsonl")]
+    assert [text.count("\n") for text in texts] == [sim["pages"]] * 5
+    for name, text in zip(datasets, texts):
+        pages = load_dataset(tmp_path / name)
+        assert text == "".join(map(dataset_io._page_line, pages)) == "".join(map(reference_line, pages))
+    pages = load_dataset(tmp_path / datasets[-1])
+    want = [reference_regions_line(page, "heuristic") for page in pages]
+    assert texts[-1] == "".join(regions_line(page, "heuristic") for page in pages) == "".join(want)

@@ -1,9 +1,9 @@
 """Every exported name resolves: each module's ``__all__`` and every name
 the package ``__init__`` imports. A stale export left behind by a
 deletion fails here, by name. No library module but ``geometry`` binds
-``iou``, the per-record types are built by ``schema.record``, every
-loaded config checks its field types and has each field read, and the
-CLI's docstring names each subcommand."""
+``iou``, the per-record types are built by ``schema.record`` and follow
+its type rule, every loaded config checks its field types and has each
+field read, and the CLI's docstring names each subcommand."""
 
 import argparse
 import ast
@@ -14,8 +14,10 @@ import json
 import pkgutil
 import re
 import sys
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import layoutfusion
@@ -71,24 +73,28 @@ def _decorator_name(node: ast.expr) -> str | None:
     return target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
 
 
+def _decorated_classes():
+    """``(module, class name, decorator)`` for each decorator of each library class."""
+    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    yield path.stem, node.name, decorator
+
+
 def test_per_record_types_are_slotted():
     """A slotted type is built once per record, so it takes ``record``'s
     ``__init__``, not the slower one of ``dataclass(slots=True)``; and
     each ``record`` class is frozen and slotted, with that ``__init__``."""
     plain, records = [], []
-    for path in sorted(Path(layoutfusion.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for decorator in node.decorator_list:
-                name = _decorator_name(decorator)
-                if name == "record":
-                    records.append((path.stem, node.name))
-                elif name == "dataclass" and isinstance(decorator, ast.Call) and any(
-                    k.arg == "slots" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
-                    for k in decorator.keywords
-                ):
-                    plain.append(f"{path.stem}.{node.name}")
+    for module, name, decorator in _decorated_classes():
+        if (kind := _decorator_name(decorator)) == "record":
+            records.append((module, name))
+        elif kind == "dataclass" and isinstance(decorator, ast.Call) and any(
+            k.arg == "slots" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+            for k in decorator.keywords
+        ):
+            plain.append(f"{module}.{name}")
     assert plain == []
     assert len(records) >= 10
     broken = []
@@ -108,6 +114,62 @@ def test_box_validation_stays_a_class_attribute():
     from layoutfusion.geometry import BoundingBox
 
     assert "__post_init__" in vars(BoundingBox)
+
+
+RECORD_TYPES = [
+    getattr(importlib.import_module(f"layoutfusion.{module}"), name)
+    for module, name, decorator in _decorated_classes()
+    if _decorator_name(decorator) == "record"
+]
+
+
+def _built(cls, **fields):
+    """``cls`` built from its instance in ``test_records.RECORDS`` with
+    ``fields`` changed, or the type and message of the error raised."""
+    from test_records import RECORDS
+
+    base = next((r for r in RECORDS if type(r) is cls), None)
+    assert base is not None, f"test_records.RECORDS holds no {cls.__qualname__} to build from"
+    try:
+        return dataclasses.replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _fields_of(cls, *types) -> list[str]:
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in dataclasses.fields(cls) if hints[f.name] in types]
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=[cls.__qualname__ for cls in RECORD_TYPES])
+def test_record_float_fields_store_each_real_number_as_a_float(cls):
+    """The record type rule: a float field (``float`` or ``float | None``)
+    stores an int or a numpy real scalar as its float, as if built with that
+    float, and refuses a bool, a str or an int beyond the float range."""
+    for name in _fields_of(cls, float, float | None):
+        value = getattr(_built(cls), name)
+        value = 0.25 if value is None else value
+        for given in (np.float64(value), np.float32(value), 0, 1):
+            built = _built(cls, **{name: given})
+            assert built == _built(cls, **{name: float(given)})
+            assert isinstance(built, tuple) or type(getattr(built, name)) is float
+        assert type(getattr(_built(cls, **{name: np.float64(value)}), name)) is float
+        for given in (True, "0.5"):
+            assert _built(cls, **{name: given}) == (
+                TypeError, f"{cls.__qualname__} {name} must be a float, got {type(given).__name__}"
+            )
+        assert _built(cls, **{name: 10**400}) == (
+            ValueError, f"{cls.__qualname__} {name} must be a float, got an int beyond the float range"
+        )
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=[cls.__qualname__ for cls in RECORD_TYPES])
+def test_record_str_and_bool_fields_refuse_any_other_type(cls):
+    for name in _fields_of(cls, str, bool):
+        tp = typing.get_type_hints(cls)[name]
+        for given, got in ((1, "int"), (np.True_, "numpy.bool"), (b"x", "bytes"), (None, "NoneType")):
+            want = f"{cls.__qualname__} {name} must be a {tp.__name__}, got {got}"
+            assert _built(cls, **{name: given}) == (TypeError, want)
 
 
 def _unread_parameters(tree: ast.Module, module: str):

@@ -11,11 +11,13 @@ from dataclasses import replace
 import pytest
 
 from layoutfusion import dataset_io
-from layoutfusion.dataset_io import Unbuilt, load_dataset, page_to_dict, save_dataset
+from layoutfusion.dataset_io import Unbuilt, load_dataset, save_dataset
 from layoutfusion.fusion import refine_pseudo_labels
 from layoutfusion.geometry import BoundingBox
 from layoutfusion.simulator import SimConfig, simulate_dataset
 from layoutfusion.taxonomy import Taxonomy
+
+from oracles import page_to_dict
 
 FIELDS = ("ocr_blocks", "teacher", "llm", "ground_truth", "refined")
 

@@ -1,4 +1,4 @@
-"""Property tests of ingest: ``page_from_dict``, which reads every
+"""Property tests of ingest: ``oracles.page_from_dict``, which reads every
 record of a kind with that kind's one parser, against a frozen copy of
 the parser as it was before (``oracles.frozen_page_from_dict``), plus
 the load and round-trip invariants.
@@ -29,8 +29,6 @@ from layoutfusion.dataset_io import (
     IngestStats,
     Unbuilt,
     load_dataset,
-    page_from_dict,
-    page_to_dict,
     save_dataset,
 )
 from layoutfusion.fusion import refine_pseudo_labels
@@ -39,7 +37,7 @@ from layoutfusion.model import FusedLabel, GroundTruthAnnotation, LlmRegion, Ocr
 from layoutfusion.simulator import SimConfig, simulate_dataset
 from layoutfusion.taxonomy import DOCLAYNET, PUBLAYNET
 
-from oracles import frozen_page_from_dict
+from oracles import frozen_page_from_dict, page_from_dict, page_to_dict
 
 FIELDS = ("ocr_blocks", "teacher", "llm", "ground_truth", "refined")
 

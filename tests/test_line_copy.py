@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from layoutfusion import dataset_io, manifest
 from layoutfusion.cli import main
-from layoutfusion.dataset_io import IngestStats, load_dataset, save_dataset
+from layoutfusion.dataset_io import IngestStats, Unbuilt, load_dataset, save_dataset
 from layoutfusion.geometry import BoundingBox
-from layoutfusion.model import LlmRegion, Page, TeacherPrediction
+from layoutfusion.model import LlmRegion, OcrBlock, Page, TeacherPrediction
 from layoutfusion.taxonomy import DOCLAYNET
 
 from generators import random_dataset_page
@@ -82,10 +82,11 @@ def test_a_kind_the_page_shares_with_its_source_is_copied_from_the_line(tmp_path
     def mark(text):  # a teacher confidence as the templates never write it
         return text.replace('"confidence":0.', '"confidence":0.000', 1)
 
+    marked = dataset_io._ProvenLine(mark(line), dataset_io._cuts(mark(line), loaded))
     out = tmp_path / "out.jsonl"
-    save_dataset([replace(loaded, refined=refined)], out, sources=[(loaded, mark(line))])
+    save_dataset([replace(loaded, refined=refined)], out, sources=[(loaded, marked)])
     assert out.read_text(encoding="utf-8") == mark(_template_bytes([replace(loaded, refined=refined)]))
-    save_dataset([replace(loaded, teacher=loaded.teacher[1:], refined=refined)], out, sources=[(loaded, mark(line))])
+    save_dataset([replace(loaded, teacher=loaded.teacher[1:], refined=refined)], out, sources=[(loaded, marked)])
     assert '"confidence":0.000' not in out.read_text(encoding="utf-8")
 
 
@@ -196,6 +197,24 @@ def test_a_listed_line_with_a_repeated_or_misordered_key_is_templated(tmp_path):
         assert "[0.9,0.1,0.5,0.5]" not in output.read_text(encoding="utf-8")
 
 
+def test_a_bracket_inside_a_string_opens_no_array(tmp_path):
+    """A "[" in an OCR text or a page id leaves a proven line kept, and a
+    kind the caller does not read unbuilt, as on a page without one."""
+    box, text = BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text")
+    pages = [
+        Page(page_id, ocr_blocks=(OcrBlock(box, ocr),), teacher=(TeacherPrediction(box, text, 0.9),))
+        for page_id, ocr in (("a", "see 1"), ("b", "see [1]"), ("c[2]", "see 1"))
+    ]
+    path = tmp_path / "dataset.jsonl"
+    _save_proven(pages, path)
+    sources: list = []
+    loaded = load_dataset(path, digests=manifest.listed_digests(path), sources=sources, kinds=("teacher", "llm"))
+    assert [line is not None for _, line in sources] == [True] * 3
+    assert [isinstance(page.ocr_blocks, Unbuilt) for page in loaded] == [True] * 3
+    save_dataset(loaded, tmp_path / "copied.jsonl", sources=sources)
+    assert (tmp_path / "copied.jsonl").read_bytes() == path.read_bytes()
+
+
 def _box(**coords) -> BoundingBox:
     """A box with ``coords`` stored past the constructor's checks."""
     box = BoundingBox(0.1, 0.1, 0.4, 0.2)
@@ -205,17 +224,31 @@ def _box(**coords) -> BoundingBox:
 
 
 def _teacher(box=None, **fields) -> TeacherPrediction:
-    return TeacherPrediction(box or BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.9, **fields)
+    """A teacher prediction with ``fields`` stored past the constructor's checks."""
+    teacher = TeacherPrediction(box or BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.9)
+    for name, value in fields.items():
+        object.__setattr__(teacher, name, value)
+    return teacher
+
+
+def _region(**fields) -> LlmRegion:
+    """A text region with ``fields`` stored past the constructor's checks."""
+    region = LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.8)
+    for name, value in fields.items():
+        object.__setattr__(region, name, value)
+    return region
 
 
 # Pages whose line the writer writes, but which ingest converts or clamps
-# on the way back, so the line's text is not what the templates write.
+# on the way back, so the line's text is not what the templates write. A
+# record stores every number as a float; an int, which %r writes as an
+# int, is stored here past the constructor, as an edited line would hold it.
 REPAIRED = {
     "clamped coordinate": Page("r", teacher=(_teacher(_box(x2=1.5)),)),
     "negative zero": Page("r", teacher=(_teacher(BoundingBox(-0.0, 0.1, 0.4, 0.2)),)),
-    "int coordinate": Page("r", teacher=(_teacher(BoundingBox(0, 0.1, 0.4, 1)),)),
+    "int coordinate": Page("r", teacher=(_teacher(_box(x1=0, y2=1)),)),
     "int variance": Page("r", teacher=(_teacher(coordinate_variance=0),)),
-    "int quality": Page("r", llm=(LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.8, 1),)),
+    "int quality": Page("r", llm=(_region(q_text=1),)),
 }
 
 
@@ -237,8 +270,8 @@ def test_only_the_page_ingest_repaired_is_templated(tmp_path, page):
 @given(seed=st.integers(0, 2**32 - 1), changed=st.sets(st.sampled_from(KINDS)), fresh=st.booleans())
 def test_a_proven_page_saves_to_the_template_bytes_with_any_kinds_replaced(tmp_path_factory, seed, changed, fresh):
     """Each kind in ``changed`` comes from another page: the next loaded page
-    (floats as loaded, so templated) or, if ``fresh``, a new one whose
-    numpy coordinates send the whole page to the reference writer."""
+    (floats as loaded, so templated) or, if ``fresh``, a new one, whose
+    numpy coordinates its boxes store as floats."""
     tmp = tmp_path_factory.mktemp("copy")
     rng = np.random.default_rng(seed)
     path = tmp / "dataset.jsonl"

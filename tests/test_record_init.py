@@ -1,7 +1,14 @@
 """``schema.record`` builds each per-record type as a plain
 ``dataclass(frozen=True, slots=True)`` would, with an ``__init__`` that
 stores through the slot descriptors: same signature, same objects, same
-errors, and ``__post_init__`` looked up on each call."""
+errors, and ``__post_init__`` looked up on each call.
+
+One difference is deliberate: before ``__post_init__``, ``record``'s
+``__init__`` applies the record type rule, which the twin does not. A
+float field stores an int or a numpy scalar as its float, and any field
+of ``float``, ``str`` or ``bool`` refuses another type; the twin stores
+what it is given. So these tests build the twins from values of each
+field's own type, and ``test_exports`` checks the rule."""
 
 import dataclasses
 import inspect
