@@ -6,25 +6,29 @@ entries carry ``confidence`` (and optional ``coord_var``) instead of
 ``provenance`` and ``smoothing``. Floats are serialized with full
 round-trip precision so save followed by load is the identity.
 
-A page's line is what ``save_dataset`` writes from one ``%`` line
-template per record kind (OCR block, teacher, text region, ground truth,
-refined label), each kept next to that kind's parser: compact JSON, keys
-in line order. Every number a record holds is a float (``schema.record``
-converts or refuses any other), which ``%r`` writes as json's encoder
-does (+inf, the one non-finite number a record admits, becomes
-``Infinity``, and an absent ``coord_var`` is cut); strings go through
-``json.encoder.encode_basestring_ascii``, json's own escaper. The tests
-compare these bytes with json's encoding of the page object that
-``tests/oracles.py`` builds, the reference. ``regions_line`` writes a
-heuristics regions line the same way, from the text-region template plus
-``"source"``.
+A page's line is what ``save_dataset`` writes: compact JSON, keys in line
+order, each record kind's array (OCR blocks, teacher, text regions, ground
+truth, refined labels) built as plain dicts and lists under that kind's
+keys (``_KINDS``, each builder next to its kind's parser; an absent
+``coord_var`` has no key) and encoded by ``_json``. That is orjson's text,
+unless it could differ from ``json.dumps(array, separators=(",", ":"))``
+or orjson refuses the array, when it is json's: an array holding a float
+whose magnitude is neither 0 nor in [1e-4, 1e16) (the non-finite ones
+too), a DEL or non-ASCII character (``_agrees``), or a lone surrogate.
+The page id goes through ``json.encoder.encode_basestring_ascii``, json's
+own escaper. The tests compare these bytes with json's encoding of the
+page object that ``tests/oracles.py`` builds, the reference.
+``regions_line`` writes a heuristics regions line the same way, from the
+text-region objects plus ``"source"``. orjson is imported on the first
+save or load, never by ``import layoutfusion``.
 
 ``fuse`` and ``heuristics`` copy each record kind of a loaded page they
-left unchanged from its input line, and template the rest, when that text
-is the template writer's: the file's sha256, taken before parsing, and
-``LINE_FORMAT`` (the tag of the templates and line skeleton) match a sibling
-``*_manifest.json``, ingest converted and clamped nothing on the page, and
-the line holds each kind's key once, in line order. Else it is templated.
+left unchanged from its input line, and encode the rest, when that text
+is this writer's: the file's sha256, taken before parsing, and
+``LINE_FORMAT`` (the tag of the line skeleton and each kind's keys) match a
+sibling ``*_manifest.json``, ingest converted and clamped nothing on the
+page, and the line holds each kind's key once, in line order. Else it is
+encoded.
 
 ``load_dataset`` decodes each line with orjson, and with ``json.loads``
 each line on which the two could differ (``_decode``): a line orjson
@@ -190,9 +194,9 @@ def _category(raw: dict, ingest: _Ingest):
 # any other is converted with float(), str() or bool() (``_Ingest.convert``).
 #
 # Next to each parser is its check, true only of a record the parser takes as
-# read (nothing converted, clamped or rejected), and the line template of its
-# kind: the record's compact JSON text, numbers through %r and strings
-# (already escaped) through %s.
+# read (nothing converted, clamped or rejected), and the writer's function of
+# its kind: the records' objects, built under the kind's keys (``_KINDS``) in
+# line order.
 
 
 def _ocr_block(raw: dict, ingest: _Ingest) -> OcrBlock:
@@ -209,7 +213,10 @@ def _exact_ocr_block(raw, _names: frozenset) -> bool:  # an OCR block names no c
     return _exact_region(raw, None) and type(raw.get("text", "")) is str and type(raw.get("is_bold", False)) is bool
 
 
-_OCR_BLOCK_LINE = '{"bbox":[%r,%r,%r,%r],"text":%s,"is_bold":%s}'
+def _ocr_block_objects(blocks, keys) -> list[dict]:
+    bbox, text, is_bold = keys
+    # str.__str__ refuses a text that is not a str: one load_dataset would read back as another text.
+    return [{bbox: [(b := o.box).x1, b.y1, b.x2, b.y2], text: str.__str__(o.text), is_bold: o.is_bold} for o in blocks]
 
 
 def _teacher(raw: dict, ingest: _Ingest) -> TeacherPrediction:
@@ -232,8 +239,15 @@ def _exact_teacher(raw, names: frozenset) -> bool:
     )
 
 
-# An absent coord_var, written as None, is cut from the page's line.
-_TEACHER_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"confidence":%r,"coord_var":%r}'
+def _teacher_objects(teacher, keys) -> list[dict]:
+    type_, bbox, confidence, coord_var = keys
+    objects = [
+        {type_: t.category.name, bbox: [(b := t.box).x1, b.y1, b.x2, b.y2], confidence: t.confidence} for t in teacher
+    ]
+    for obj, t in zip(objects, teacher):
+        if t.coordinate_variance is not None:  # an absent variance has no key
+            obj[coord_var] = t.coordinate_variance
+    return objects
 
 
 def _text_region(raw: dict, ingest: _Ingest) -> LlmRegion:
@@ -258,14 +272,22 @@ def _exact_text_region(raw, names: frozenset) -> bool:
     )
 
 
-_TEXT_REGION_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"q_text":%r,"q_spatial":%r}'
+def _text_region_objects(regions, keys) -> list[dict]:
+    type_, bbox, score, q_text, q_spatial = keys
+    return [
+        {type_: r.category.name, bbox: [(b := r.box).x1, b.y1, b.x2, b.y2], score: r.score, q_text: r.q_text,
+         q_spatial: r.q_spatial}
+        for r in regions
+    ]
 
 
 def _ground_truth(raw: dict, ingest: _Ingest) -> GroundTruthAnnotation:
     return GroundTruthAnnotation(_box(raw, ingest), _category(raw, ingest))
 
 
-_GROUND_TRUTH_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r]}'
+def _ground_truth_objects(truth, keys) -> list[dict]:
+    type_, bbox = keys
+    return [{type_: g.category.name, bbox: [(b := g.box).x1, b.y1, b.x2, b.y2]} for g in truth]
 
 
 def _refined_label(raw: dict, ingest: _Ingest) -> FusedLabel:
@@ -290,7 +312,13 @@ def _exact_refined_label(raw, names: frozenset) -> bool:
     )
 
 
-_REFINED_LABEL_LINE = '{"type":%s,"bbox":[%r,%r,%r,%r],"score":%r,"provenance":%s,"smoothing":%r}'
+def _refined_label_objects(labels, keys) -> list[dict]:
+    type_, bbox, score, provenance, smoothing = keys
+    return [
+        {type_: f.category.name, bbox: [(b := f.box).x1, b.y1, b.x2, b.y2], score: f.confidence,
+         provenance: f.provenance, smoothing: f.smoothing}
+        for f in labels
+    ]
 
 
 def _records(items, field: str, page_id: str, parse, ingest: _Ingest) -> tuple:
@@ -463,43 +491,53 @@ def load_dataset(
     return pages
 
 
-_JSON_BOOL = ("false", "true")
-_SOURCED_REGION_LINE = _TEXT_REGION_LINE[:-1] + ',"source":%s}'
-# A page's line: its quoted id, then for each record kind present _ARRAY_KEY, the records and "]".
+# A page's line: its quoted id, then for each record kind present _ARRAY_KEY and its records' array.
 _PAGE_LINE = '{"page_id":%s%s}\n'
-_ARRAY_KEY = ',"%s":['
+_ARRAY_KEY = ',"%s":'
 
-
-def _text_region_args(regions) -> list[tuple]:
-    return [
-        (_quote(r.category.name), (b := r.box).x1, b.y1, b.x2, b.y2, r.score, r.q_text, r.q_spatial)
-        for r in regions
-    ]
-
-
-# The record kinds in line order, each with its record template and its records' arguments.
+_TEXT_REGION_KEYS = ("type", "bbox", "score", "q_text", "q_spatial")  # a regions line adds "source"
+# The record kinds in line order, each with the keys of its records' objects,
+# in line order, and the function that builds those objects under them.
 _KINDS = (
-    ("ocr_blocks", _OCR_BLOCK_LINE, lambda blocks: [
-        ((b := o.box).x1, b.y1, b.x2, b.y2, _quote(o.text), _JSON_BOOL[o.is_bold]) for o in blocks
-    ]),
-    ("teacher", _TEACHER_LINE, lambda teacher: [
-        (_quote(t.category.name), (b := t.box).x1, b.y1, b.x2, b.y2, t.confidence, t.coordinate_variance)
-        for t in teacher
-    ]),
-    ("llm", _TEXT_REGION_LINE, _text_region_args),
-    ("ground_truth", _GROUND_TRUTH_LINE, lambda truth: [
-        (_quote(g.category.name), (b := g.box).x1, b.y1, b.x2, b.y2) for g in truth
-    ]),
-    ("refined", _REFINED_LABEL_LINE, lambda labels: [
-        (_quote(f.category.name), (b := f.box).x1, b.y1, b.x2, b.y2, f.confidence, _quote(f.provenance), f.smoothing)
-        for f in labels
-    ]),
+    ("ocr_blocks", ("bbox", "text", "is_bold"), _ocr_block_objects),
+    ("teacher", ("type", "bbox", "confidence", "coord_var"), _teacher_objects),
+    ("llm", _TEXT_REGION_KEYS, _text_region_objects),
+    ("ground_truth", ("type", "bbox"), _ground_truth_objects),
+    ("refined", ("type", "bbox", "score", "provenance", "smoothing"), _refined_label_objects),
 )
 # The writer's format tag, which manifests record: a digest of the line
-# skeleton and of each kind's name and template, in line order.
+# skeleton and of each kind's name and keys, in line order.
 LINE_FORMAT = hashlib.sha256(
-    repr((_PAGE_LINE, _ARRAY_KEY, [(kind, template) for kind, template, *_ in _KINDS])).encode("utf-8")
+    repr((_PAGE_LINE, _ARRAY_KEY, [(kind, keys) for kind, keys, _ in _KINDS])).encode("utf-8")
 ).hexdigest()[:16]
+
+# What _agrees reads of orjson's text: each digit but 0 as "1", and each byte
+# of a non-ASCII character as DEL.
+_MARKS = bytes.maketrans(b"23456789" + bytes(range(0x80, 0x100)), b"1" * 8 + b"\x7f" * 0x80)
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(value, separators=(",", ":"))
+
+
+def _agrees(text: bytes) -> bool:
+    """Whether json writes as ``text`` the value orjson wrote as ``text``: it
+    holds no number in exponent form (orjson ``1e16``, ``1e-9``; repr
+    ``1e+16``, ``1e-09``), whose shortest digits end in 1-9 before the
+    ``e``; none in [1e-5, 1e-4) (orjson ``0.0000788``, repr ``7.88e-05``);
+    no ``null`` (orjson's non-finite float; json's ``Infinity``); and no
+    DEL or non-ASCII character (written raw; json escapes it). Any other
+    float orjson writes as ``repr`` does."""
+    marks = text.translate(_MARKS)
+    return not (b"1e" in marks or b"0.0000" in marks or b"null" in marks or b"\x7f" in marks)
+
+
+def _json(value, dumps: Callable[[object], bytes]) -> str:
+    """``json.dumps(value, separators=(",", ":"))``: the text of ``dumps``
+    (``orjson.dumps``), unless ``_agrees`` says it could differ or ``dumps``
+    refuses the value (a lone surrogate, a numpy scalar), when json's."""
+    try:
+        text = dumps(value)
+    except TypeError:  # orjson.JSONEncodeError
+        return _compact(value)
+    return text.decode("ascii") if _agrees(text) else _compact(value)
 
 
 def file_sha256(path) -> str:
@@ -522,37 +560,39 @@ def _cuts(line: str, page: Page) -> dict[str, slice]:
     kinds = [kind for kind in KINDS if getattr(page, kind) is not None]
     at = [len(head := '{"page_id":' + _quote(page.page_id))]
     for kind in kinds[1:]:
-        at.append(line.find(_ARRAY_KEY % kind, at[-1] + 1))
-    laid_out = -1 not in at and line.startswith(head) and line.startswith(_ARRAY_KEY % kinds[0], at[0])
+        at.append(line.find(_ARRAY_KEY % kind + "[", at[-1] + 1))
+    laid_out = -1 not in at and line.startswith(head) and line.startswith(_ARRAY_KEY % kinds[0] + "[", at[0])
     return dict(zip(kinds, map(slice, at, at[1:] + [len(line) - 1]))) if laid_out else {}
 
 
 def _page_line(page: Page, loaded: Page | None = None, line: _ProvenLine | None = None) -> str:
     """``page``'s dataset line. Each record kind that ``page`` holds as the
     very same tuple (or ``Unbuilt``) as ``loaded`` is cut from ``line``,
-    ``loaded``'s proven line; any other is written from its template."""
+    ``loaded``'s proven line; any other is encoded (``_json``)."""
+    import orjson  # save_dataset imports it before any fork; here it is a lookup
+
     kept = {}
     if line is not None:
         kept = {k: line[at] for k, at in line.cuts.items() if getattr(page, k) is getattr(loaded, k)}
     arrays = []
-    for kind, template, args_of in _KINDS:
+    for kind, keys, objects in _KINDS:
         records = getattr(page, kind)
-        if records is None or kind in kept:
-            arrays.append(kept.get(kind, ""))
-            continue
-        text = ",".join(map(template.__mod__, args_of(records)))
-        if template is _TEACHER_LINE:  # %r writes +inf, the one non-finite number a record admits, as inf
-            text = text.replace('"coord_var":inf}', '"coord_var":Infinity}').replace(',"coord_var":None}', "}")
-        arrays += _ARRAY_KEY % kind, text, "]"
+        if kind in kept:
+            arrays.append(kept[kind])
+        elif records is not None:
+            arrays += _ARRAY_KEY % kind, _json(objects(records, keys), orjson.dumps)
     return _PAGE_LINE % (_quote(page.page_id), "".join(arrays))
 
 
 def regions_line(page: Page, source: str) -> str:
     """The JSON line ``{"page_id", "regions"}`` of ``page``'s text regions:
     each region's dataset record, then ``"source": source``."""
-    source_text = _quote(source)
-    regions = ",".join([_SOURCED_REGION_LINE % (*a, source_text) for a in _text_region_args(page.llm)])
-    return '{"page_id":%s,"regions":[%s]}\n' % (_quote(page.page_id), regions)
+    import orjson
+
+    regions = _text_region_objects(page.llm, _TEXT_REGION_KEYS)
+    for region in regions:
+        region["source"] = source
+    return '{"page_id":%s,"regions":%s}\n' % (_quote(page.page_id), _json(regions, orjson.dumps))
 
 
 def save_dataset(
@@ -581,7 +621,7 @@ def save_dataset(
                 raise ValueError(f"duplicate page_id {page.page_id!r}")
             seen.add(page.page_id)
         pages = list(zip(pages, sources, strict=True) if sources else zip(pages, repeat((None, None))))
-        # Only the records written from the templates count toward a split.
+        # Only the records encoded, not copied, count toward a split.
         records = sum(
             len(getattr(page, kind) or ())
             for page, (loaded, line) in pages
@@ -590,6 +630,7 @@ def save_dataset(
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    import orjson  # noqa: F401  before any fork, so that no writer child imports it (_page_line)
 
     def lines(part):
         if make_pages is not None:
@@ -600,11 +641,12 @@ def save_dataset(
 
 
 # The fewest records (OCR blocks, teacher boxes, text regions, ground truth,
-# refined labels) written from the templates, not copied, worth a process.
-# In two in-process sweeps a two-way split beat the sequential save_dataset
-# from 2 000-5 000 records, and with the pages simulated in the part from
-# 750-2 000 (BENCH_21.json "break_even").
-_PART_MIN_RECORDS = 2500
+# refined labels) encoded, not copied, worth a process. In two in-process
+# sweeps a two-way split beat the sequential save_dataset from 6 000-9 000
+# records, and with the pages simulated in the part from 1 000-4 500
+# (BENCH_27.json "break_even"). 3 000 splits a save from 6 000, and still
+# splits simulate's writes of both benchmark corpora (6 300 and 9 000).
+_PART_MIN_RECORDS = 3000
 
 
 def _write_split(path: Path, items: Sequence, lines: Callable[[Sequence], Iterable[str]], records: int) -> None:

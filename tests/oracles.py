@@ -496,7 +496,7 @@ def _bbox(box) -> list[float]:
 
 def page_to_dict(page) -> dict:
     """The JSON object of ``page``'s dataset line, keys in line order: the
-    reference the template writer's bytes are compared with, as
+    reference the writer's bytes are compared with, as
     ``json.dumps(page_to_dict(page), separators=(",", ":"))``."""
     obj: dict = {"page_id": page.page_id}
     obj["ocr_blocks"] = [

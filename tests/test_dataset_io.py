@@ -1,5 +1,5 @@
 """Dataset interchange: validation errors, bit-exact round-trips, and the
-template writer against its ``json.dumps`` reference (``oracles.page_to_dict``)."""
+writer against its ``json.dumps`` reference (``oracles.page_to_dict``)."""
 
 import json
 import math
@@ -230,7 +230,7 @@ class TestRoundTrip:
         assert loaded.teacher[0].confidence == 0.123456789123456
 
 
-# --- The template writer -------------------------------------------------
+# --- The writer ----------------------------------------------------------
 
 
 def reference_line(page):
@@ -332,7 +332,7 @@ def test_save_load_save_is_byte_stable(tmp_path, written):
 def _forced(record, **fields):
     """``record`` with ``fields`` stored past its constructor's checks, as
     ``object.__setattr__`` can. The writer does not check a record's types
-    again, so such a page meets the writer's own first use of the value."""
+    again, so such a page meets the encoder with the value as stored."""
     for name, value in fields.items():
         object.__setattr__(record, name, value)
     return record
@@ -351,14 +351,15 @@ def _region_page(q_text=0.9):
     return Page("p", llm=(LlmRegion(BoundingBox(0.1, 0.1, 0.4, 0.2), DOCLAYNET.category("text"), 0.8, q_text),))
 
 
+# A value forced past its record's constructor meets one rule: save_dataset
+# raises TypeError, or writes a line that load_dataset reads back as an equal page.
+FORCED = "refused or read back"
+
 # Each case builds a page, and either writes the bytes of the page given
-# (json.dumps of its page_to_dict) or raises the TypeError given. A numpy
-# number is stored as its float, so the page is the float-built one; a bool
-# where a number belongs is refused where the record is built. Of the values
-# forced past the constructor, json's escaper raises on a string field that
-# is not a str, the is_bold lookup raises on an np.bool_ and writes an int
-# flag as the bool it stands for, which is what load_dataset reads back
-# from json.dumps' 1 too.
+# (json.dumps of its page_to_dict), raises the TypeError given, or meets the
+# FORCED rule. A numpy number is stored as its float, so the page is the
+# float-built one; a bool where a number belongs is refused where the record
+# is built. A page id that is not a str is refused by json's escaper.
 OFF_TYPE_PAGES = {
     "np.float64 coordinate": (lambda: _teacher_page(box=BoundingBox(np.float64(0.1), 0.1, 0.4, 0.2)), _teacher_page()),
     "np.float64 confidence": (lambda: _teacher_page(confidence=np.float64(0.9)), _teacher_page()),
@@ -375,13 +376,11 @@ OFF_TYPE_PAGES = {
         TypeError("TeacherPrediction coordinate_variance must be a float, got bool"),
     ),
     "bool quality": (lambda: _region_page(q_text=True), TypeError("LlmRegion q_text must be a float, got bool")),
-    "int text": (lambda: _text_page(text=5), TypeError("first argument must be a string, not int")),
-    "list text": (lambda: _text_page(text=["x", 1.5]), TypeError("first argument must be a string, not list")),
-    "object text": (lambda: _text_page(text=object()), TypeError("first argument must be a string, not object")),
-    "np.bool_ is_bold": (
-        lambda: _text_page(is_bold=np.True_), TypeError(r"tuple indices must be integers or slices, not numpy\.bool")
-    ),
-    "int is_bold": (lambda: _text_page(is_bold=1), _text_page(is_bold=True)),
+    "int text": (lambda: _text_page(text=5), FORCED),
+    "list text": (lambda: _text_page(text=["x", 1.5]), FORCED),
+    "object text": (lambda: _text_page(text=object()), FORCED),
+    "np.bool_ is_bold": (lambda: _text_page(is_bold=np.True_), FORCED),
+    "int is_bold": (lambda: _text_page(is_bold=1), FORCED),
     "int page_id": (lambda: _forced(_teacher_page(), page_id=7), TypeError("first argument must be a string, not int")),
 }
 
@@ -389,7 +388,14 @@ OFF_TYPE_PAGES = {
 @pytest.mark.parametrize("build, want", [pytest.param(*case, id=key) for key, case in OFF_TYPE_PAGES.items()])
 def test_off_type_values_give_json_dumps_bytes_or_its_type_error(tmp_path, build, want):
     path = tmp_path / "page.jsonl"
-    if isinstance(want, TypeError):
+    if want is FORCED:
+        try:
+            save_dataset([build()], path)
+        except TypeError:
+            pass
+        else:
+            assert load_dataset(path) == [build()]
+    elif isinstance(want, TypeError):
         with pytest.raises(TypeError, match=str(want)):
             save_dataset([build()], path)
     else:
@@ -448,7 +454,7 @@ PIPELINE_CORPORA = {
 
 @pytest.mark.parametrize("sim", PIPELINE_CORPORA.values(), ids=PIPELINE_CORPORA.keys())
 def test_pipeline_pages_never_take_the_reference_writer(tmp_path, sim):
-    """Every file the commands write holds the template writer's bytes of
+    """Every file the commands write holds the writer's bytes of
     the pages it loads to, which are also json.dumps' bytes of them."""
     (tmp_path / "sim.json").write_text(json.dumps(sim), encoding="utf-8")
     (tmp_path / "gate.json").write_text(json.dumps({"epochs": 2}), encoding="utf-8")

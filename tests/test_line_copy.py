@@ -1,7 +1,7 @@
 """The copy path of ``save_dataset``: ``fuse`` and ``heuristics`` copy each
 record kind they leave unchanged from the line of a CLI-written input.
 
-A copy is the template writer's bytes only for a line that writer wrote
+A copy is the writer's bytes only for a line that writer wrote
 and that ingest read without converting or clamping a value. So every
 output here must equal ``_page_line`` of the pages it loads to, whatever
 the input: hand-formatted, edited after it was written, listed under
@@ -75,11 +75,11 @@ def test_a_cli_written_input_is_proven_and_its_rewrites_are_template_bytes(tmp_p
 
 def test_a_kind_the_page_shares_with_its_source_is_copied_from_the_line(tmp_path):
     """The copy takes the line's text as it is; only the kinds ``page``
-    does not share with the loaded page come from the templates."""
+    does not share with the loaded page are encoded."""
     dataset = _simulate(tmp_path)
     loaded, line = _sources(dataset)[0]
     refined = load_dataset(_rewrite(tmp_path, dataset)[0])[0].refined
-    def mark(text):  # a teacher confidence as the templates never write it
+    def mark(text):  # a teacher confidence as the writer never writes it
         return text.replace('"confidence":0.', '"confidence":0.000', 1)
 
     marked = dataset_io._ProvenLine(mark(line), dataset_io._cuts(mark(line), loaded))
@@ -240,9 +240,9 @@ def _region(**fields) -> LlmRegion:
 
 
 # Pages whose line the writer writes, but which ingest converts or clamps
-# on the way back, so the line's text is not what the templates write. A
-# record stores every number as a float; an int, which %r writes as an
-# int, is stored here past the constructor, as an edited line would hold it.
+# on the way back, so the line's text is not what the writer writes. A
+# record stores every number as a float; an int, which the encoder writes
+# as an int, is stored here past the constructor, as an edited line would hold it.
 REPAIRED = {
     "clamped coordinate": Page("r", teacher=(_teacher(_box(x2=1.5)),)),
     "negative zero": Page("r", teacher=(_teacher(BoundingBox(-0.0, 0.1, 0.4, 0.2)),)),
@@ -270,7 +270,7 @@ def test_only_the_page_ingest_repaired_is_templated(tmp_path, page):
 @given(seed=st.integers(0, 2**32 - 1), changed=st.sets(st.sampled_from(KINDS)), fresh=st.booleans())
 def test_a_proven_page_saves_to_the_template_bytes_with_any_kinds_replaced(tmp_path_factory, seed, changed, fresh):
     """Each kind in ``changed`` comes from another page: the next loaded page
-    (floats as loaded, so templated) or, if ``fresh``, a new one, whose
+    (floats as loaded, so encoded) or, if ``fresh``, a new one, whose
     numpy coordinates its boxes store as floats."""
     tmp = tmp_path_factory.mktemp("copy")
     rng = np.random.default_rng(seed)

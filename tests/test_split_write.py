@@ -83,9 +83,9 @@ def test_gate_pipeline_bytes_at_one_and_two_cpus(tmp_path, monkeypatch, forks, c
 
 
 def test_a_save_that_copies_splits_by_the_records_it_templates(tmp_path, monkeypatch, forks):
-    """A ``fuse``-like save of a proven corpus templates only the refined
+    """A ``fuse``-like save of a proven corpus encodes only the refined
     labels: with that many records per part it writes in this process,
-    and the same pages without sources, all templated, split."""
+    and the same pages without sources, all encoded, split."""
     _cpus(monkeypatch, 2)
     path = tmp_path / "dataset.jsonl"
     save_dataset(simulate_dataset(SimConfig(pages=30, regions_min=8, regions_max=12, seed=2)), path)
